@@ -15,16 +15,17 @@ import re
 import sys
 from pathlib import Path
 
-from .engine import CorrelatorEngine, PrimaryTable, UnsupportedQueryError
+from .engine import CorrelatorEngine, PrimaryTable, ReconstructionError, UnsupportedQueryError
 from .exact import format_rational
 from .fixtures import FIXTURE_NAMES, genus1_taut_table, load_fixture
 from .geometry import GeometryModel, ModelError, load_geometry
-from .moduli import TautTable, psi_integral_genus0
+from .moduli import TautTable, TautTableError, psi_integral_genus0
 from .phase import (
     build_transform,
     potential_modified,
     potential_primary,
     potential_standard,
+    summed,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -98,15 +99,7 @@ def cmd_correlator(args) -> int:
         raise CliError("give either --beta or --qmax")
     if args.genus != 0:
         raise CliError("summed series are genus-0 only")
-    policy = model.policy(args.qmax)
-    terms = {}
-    for beta in policy.iter_effective():
-        value = _evaluate_query(engine, 0, beta, triples)
-        if value:
-            terms[beta] = value
-    from .exact import NovikovSeries
-
-    print(NovikovSeries(policy, terms))
+    print(summed(model.policy(args.qmax), lambda beta: _evaluate_query(engine, 0, beta, triples)))
     return 0
 
 
@@ -264,7 +257,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ModelError, UnsupportedQueryError, FileNotFoundError, ValueError) as exc:
+    except TautTableError as exc:
+        # a KeyError's str() is the repr of its message; print the message itself
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (CliError, ModelError, UnsupportedQueryError, ReconstructionError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,6 +112,13 @@ class PrimaryTable:
             return cls.from_records(model, json.load(handle))
 
 
+def _effective(beta: CurveClass) -> CurveClass:
+    beta = tuple(beta)
+    if any(b < 0 for b in beta):
+        raise ValueError("curve classes must be effective")
+    return beta
+
+
 class CorrelatorEngine:
     """Evaluates primary, descendant, generalized and modified correlators.
 
@@ -137,6 +144,10 @@ class CorrelatorEngine:
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         if model.lattice_rank > 0 and model.degree_of(self.gamma0) != 1:
             raise ValueError("the reduction divisor must be a degree-1 class")
+        # gamma0 ∪ basis[a] as (coefficient, index) parts: the lowering terms
+        self._lowered = [
+            self._components(model.cup(self.gamma0, model.basis_class(a))) for a in range(model.rank)
+        ]
         self._memo: dict = {}
         self._active: set = set()
 
@@ -190,6 +201,12 @@ class CorrelatorEngine:
     def _components(self, cls: CohClass) -> list[tuple[Fraction, int]]:
         return [(cls.coeffs[idx], idx) for idx in cls.support()]
 
+    def _candidates(self, beta: CurveClass, need: int) -> Sequence[int]:
+        """Basis indices a node class at class beta may take: those of degree need + c1·beta."""
+        if not self.check_dimension:
+            return range(self.model.rank)
+        return self.model.basis_of_degree(need + self._c1_beta(beta))
+
     # ------------------------------------------------------------------
     # base values
 
@@ -218,23 +235,16 @@ class CorrelatorEngine:
         if cached is not None:
             return cached
         pairing = self._gamma0_pairing(beta)
-        if d1 == 0 and d2 == 0:
-            total = Fraction(0)
-            for cg, gi in self._components(self.gamma0):
-                total += cg * self._primary3(beta, tuple(sorted((gi, a1, a2))))
-            return self._memo_put(key, total / pairing)
         three = Fraction(0)
         for cg, gi in self._components(self.gamma0):
             three += cg * self._three_desc(beta, tuple(sorted(((0, gi), (d1, a1), (d2, a2)))))
         lowered = Fraction(0)
         if d1 >= 1:
-            cup1 = self.model.cup(self.gamma0, self.model.basis_class(a1))
-            for idx in cup1.support():
-                lowered += cup1.coeffs[idx] * self._two(beta, d1 - 1, idx, d2, a2)
+            for c, idx in self._lowered[a1]:
+                lowered += c * self._two(beta, d1 - 1, idx, d2, a2)
         if d2 >= 1:
-            cup2 = self.model.cup(self.gamma0, self.model.basis_class(a2))
-            for idx in cup2.support():
-                lowered += cup2.coeffs[idx] * self._two(beta, d1, a1, d2 - 1, idx)
+            for c, idx in self._lowered[a2]:
+                lowered += c * self._two(beta, d1, a1, d2 - 1, idx)
         return self._memo_put(key, (three - lowered) / pairing)
 
     def _two_vs_class(self, beta: CurveClass, d: int, a_idx: int, cls: CohClass) -> Fraction:
@@ -267,12 +277,12 @@ class CorrelatorEngine:
         j = next(p for p, (d, _) in enumerate(ins) if d >= 1)
         d_j, a_j = ins[j]
         duals = self._duals()
+        need = self.model.dimension - sum(d + self._deg(a) for p, (d, a) in enumerate(ins) if p != j)
         total = Fraction(0)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
-            candidates = self._node_candidates_three(beta2, ins, j)
-            for a in candidates:
+            for a in self._candidates(beta2, need):
                 tp = self._two_vs_class(beta1, d_j - 1, a_j, duals[a])
                 if not tp:
                     continue
@@ -282,13 +292,6 @@ class CorrelatorEngine:
                 if rest:
                     total += tp * rest
         return self._memo_put(key, total)
-
-    def _node_candidates_three(self, beta2: CurveClass, ins, j) -> list[int]:
-        if not self.check_dimension:
-            return list(range(self.model.rank))
-        need = self.model.dimension + self._c1_beta(beta2)
-        need -= sum(d + self._deg(a) for p, (d, a) in enumerate(ins) if p != j)
-        return [idx for idx in range(self.model.rank) if self._deg(idx) == need]
 
     # ------------------------------------------------------------------
     # unstable range at nonzero class
@@ -312,9 +315,8 @@ class CorrelatorEngine:
             with_divisor += cg * self._two(beta, 0, gi, d, a)
         lowered = Fraction(0)
         if d >= 1:
-            cupped = self.model.cup(self.gamma0, self.model.basis_class(a))
-            for idx in cupped.support():
-                lowered += cupped.coeffs[idx] * self._one(beta, d - 1, idx, route)
+            for c, idx in self._lowered[a]:
+                lowered += c * self._one(beta, d - 1, idx, route)
         return self._memo_put(key, (with_divisor - lowered) / pairing)
 
     def _zero(self, beta: CurveClass, route: str = "divisor") -> Fraction:
@@ -375,11 +377,12 @@ class CorrelatorEngine:
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
         duals = self._duals()
+        need = self.model.dimension + len(ins) - 3 - e_j
+        need -= sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
-            candidates = self._node_candidates_gen(beta2, ins, j)
-            for a in candidates:
+            for a in self._candidates(beta2, need):
                 replaced = list(ins)
                 replaced[j] = (0, e_j, a)
                 tp = self._two_vs_class(beta1, d_j - 1, a_j, duals[a])
@@ -389,15 +392,6 @@ class CorrelatorEngine:
                 if rest:
                     total += tp * rest
         return total
-
-    def _node_candidates_gen(self, beta2: CurveClass, ins, j) -> list[int]:
-        if not self.check_dimension:
-            return list(range(self.model.rank))
-        _, e_j, _ = ins[j]
-        need = self.model.dimension + self._c1_beta(beta2) + len(ins) - 3
-        need -= sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
-        need -= e_j
-        return [idx for idx in range(self.model.rank) if self._deg(idx) == need]
 
     # ------------------------------------------------------------------
     # modified correlators: boundary splitting of pulled-back powers
@@ -439,8 +433,11 @@ class CorrelatorEngine:
                 mult *= comb(count, s)
                 side_s.extend([val] * s)
                 side_c.extend([val] * (count - s))
+            # the node class on side S completes S's dimension count; on a
+            # dimension-valid query its dual then completes the other side's
+            need = self.model.dimension + len(side_s) - 2 - sum(d + e + self._deg(a) for d, e, a in side_s)
             for beta1, beta2 in beta_splittings(beta):
-                for a in self._node_candidates_split(beta1, beta2, side_s, side_c):
+                for a in self._candidates(beta1, need):
                     left = self._gen(beta1, tuple(sorted(side_s + [(0, 0, a)])))
                     if not left:
                         continue
@@ -453,18 +450,6 @@ class CorrelatorEngine:
                     if right:
                         total += mult * left * right
         return total
-
-    def _node_candidates_split(self, beta1, beta2, side_s, side_c) -> list[int]:
-        if not self.check_dimension:
-            return list(range(self.model.rank))
-        delta = self.model.dimension
-        need_s = delta + self._c1_beta(beta1) + len(side_s) + 1 - 3
-        need_s -= sum(d + e + self._deg(a) for d, e, a in side_s)
-        need_c = delta + self._c1_beta(beta2) + len(side_c) + 1 - 3
-        need_c -= sum(d + e + self._deg(a) for d, e, a in side_c)
-        if need_s < 0 or need_s > delta or need_c != delta - need_s:
-            return []
-        return [idx for idx in range(self.model.rank) if self._deg(idx) == need_s]
 
     # ------------------------------------------------------------------
     # n-point primaries from the three-point table
@@ -505,13 +490,57 @@ class CorrelatorEngine:
         return total
 
     # ------------------------------------------------------------------
+    # the one multilinear entry: every public correlator sums over the basis here
+
+    def _sum(self, beta: CurveClass, triples: Sequence[tuple[int, int, CohClass]], value, *args) -> Fraction:
+        """Sum ``value(beta, core, *args)`` over the basis expansion of the insertions."""
+        beta = _effective(beta)
+        total = Fraction(0)
+        for coeff, core in self._expand(triples):
+            term = value(beta, core, *args)
+            if term:
+                total += coeff * term
+        return total
+
+    def _gen_at(self, beta: CurveClass, core: tuple[Insertion, ...], reduce_at: int | None) -> Fraction:
+        if reduce_at is None:
+            return self._gen(beta, core)
+        if not (0 <= reduce_at < len(core)) or core[reduce_at][0] < 1:
+            raise ValueError("reduce_at must point at a slot with a positive cotangent power")
+        if self.check_dimension and not self._dimension_ok(beta, core):
+            return Fraction(0)
+        return self._gen_apply_relation(beta, core, reduce_at)
+
+    def _modified_at(self, beta: CurveClass, core: tuple[Insertion, ...], refs) -> Fraction:
+        if refs is None or not any(e for _, e, _ in core):
+            return self._gen(beta, core)
+        if self.check_dimension and not self._dimension_ok(beta, core):
+            return Fraction(0)
+        return self._modified_core(beta, core, refs=refs)
+
+    def _three_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
+        return self._three_desc(beta, tuple((d, a) for d, _, a in core))
+
+    def _primary3_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
+        return self._primary3(beta, tuple(a for _, _, a in core))
+
+    def _two_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
+        (d1, _, a1), (d2, _, a2) = core
+        return self._two(beta, d1, a1, d2, a2)
+
+    def _one_at(self, beta: CurveClass, core: tuple[Insertion, ...], route: str) -> Fraction:
+        ((d, _, a),) = core
+        return self._one(beta, d, a, route)
+
+    def _zero_at(self, beta: CurveClass, core: tuple[Insertion, ...], route: str) -> Fraction:
+        return self._zero(beta, route)
+
+    # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)
 
     def descendant(self, g: int, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Conventional descendant correlator, dispatching on (g, beta, n)."""
-        beta = tuple(beta)
-        if any(b < 0 for b in beta):
-            raise ValueError("curve classes must be effective")
+        beta = _effective(beta)
         if g >= 1:
             if any(beta):
                 raise UnsupportedQueryError(
@@ -522,21 +551,10 @@ class CorrelatorEngine:
             return constant_map_correlator(0, list(pairs), self.model, self.taut)
         n = len(pairs)
         if n >= 3:
-            total = Fraction(0)
-            for coeff, core in self._expand([(d, 0, cls) for d, cls in pairs]):
-                value = self._gen(beta, core)
-                if value:
-                    total += coeff * value
-            return total
+            return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._gen)
         if n == 2:
             (d1, x), (d2, y) = pairs
-            total = Fraction(0)
-            for cx, ix in self._components(x):
-                for cy, iy in self._components(y):
-                    value = self._two(beta, d1, ix, d2, iy)
-                    if value:
-                        total += cx * cy * value
-            return total
+            return self.two_point_general(d1, x, d2, y, beta)
         if n == 1:
             (d, x) = pairs[0]
             return self.one_point(d, x, beta)
@@ -554,23 +572,9 @@ class CorrelatorEngine:
         the given position of the canonically sorted expansion; the result
         must not depend on it, which the identity suites verify.
         """
-        beta = tuple(beta)
         if len(triples) < 3:
             raise UnsupportedQueryError("generalized correlators need the stable range (n >= 3)")
-        total = Fraction(0)
-        for coeff, core in self._expand(triples):
-            if reduce_at is None:
-                value = self._gen(beta, core)
-            else:
-                if not (0 <= reduce_at < len(core)) or core[reduce_at][0] < 1:
-                    raise ValueError("reduce_at must point at a slot with a positive cotangent power")
-                if self.check_dimension and not self._dimension_ok(beta, core):
-                    value = Fraction(0)
-                else:
-                    value = self._gen_apply_relation(beta, core, reduce_at)
-            if value:
-                total += coeff * value
-        return total
+        return self._sum(beta, triples, self._gen_at, reduce_at)
 
     def modified(
         self,
@@ -579,81 +583,39 @@ class CorrelatorEngine:
         refs: tuple[int, int, int] | None = None,
     ) -> Fraction:
         """Correlator with pulled-back powers only (the modified kind)."""
-        beta = tuple(beta)
         if len(pairs) < 3:
             raise UnsupportedQueryError("modified correlators need at least three marks")
-        total = Fraction(0)
-        for coeff, core in self._expand([(0, e, cls) for e, cls in pairs]):
-            if refs is not None and any(e for _, e, _ in core):
-                if self.check_dimension and not self._dimension_ok(beta, core):
-                    value = Fraction(0)
-                else:
-                    value = self._modified_core(beta, core, refs=refs)
-            else:
-                value = self._gen(beta, core)
-            if value:
-                total += coeff * value
-        return total
+        return self._sum(beta, [(0, e, cls) for e, cls in pairs], self._modified_at, refs)
 
     def three_point_descendant(self, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Three-point descendant correlator by the contraction recursion."""
-        beta = tuple(beta)
         if len(pairs) != 3:
             raise ValueError("exactly three insertions required")
-        if not any(beta):
-            return constant_map_correlator(0, list(pairs), self.model, self.taut)
-        total = Fraction(0)
-        for coeff, core in self._expand([(d, 0, cls) for d, cls in pairs]):
-            value = self._three_desc(beta, tuple((d, a) for d, _, a in core))
-            if value:
-                total += coeff * value
-        return total
+        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._three_at)
 
     def two_point(self, d: int, x: CohClass, y: CohClass, beta: CurveClass) -> Fraction:
         """Two-point correlator with the cotangent power on the first slot."""
         return self.two_point_general(d, x, 0, y, beta)
 
     def two_point_general(self, d1: int, x: CohClass, d2: int, y: CohClass, beta: CurveClass) -> Fraction:
-        beta = tuple(beta)
-        total = Fraction(0)
-        for cx, ix in self._components(x):
-            for cy, iy in self._components(y):
-                value = self._two(beta, d1, ix, d2, iy)
-                if value:
-                    total += cx * cy * value
-        return total
+        return self._sum(beta, [(d1, 0, x), (d2, 0, y)], self._two_at)
 
     def primary3(self, beta: CurveClass, x: CohClass, y: CohClass, z: CohClass) -> Fraction:
-        beta = tuple(beta)
-        total = Fraction(0)
-        for coeff, core in self._expand([(0, 0, x), (0, 0, y), (0, 0, z)]):
-            value = self._primary3(beta, tuple(a for _, _, a in core))
-            if value:
-                total += coeff * value
-        return total
+        return self._sum(beta, [(0, 0, x), (0, 0, y), (0, 0, z)], self._primary3_at)
 
     def primary(self, beta: CurveClass, classes: Sequence[CohClass]) -> Fraction:
         """Primary n-point correlator (n >= 3)."""
         return self.descendant(0, beta, [(0, cls) for cls in classes])
 
     def one_point(self, d: int, x: CohClass, beta: CurveClass, route: str = "divisor") -> Fraction:
-        beta = tuple(beta)
         if route not in ("divisor", "dilaton"):
             raise ValueError("route must be 'divisor' or 'dilaton'")
-        if not any(beta):
-            return Fraction(0)
-        total = Fraction(0)
-        for coeff, idx in self._components(x):
-            value = self._one(beta, d, idx, route)
-            if value:
-                total += coeff * value
-        return total
+        return self._sum(beta, [(d, 0, x)], self._one_at, route)
 
     def zero_point(self, beta: CurveClass, route: str = "divisor") -> Fraction:
-        beta = tuple(beta)
         if route not in ("divisor", "dilaton"):
             raise ValueError("route must be 'divisor' or 'dilaton'")
-        return self._zero(beta, route)
+        return self._sum(beta, [], self._zero_at, route)
 
     # ------------------------------------------------------------------
     # relation checks (both sides evaluated independently)

@@ -232,35 +232,40 @@ def antiderivative_q(series: NovikovSeries, pairing) -> NovikovSeries:
     return NovikovSeries(series.policy, acc)
 
 
+def _row_reduce(aug: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:
+    """Exact Gauss-Jordan elimination, in place, over the first ncols columns.
+
+    Each pivot row is scaled to a leading 1 and its column cleared in every
+    other row; returns the (row, column) pivot positions in order.
+    """
+    pivots: list[tuple[int, int]] = []
+    for col in range(ncols):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = aug[row][col]
+        aug[row] = [v / inv for v in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivots.append((row, col))
+    return pivots
+
+
 def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """One exact solution of matrix·x = rhs, or None when inconsistent.
 
     Plain fraction Gauss elimination; fine for the tiny systems this package
     meets (Gram matrices, cup-product decompositions).
     """
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
+    n = len(matrix[0]) if matrix else 0
     aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col]
-        aug[row] = [v / inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
+    pivots = _row_reduce(aug, n)
+    if any(row[n] != 0 for row in aug[len(pivots):]):
+        return None
     solution = [Fraction(0)] * n
     for r, c in pivots:
         solution[c] = aug[r][n]
@@ -271,15 +276,6 @@ def invert_matrix(matrix: list[list[Fraction]]) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix, or None when singular."""
     n = len(matrix)
     aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    if len(_row_reduce(aug, n)) < n:
+        return None
     return [row[n:] for row in aug]

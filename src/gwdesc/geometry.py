@@ -125,6 +125,7 @@ class GeometryModel:
         self.rank = len(labels)
         self.lattice_rank = lattice_rank
         self._index = {label: i for i, label in enumerate(labels)}
+        self._by_degree = {d: tuple(i for i, e in enumerate(degrees) if e == d) for d in set(degrees)}
         self._cup_records = {tuple(sorted(k)): dict(v) for k, v in cup_records.items()}
         self._integral = tuple(Fraction(integral.get(label, 0)) for label in labels)
         self._pairing_rows = {label: tuple(row) for label, row in divisor_pairing.items()}
@@ -154,9 +155,13 @@ class GeometryModel:
             table[j][i] = value
         return table
 
+    def basis_of_degree(self, d: int) -> tuple[int, ...]:
+        """Indices of the basis elements of degree d, in basis order."""
+        return self._by_degree.get(d, ())
+
     @property
     def unit_index(self) -> int:
-        zeros = [i for i, d in enumerate(self.degrees) if d == 0]
+        zeros = self.basis_of_degree(0)
         if len(zeros) != 1:
             raise ModelError("need exactly one degree-0 basis element")
         return zeros[0]
@@ -239,7 +244,7 @@ class GeometryModel:
 
     @property
     def divisor_indices(self) -> list[int]:
-        return [i for i, d in enumerate(self.degrees) if d == 1]
+        return list(self.basis_of_degree(1))
 
     def pairing_row(self, i: int) -> tuple[int, ...]:
         label = self.labels[i]
@@ -339,12 +344,7 @@ class GeometryModel:
         deg = self.degrees[i]
         if deg < 2:
             return None
-        pairs = [
-            (d, x)
-            for d in self.divisor_indices
-            for x in range(self.rank)
-            if self.degrees[x] == deg - 1
-        ]
+        pairs = [(d, x) for d in self.basis_of_degree(1) for x in self.basis_of_degree(deg - 1)]
         if not pairs:
             return None
         columns = [self._cup_table[d][x] for d, x in pairs]
@@ -361,7 +361,7 @@ class GeometryModel:
     def validate(self) -> ValidationReport:
         checks: list[ValidationCheck] = []
 
-        zeros = [i for i, d in enumerate(self.degrees) if d == 0]
+        zeros = self.basis_of_degree(0)
         checks.append(
             ValidationCheck(
                 "identity-unique",

@@ -78,31 +78,23 @@ class SeriesClass:
 # summation over effective classes
 
 
+def summed(policy: TruncationPolicy, value: Callable[[CurveClass], Fraction]) -> NovikovSeries:
+    """The series of ``value(beta)`` over the effective classes of the window."""
+    terms = {}
+    for beta in policy.iter_effective():
+        coeff = value(beta)
+        if coeff:
+            terms[beta] = coeff
+    return NovikovSeries(policy, terms)
+
+
 def summed_correlator(
     engine: CorrelatorEngine,
     pairs: Sequence[tuple[int, CohClass]],
     policy: TruncationPolicy,
 ) -> NovikovSeries:
     """Genus-zero descendant correlator summed over effective classes."""
-    terms = {}
-    for beta in policy.iter_effective():
-        value = engine.descendant(0, beta, pairs)
-        if value:
-            terms[beta] = value
-    return NovikovSeries(policy, terms)
-
-
-def summed_generalized(
-    engine: CorrelatorEngine,
-    triples: Sequence[tuple[int, int, CohClass]],
-    policy: TruncationPolicy,
-) -> NovikovSeries:
-    terms = {}
-    for beta in policy.iter_effective():
-        value = engine.generalized(beta, triples)
-        if value:
-            terms[beta] = value
-    return NovikovSeries(policy, terms)
+    return summed(policy, lambda beta: engine.descendant(0, beta, pairs))
 
 
 def summed_two_point(
@@ -113,14 +105,7 @@ def summed_two_point(
     policy: TruncationPolicy,
 ) -> NovikovSeries:
     """Two-point descendant series (the zero class never contributes)."""
-    terms = {}
-    for beta in policy.iter_effective():
-        if beta_is_zero(beta):
-            continue
-        value = engine.two_point(d, x, y, beta)
-        if value:
-            terms[beta] = value
-    return NovikovSeries(policy, terms)
+    return summed(policy, lambda beta: engine.two_point(d, x, y, beta))
 
 
 # ----------------------------------------------------------------------
@@ -147,20 +132,23 @@ def _primary3_multilinear(
     return total
 
 
-def summed_primary3(
+def _contract(
     model: GeometryModel,
-    table: PrimaryTable,
     policy: TruncationPolicy,
-    x: CohClass,
-    y: CohClass,
-    z: CohClass,
-) -> NovikovSeries:
-    terms = {}
+    value: Callable[[CurveClass, int], Fraction],
+    out_basis: Sequence[CohClass],
+) -> SeriesClass:
+    """The class series sum_beta q^beta sum_a value(beta, a) out_basis[a]."""
+    parts: dict[CurveClass, CohClass] = {}
     for beta in policy.iter_effective():
-        value = _primary3_multilinear(model, table, beta, x, y, z)
-        if value:
-            terms[beta] = value
-    return NovikovSeries(policy, terms)
+        acc = model.zero_class()
+        for a in range(model.rank):
+            coeff = value(beta, a)
+            if coeff:
+                acc = acc + coeff * out_basis[a]
+        if not acc.is_zero():
+            parts[beta] = acc
+    return SeriesClass(policy, parts)
 
 
 def quantum_product(
@@ -176,18 +164,12 @@ def quantum_product(
     primary table, so this path never touches the reduction engine.
     """
     duals = model.dual_bases()
-    parts: dict[CurveClass, CohClass] = {}
-    for beta in policy.iter_effective():
-        acc = model.zero_class()
-        hit = False
-        for a in range(model.rank):
-            value = _primary3_multilinear(model, table, beta, duals.delta_dual[a], x, y)
-            if value:
-                acc = acc + value * duals.delta[a]
-                hit = True
-        if hit and not acc.is_zero():
-            parts[beta] = acc
-    return SeriesClass(policy, parts)
+    return _contract(
+        model,
+        policy,
+        lambda beta, a: _primary3_multilinear(model, table, beta, duals.delta_dual[a], x, y),
+        duals.delta,
+    )
 
 
 def two_point_contraction(
@@ -203,22 +185,13 @@ def two_point_contraction(
     """
     if d == 0:
         return SeriesClass.from_class(policy, gamma)
-    model = engine.model
-    duals = model.dual_bases()
-    parts: dict[CurveClass, CohClass] = {}
-    for beta in policy.iter_effective():
-        if beta_is_zero(beta):
-            continue
-        acc = model.zero_class()
-        hit = False
-        for a in range(model.rank):
-            value = engine.two_point(d - 1, gamma, duals.delta[a], beta)
-            if value:
-                acc = acc + value * duals.delta_dual[a]
-                hit = True
-        if hit and not acc.is_zero():
-            parts[beta] = acc
-    return SeriesClass(policy, parts)
+    duals = engine.model.dual_bases()
+    return _contract(
+        engine.model,
+        policy,
+        lambda beta, a: engine.two_point(d - 1, gamma, duals.delta[a], beta),
+        duals.delta_dual,
+    )
 
 
 def two_point_from_primaries(
@@ -256,7 +229,9 @@ def two_point_from_primaries(
                 inner = two_point_from_primaries(model, table, policy, d - j, shifted_x, cls, gamma0)
                 bracket = bracket + inner.shift(beta_shift)
         else:
-            bracket = summed_primary3(model, table, policy, gamma0, shifted_x, y)
+            bracket = summed(
+                policy, lambda beta: _primary3_multilinear(model, table, beta, gamma0, shifted_x, y)
+            )
             zero_beta = policy.zero_beta()
             bracket = bracket - NovikovSeries.monomial(policy, zero_beta, bracket.constant_term())
         for _ in range(j):
@@ -389,11 +364,7 @@ class PhaseTransform:
         return out
 
 
-def build_transform(
-    engine: CorrelatorEngine,
-    policy: TruncationPolicy,
-    two_point_series: Callable[[int, CohClass, CohClass], NovikovSeries] | None = None,
-) -> PhaseTransform:
+def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> PhaseTransform:
     """Assemble the coordinate change from two-point descendant series.
 
     The (c,b) output coordinate picks up, from each input x_{d,a} with
@@ -402,15 +373,13 @@ def build_transform(
     """
     model = engine.model
     duals = model.dual_bases()
-    if two_point_series is None:
-        two_point_series = lambda d, x, y: summed_two_point(engine, d, x, y, policy)  # noqa: E731
     entries: dict[tuple[PhaseIndex, PhaseIndex], NovikovSeries] = {}
     one = NovikovSeries.one(policy)
     for c, b in phase_indices(policy, model.rank):
         entries[((c, b), (c, b))] = one
         for d in range(c + 1, policy.max_descendant + 1):
             for a in range(model.rank):
-                series = two_point_series(d - c - 1, duals.delta[a], duals.delta_dual[b])
+                series = summed_two_point(engine, d - c - 1, duals.delta[a], duals.delta_dual[b], policy)
                 if not series.is_zero():
                     entries[((c, b), (d, a))] = series
     return PhaseTransform(policy, model.rank, entries)
@@ -483,9 +452,9 @@ def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
     return factor
 
 
-def _assemble(policy: TruncationPolicy, basis_rank: int, correlator) -> PotentialSeries:
+def _assemble(policy: TruncationPolicy, indices: Sequence[PhaseIndex], correlator) -> PotentialSeries:
+    """Potential over the monomials in ``indices`` of degree 3..max_x_degree."""
     coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    indices = phase_indices(policy, basis_rank)
     for n in range(3, policy.max_x_degree + 1):
         for key in combinations_with_replacement(indices, n):
             series = correlator(key)
@@ -495,15 +464,21 @@ def _assemble(policy: TruncationPolicy, basis_rank: int, correlator) -> Potentia
     return PotentialSeries(policy, coeffs)
 
 
-def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
-    """Stable-range descendant potential at genus zero."""
+def _standard_potential(
+    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex]
+) -> PotentialSeries:
     model = engine.model
 
     def correlator(key):
         pairs = [(d, model.basis_class(a)) for d, a in key]
         return summed_correlator(engine, pairs, policy)
 
-    return _assemble(policy, model.rank, correlator)
+    return _assemble(policy, indices, correlator)
+
+
+def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
+    """Stable-range descendant potential at genus zero."""
+    return _standard_potential(engine, policy, phase_indices(policy, engine.model.rank))
 
 
 def potential_modified(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
@@ -512,23 +487,14 @@ def potential_modified(engine: CorrelatorEngine, policy: TruncationPolicy) -> Po
 
     def correlator(key):
         triples = [(0, d, model.basis_class(a)) for d, a in key]
-        return summed_generalized(engine, triples, policy)
+        return summed(policy, lambda beta: engine.generalized(beta, triples))
 
-    return _assemble(policy, model.rank, correlator)
+    return _assemble(policy, phase_indices(policy, model.rank), correlator)
 
 
 def potential_primary(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
     """Restriction of the standard potential to the level-zero coordinates."""
-    model = engine.model
-    coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    zero_level = [(0, a) for a in range(model.rank)]
-    for n in range(3, policy.max_x_degree + 1):
-        for key in combinations_with_replacement(zero_level, n):
-            pairs = [(0, model.basis_class(a)) for _, a in key]
-            series = summed_correlator(engine, pairs, policy)
-            if not series.is_zero():
-                coeffs[key] = series * Fraction(1, _multiplicity_factor(key))
-    return PotentialSeries(policy, coeffs)
+    return _standard_potential(engine, policy, [(0, a) for a in range(engine.model.rank)])
 
 
 def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform) -> PotentialSeries:
@@ -604,7 +570,8 @@ def substitution_identity(
     for j in range(d_slot + 1):
         operator = two_point_contraction(engine, d_slot - j, model.basis_class(a_slot), policy)
         for beta_shift, cls in operator.items():
-            inner = summed_generalized(engine, [(0, j, cls)] + rest, policy)
+            triples = [(0, j, cls)] + rest
+            inner = summed(policy, lambda beta: engine.generalized(beta, triples))
             rhs = rhs + inner.shift(beta_shift)
     return lhs, rhs
 
@@ -658,12 +625,7 @@ def divisor_product_identity(
         raise ValueError("need a positive level on the descendant slot")
     model = engine.model
     gamma0 = engine.gamma0
-    lhs_terms = {}
-    for beta in policy.iter_effective():
-        value = engine.three_point_descendant(beta, [(0, gamma0), (d, x), (0, y)])
-        if value:
-            lhs_terms[beta] = value
-    lhs = NovikovSeries(policy, lhs_terms)
+    lhs = summed(policy, lambda beta: engine.three_point_descendant(beta, [(0, gamma0), (d, x), (0, y)]))
     product = quantum_product(model, engine.primary_table, policy, gamma0, y)
     rhs = NovikovSeries.zero(policy)
     for beta_shift, cls in product.items():

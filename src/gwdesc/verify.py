@@ -38,10 +38,6 @@ class SuiteResult:
         return f"{head}\n{body}" if body else head
 
 
-def _engine(model: GeometryModel, primary: PrimaryTable, **kwargs) -> CorrelatorEngine:
-    return CorrelatorEngine(model, primary, **kwargs)
-
-
 # ----------------------------------------------------------------------
 
 
@@ -59,7 +55,7 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
         fixture = load_fixture("point")
         model, primary = fixture.model, fixture.primary
         lines.append("ran on the zero-dimensional fixture")
-    engine = _engine(model, primary)
+    engine = CorrelatorEngine(model, primary)
     one = model.unit
     checked = 0
     failures: list[str] = []
@@ -68,16 +64,12 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
             if sum(exps) > n - 1:
                 continue  # keep a margin of off-dimension cases
             checked += 1
-            got = engine.modified(model_beta_zero(model), [(e, one) for e in exps])
+            got = engine.modified((0,) * model.lattice_rank, [(e, one) for e in exps])
             want = psi_integral_genus0(list(exps))
             if got != want:
                 failures.append(f"exponents {exps}: got {got}, expected {want}")
     lines = [f"checked {checked} exponent multisets up to n={nmax}"] + lines + failures
     return SuiteResult("point-oracle", not failures, lines)
-
-
-def model_beta_zero(model: GeometryModel):
-    return (0,) * model.lattice_rank
 
 
 def suite_transform(
@@ -88,7 +80,7 @@ def suite_transform(
     dmax: int = 3,
 ) -> SuiteResult:
     """Standard potential against the composed modified potential."""
-    engine = _engine(model, primary)
+    engine = CorrelatorEngine(model, primary)
     policy = model.policy(qmax, max_x_degree=xdeg, max_descendant=dmax)
     report = transform_identity_report(engine, policy)
     transform = build_transform(engine, policy)
@@ -127,7 +119,7 @@ def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4
         fixture = load_fixture("P2")
         model, primary = fixture.model, fixture.primary
         lines.append("ran on the built-in plane fixture")
-    engine = _engine(model, primary)
+    engine = CorrelatorEngine(model, primary)
     oracle = plane_curve_counts(dmax)
     point = next(model.basis_class(i) for i, d in enumerate(model.degrees) if d == 2)
     failures = []
@@ -144,8 +136,8 @@ def suite_divisor_independence(
     model: GeometryModel, primary: PrimaryTable, qmax: int = 3, dmax: int = 3
 ) -> SuiteResult:
     """Reductions with the ample divisor against a rescaled one."""
-    base = _engine(model, primary)
-    scaled = _engine(model, primary, gamma0=3 * model.ample)
+    base = CorrelatorEngine(model, primary)
+    scaled = CorrelatorEngine(model, primary, gamma0=3 * model.ample)
     policy = model.policy(qmax)
     failures = []
     checked = 0
@@ -226,8 +218,8 @@ def suite_identities(
     contraction route against the general recursion, and the summed
     product-compatibility identity.
     """
-    engine = _engine(model, primary)
-    unchecked = _engine(model, primary, check_dimension=False)
+    engine = CorrelatorEngine(model, primary)
+    unchecked = CorrelatorEngine(model, primary, check_dimension=False)
     policy = model.policy(qmax)
     rng = random.Random(seed)
     counters = {
@@ -311,7 +303,7 @@ def suite_two_point_paths(
     model: GeometryModel, primary: PrimaryTable, qmax: int = 3, dmax: int = 3
 ) -> SuiteResult:
     """Two-point series: engine reductions against the primary-only route."""
-    engine = _engine(model, primary)
+    engine = CorrelatorEngine(model, primary)
     policy = model.policy(qmax)
     failures = []
     checked = 0
@@ -332,8 +324,8 @@ def suite_degree_zero_collapse(
     model: GeometryModel, primary: PrimaryTable, nmax: int = 5, total_max: int = 3
 ) -> SuiteResult:
     """Mixed powers at curve class zero against the merged-level closed form."""
-    engine = _engine(model, primary)
-    beta0 = model_beta_zero(model)
+    engine = CorrelatorEngine(model, primary)
+    beta0 = (0,) * model.lattice_rank
     checked = 0
     failures = []
     basis_indices = list(range(model.rank))
@@ -461,8 +453,8 @@ def suite_determinism(model: GeometryModel, primary: PrimaryTable, qmax: int = 2
     if first != second:
         ok = False
         lines.append("repeated identity suite reports differ")
-    cached = _engine(model, primary)
-    uncached = _engine(model, primary, use_cache=False)
+    cached = CorrelatorEngine(model, primary)
+    uncached = CorrelatorEngine(model, primary, use_cache=False)
     policy = model.policy(qmax, max_x_degree=3, max_descendant=2)
     basis = [model.basis_class(i) for i in range(model.rank)]
     mismatch = 0

@@ -54,6 +54,25 @@ def test_correlator_out_of_scope(capsys):
     assert "out of scope" in err
 
 
+def test_correlator_non_effective_class_with_pulled_back_power(capsys):
+    code, out, err = run(
+        capsys, "correlator", "--model", "P1", "--beta", "-1", "--ins", "tau(0,1):h,tau(0):h,tau(0):h"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: curve classes must be effective\n"
+
+
+def test_correlator_missing_tautological_integral(capsys):
+    code, out, err = run(
+        capsys, "correlator", "--model", "P1", "--genus", "2", "--beta", "0", "--ins", "tau(2):one,tau(1):h"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: table incomplete")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_correlator_unknown_label(capsys):
     code, _, err = run(capsys, "correlator", "--model", "P1", "--beta", "1", "--ins", "tau(0):nope")
     assert code == 2

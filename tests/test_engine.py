@@ -357,6 +357,46 @@ def test_effectivity_guard(p1_engine):
         p1_engine.descendant(0, (-1,), [])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "descendant",
+        "generalized",
+        "generalized-reduce-at",
+        "modified",
+        "modified-refs",
+        "three_point_descendant",
+        "two_point",
+        "two_point_general",
+        "primary3",
+        "primary",
+        "one_point",
+        "zero_point",
+    ],
+)
+def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
+    h = cls(p1.model, "h")
+    beta = (-1,)
+    calls = {
+        "descendant": lambda: p1_engine.descendant(0, beta, [(1, h), (0, h), (0, h)]),
+        "generalized": lambda: p1_engine.generalized(beta, [(0, 1, h), (0, 0, h), (0, 0, h)]),
+        "generalized-reduce-at": lambda: p1_engine.generalized(
+            beta, [(1, 0, h), (0, 0, h), (0, 0, h)], reduce_at=2
+        ),
+        "modified": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)]),
+        "modified-refs": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)], refs=(0, 1, 2)),
+        "three_point_descendant": lambda: p1_engine.three_point_descendant(beta, [(1, h), (0, h), (0, h)]),
+        "two_point": lambda: p1_engine.two_point(1, h, h, beta),
+        "two_point_general": lambda: p1_engine.two_point_general(1, h, 0, h, beta),
+        "primary3": lambda: p1_engine.primary3(beta, h, h, h),
+        "primary": lambda: p1_engine.primary(beta, [h, h, h, h]),
+        "one_point": lambda: p1_engine.one_point(0, h, beta),
+        "zero_point": lambda: p1_engine.zero_point(beta),
+    }
+    with pytest.raises(ValueError, match="curve classes must be effective"):
+        calls[entry]()
+
+
 def test_gamma0_must_be_a_divisor(p1):
     with pytest.raises(ValueError, match="degree-1"):
         CorrelatorEngine(p1.model, p1.primary, gamma0=p1.model.unit)
