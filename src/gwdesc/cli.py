@@ -15,10 +15,10 @@ import re
 import sys
 from pathlib import Path
 
-from .engine import CorrelatorEngine, PrimaryTable, ReconstructionError, UnsupportedQueryError
+from .engine import CorrelatorEngine, PrimaryTable, ReconstructionError
 from .exact import format_rational
 from .fixtures import FIXTURE_NAMES, genus1_taut_table, load_fixture
-from .geometry import GeometryModel, ModelError, load_geometry
+from .geometry import GeometryModel, load_geometry
 from .moduli import TautTable, TautTableError, psi_integral_genus0
 from .phase import (
     build_transform,
@@ -257,12 +257,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TautTableError as exc:
-        # a KeyError's str() is the repr of its message; print the message itself
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except (CliError, ModelError, UnsupportedQueryError, ReconstructionError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, ReconstructionError, TautTableError, FileNotFoundError) as exc:
+        # CliError, ModelError and UnsupportedQueryError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the reduction is deeper than the interpreter stack allows", file=sys.stderr)
         return 2
 
 

@@ -10,8 +10,12 @@ Evaluation strategy, in reduction order:
 * pure primary queries with four or more marks reduce by the divisor
   relation, and non-divisor insertions are rewritten through a one-step
   descendant detour for a cup-product decomposition;
-* base cases: the three-point table, constant-map closed forms, and the
-  unstable-range reductions (two-, one- and zero-point at nonzero class).
+* base cases: the three-point table and constant-map closed forms;
+* the unstable range (two-, one- and zero-point at nonzero class) is one
+  divisor-relation step with the ample divisor: the value with the divisor
+  added is a three-point descendant for two marks and again an unstable
+  value for fewer; for fewer than two marks the dilaton relation gives an
+  independent route to the same value.
 
 Everything is memoized on canonically sorted keys, so values are
 independent of insertion order and of evaluation interleaving.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _cartesian
 from math import comb
 from pathlib import Path
@@ -112,6 +117,11 @@ class PrimaryTable:
             return cls.from_records(model, json.load(handle))
 
 
+def _parts(cls: CohClass) -> list[tuple[Fraction, int]]:
+    """A class as (coefficient, basis index) pairs over its support."""
+    return [(cls.coeffs[idx], idx) for idx in cls.support()]
+
+
 def _effective(beta: CurveClass) -> CurveClass:
     beta = tuple(beta)
     if any(b < 0 for b in beta):
@@ -144,10 +154,9 @@ class CorrelatorEngine:
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         if model.lattice_rank > 0 and model.degree_of(self.gamma0) != 1:
             raise ValueError("the reduction divisor must be a degree-1 class")
-        # gamma0 ∪ basis[a] as (coefficient, index) parts: the lowering terms
-        self._lowered = [
-            self._components(model.cup(self.gamma0, model.basis_class(a))) for a in range(model.rank)
-        ]
+        # gamma0 and gamma0 ∪ basis[a] (the lowering terms) as (coefficient, index) parts
+        self._gamma0_parts = _parts(self.gamma0)
+        self._lowered = [_parts(model.cup(self.gamma0, model.basis_class(a))) for a in range(model.rank)]
         self._memo: dict = {}
         self._active: set = set()
 
@@ -166,8 +175,18 @@ class CorrelatorEngine:
             raise ValueError(f"reduction divisor pairs to zero with {beta}; not ample there")
         return pairing
 
-    def _duals(self) -> tuple[CohClass, ...]:
-        return self.model.dual_bases().delta_dual
+    @cached_property
+    def _dual_parts(self) -> list[list[tuple[Fraction, int]]]:
+        """The pairing-dual basis as parts, built on first use (it needs a nondegenerate pairing)."""
+        return [_parts(dual) for dual in self.model.dual_bases().delta_dual]
+
+    def _row_pairing(self, idx: int, beta: CurveClass) -> Fraction:
+        """Pairing of the degree-1 basis class idx with beta."""
+        return Fraction(sum(r * b for r, b in zip(self.model.pairing_row(idx), beta)))
+
+    def _dimension_ok(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> bool:
+        need = self.model.dimension + self._c1_beta(beta) + len(ins) - 3
+        return sum(d + e + self._deg(a) for d, e, a in ins) == need
 
     def _memo_get(self, key):
         if self.use_cache:
@@ -186,7 +205,7 @@ class CorrelatorEngine:
         """Multilinear expansion of class-valued insertions over the basis."""
         slots = []
         for d, e, cls in triples:
-            comps = [(cls.coeffs[idx], (d, e, idx)) for idx in cls.support()]
+            comps = [(c, (d, e, idx)) for c, idx in _parts(cls)]
             if not comps:
                 return
             slots.append(comps)
@@ -197,9 +216,6 @@ class CorrelatorEngine:
                 coeff *= c
                 core.append(ins)
             yield coeff, tuple(sorted(core))
-
-    def _components(self, cls: CohClass) -> list[tuple[Fraction, int]]:
-        return [(cls.coeffs[idx], idx) for idx in cls.support()]
 
     def _candidates(self, beta: CurveClass, need: int) -> Sequence[int]:
         """Basis indices a node class at class beta may take: those of degree need + c1·beta."""
@@ -219,132 +235,85 @@ class CorrelatorEngine:
         return self.primary_table.value(beta, *triple)
 
     # ------------------------------------------------------------------
-    # two-point reductions (nonzero class only)
-
-    def _two(self, beta: CurveClass, d1: int, a1: int, d2: int, a2: int) -> Fraction:
-        if not any(beta):
-            return Fraction(0)
-        if (d2, a2) < (d1, a1):
-            d1, a1, d2, a2 = d2, a2, d1, a1
-        if self.check_dimension:
-            need = self.model.dimension + self._c1_beta(beta) - 1
-            if d1 + self._deg(a1) + d2 + self._deg(a2) != need:
-                return Fraction(0)
-        key = ("2", beta, d1, a1, d2, a2)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        pairing = self._gamma0_pairing(beta)
-        three = Fraction(0)
-        for cg, gi in self._components(self.gamma0):
-            three += cg * self._three_desc(beta, tuple(sorted(((0, gi), (d1, a1), (d2, a2)))))
-        lowered = Fraction(0)
-        if d1 >= 1:
-            for c, idx in self._lowered[a1]:
-                lowered += c * self._two(beta, d1 - 1, idx, d2, a2)
-        if d2 >= 1:
-            for c, idx in self._lowered[a2]:
-                lowered += c * self._two(beta, d1, a1, d2 - 1, idx)
-        return self._memo_put(key, (three - lowered) / pairing)
-
-    def _two_vs_class(self, beta: CurveClass, d: int, a_idx: int, cls: CohClass) -> Fraction:
-        total = Fraction(0)
-        for idx in cls.support():
-            value = self._two(beta, d, a_idx, 0, idx)
-            if value:
-                total += cls.coeffs[idx] * value
-        return total
-
-    # ------------------------------------------------------------------
     # three-point descendants (dedicated contraction route)
 
-    def _three_desc(self, beta: CurveClass, ins: tuple[tuple[int, int], ...]) -> Fraction:
+    def _three_desc(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
         """Three-point correlator with descendants via dual-basis contraction."""
         if not any(beta):
             return constant_map_correlator(
-                0, [(d, self.model.basis_class(a)) for d, a in ins], self.model, self.taut
+                0, [(d, self.model.basis_class(a)) for d, _, a in ins], self.model, self.taut
             )
-        if self.check_dimension:
-            need = self.model.dimension + self._c1_beta(beta)
-            if sum(d + self._deg(a) for d, a in ins) != need:
-                return Fraction(0)
-        if all(d == 0 for d, _ in ins):
-            return self._primary3(beta, tuple(a for _, a in ins))
+        if self.check_dimension and not self._dimension_ok(beta, ins):
+            return Fraction(0)
+        if all(d == 0 for d, _, _ in ins):
+            return self._primary3(beta, tuple(a for _, _, a in ins))
         key = ("3", beta, ins)
         cached = self._memo_get(key)
         if cached is not None:
             return cached
-        j = next(p for p, (d, _) in enumerate(ins) if d >= 1)
-        d_j, a_j = ins[j]
-        duals = self._duals()
-        need = self.model.dimension - sum(d + self._deg(a) for p, (d, a) in enumerate(ins) if p != j)
+        j = next(p for p, (d, _, _) in enumerate(ins) if d >= 1)
+        d_j, _, a_j = ins[j]
+        need = self.model.dimension - sum(d + self._deg(a) for p, (d, _, a) in enumerate(ins) if p != j)
         total = Fraction(0)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
             for a in self._candidates(beta2, need):
-                tp = self._two_vs_class(beta1, d_j - 1, a_j, duals[a])
+                tp = Fraction(0)
+                for c, b in self._dual_parts[a]:
+                    tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
                 if not tp:
                     continue
                 replaced = list(ins)
-                replaced[j] = (0, a)
+                replaced[j] = (0, 0, a)
                 rest = self._three_desc(beta2, tuple(sorted(replaced)))
                 if rest:
                     total += tp * rest
         return self._memo_put(key, total)
 
     # ------------------------------------------------------------------
-    # unstable range at nonzero class
+    # unstable range at nonzero class: one divisor-relation step
 
-    def _one(self, beta: CurveClass, d: int, a: int, route: str = "divisor") -> Fraction:
+    def _unstable(self, beta: CurveClass, ins: tuple[Insertion, ...], route: str = "divisor") -> Fraction:
+        """Two-, one- or zero-point correlator at a nonzero class.
+
+        The divisor route solves the divisor relation with gamma0,
+        <gamma0·ins> = (gamma0·beta)<ins> + sum_i <ins, slot i lowered to tau_{d_i-1}(gamma0 ∪ a_i)>,
+        for <ins>; the gamma0 side has three marks for two-point values and
+        is unstable again for fewer.  Below two marks the dilaton route
+        divides <tau_1(1)·ins> by the dilaton factor 2g-2+n = n-2 instead.
+        """
         if not any(beta):
             return Fraction(0)
-        if self.check_dimension:
-            if d + self._deg(a) != self.model.dimension + self._c1_beta(beta) - 2:
-                return Fraction(0)
-        key = ("1", beta, d, a, route)
+        if self.check_dimension and not self._dimension_ok(beta, ins):
+            return Fraction(0)
+        n = len(ins)
+        # two-point values do not depend on the route, so their key leaves it out
+        key = ("2", beta, ins) if n == 2 else (str(n), beta, ins, route)
         cached = self._memo_get(key)
         if cached is not None:
             return cached
-        if route == "dilaton":
-            # inserting the dilaton class multiplies by 2g-2+n = -1 here
-            return self._memo_put(key, -self._two(beta, 1, self.model.unit_index, d, a))
-        pairing = self._gamma0_pairing(beta)
-        with_divisor = Fraction(0)
-        for cg, gi in self._components(self.gamma0):
-            with_divisor += cg * self._two(beta, 0, gi, d, a)
-        lowered = Fraction(0)
-        if d >= 1:
-            for c, idx in self._lowered[a]:
-                lowered += c * self._one(beta, d - 1, idx, route)
-        return self._memo_put(key, (with_divisor - lowered) / pairing)
-
-    def _zero(self, beta: CurveClass, route: str = "divisor") -> Fraction:
-        if not any(beta):
-            return Fraction(0)
-        if self.check_dimension:
-            if self.model.dimension + self._c1_beta(beta) - 3 != 0:
-                return Fraction(0)
-        key = ("0", beta, route)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        if route == "dilaton":
-            # 2g-2+n = -2 for the empty correlator
-            value = -self._one(beta, 1, self.model.unit_index, route) / 2
-            return self._memo_put(key, value)
+        if n < 2 and route == "dilaton":
+            with_dilaton = tuple(sorted(ins + ((1, 0, self.model.unit_index),)))
+            return self._memo_put(key, self._unstable(beta, with_dilaton, route) / (n - 2))
         pairing = self._gamma0_pairing(beta)
         total = Fraction(0)
-        for cg, gi in self._components(self.gamma0):
-            total += cg * self._one(beta, 0, gi, route)
+        for c, gi in self._gamma0_parts:
+            with_divisor = tuple(sorted(ins + ((0, 0, gi),)))
+            if n == 2:
+                total += c * self._three_desc(beta, with_divisor)
+            else:
+                total += c * self._unstable(beta, with_divisor, route)
+        for slot, (d, e, a) in enumerate(ins):
+            if d >= 1:
+                for c, idx in self._lowered[a]:
+                    lowered = list(ins)
+                    lowered[slot] = (d - 1, e, idx)
+                    total -= c * self._unstable(beta, tuple(sorted(lowered)), route)
         return self._memo_put(key, total / pairing)
 
     # ------------------------------------------------------------------
     # generalized correlators (stable range)
-
-    def _dimension_ok(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> bool:
-        need = self.model.dimension + self._c1_beta(beta) + len(ins) - 3
-        return sum(d + e + self._deg(a) for d, e, a in ins) == need
 
     def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
         if self.check_dimension and not self._dimension_ok(beta, ins):
@@ -371,23 +340,22 @@ class CorrelatorEngine:
     def _gen_apply_relation(self, beta: CurveClass, ins: tuple[Insertion, ...], j: int) -> Fraction:
         """One application of the descendant-lowering relation at slot j."""
         d_j, e_j, a_j = ins[j]
-        if d_j < 1:
-            raise ValueError("the reduction slot must carry a positive cotangent power")
         shifted = list(ins)
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
-        duals = self._duals()
         need = self.model.dimension + len(ins) - 3 - e_j
         need -= sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
             for a in self._candidates(beta2, need):
-                replaced = list(ins)
-                replaced[j] = (0, e_j, a)
-                tp = self._two_vs_class(beta1, d_j - 1, a_j, duals[a])
+                tp = Fraction(0)
+                for c, b in self._dual_parts[a]:
+                    tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
                 if not tp:
                     continue
+                replaced = list(ins)
+                replaced[j] = (0, e_j, a)
                 rest = self._gen(beta2, tuple(sorted(replaced)))
                 if rest:
                     total += tp * rest
@@ -420,7 +388,6 @@ class CorrelatorEngine:
         for p in rest_positions:
             groups[ins[p]] = groups.get(ins[p], 0) + 1
         group_items = sorted(groups.items())
-        duals = self._duals()
         total = Fraction(0)
         for svec in _cartesian(*(range(count + 1) for _, count in group_items)):
             taken = sum(svec)
@@ -442,11 +409,10 @@ class CorrelatorEngine:
                     if not left:
                         continue
                     right = Fraction(0)
-                    dual = duals[a]
-                    for b in dual.support():
+                    for c, b in self._dual_parts[a]:
                         piece = self._gen(beta2, tuple(sorted(side_c + [(0, 0, b)])))
                         if piece:
-                            right += dual.coeffs[b] * piece
+                            right += c * piece
                     if right:
                         total += mult * left * right
         return total
@@ -455,23 +421,18 @@ class CorrelatorEngine:
     # n-point primaries from the three-point table
 
     def _primary(self, beta: CurveClass, classes: tuple[int, ...]) -> Fraction:
-        n = len(classes)
-        if not any(beta):
-            if n == 3:
-                return self._primary3(beta, classes)
-            return Fraction(0)
-        if n == 3:
+        if len(classes) == 3:
             return self._primary3(beta, classes)
+        if not any(beta):
+            return Fraction(0)
         degrees = [self._deg(a) for a in classes]
         if 0 in degrees:
             # identity insertions kill stable primaries at nonzero classes
             return Fraction(0)
         if 1 in degrees:
             slot = degrees.index(1)
-            row = self.model.pairing_row(classes[slot])
-            pairing = Fraction(sum(r * b for r, b in zip(row, beta)))
             rest = classes[:slot] + classes[slot + 1 :]
-            return pairing * self._gen(beta, tuple((0, 0, a) for a in rest))
+            return self._row_pairing(classes[slot], beta) * self._gen(beta, tuple((0, 0, a) for a in rest))
         target = classes[0]
         decomp = self.model.divisor_decomposition(target)
         if decomp is None:
@@ -483,10 +444,8 @@ class CorrelatorEngine:
         total = Fraction(0)
         for coeff, d_idx, x_idx in decomp:
             with_divisor = self._gen(beta, tuple(sorted(((0, 0, d_idx), (1, 0, x_idx)) + rest)))
-            row = self.model.pairing_row(d_idx)
-            pairing = Fraction(sum(r * b for r, b in zip(row, beta)))
             without = self._gen(beta, tuple(sorted(((1, 0, x_idx),) + rest)))
-            total += coeff * (with_divisor - pairing * without)
+            total += coeff * (with_divisor - self._row_pairing(d_idx, beta) * without)
         return total
 
     # ------------------------------------------------------------------
@@ -518,47 +477,18 @@ class CorrelatorEngine:
             return Fraction(0)
         return self._modified_core(beta, core, refs=refs)
 
-    def _three_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
-        return self._three_desc(beta, tuple((d, a) for d, _, a in core))
-
-    def _primary3_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
-        return self._primary3(beta, tuple(a for _, _, a in core))
-
-    def _two_at(self, beta: CurveClass, core: tuple[Insertion, ...]) -> Fraction:
-        (d1, _, a1), (d2, _, a2) = core
-        return self._two(beta, d1, a1, d2, a2)
-
-    def _one_at(self, beta: CurveClass, core: tuple[Insertion, ...], route: str) -> Fraction:
-        ((d, _, a),) = core
-        return self._one(beta, d, a, route)
-
-    def _zero_at(self, beta: CurveClass, core: tuple[Insertion, ...], route: str) -> Fraction:
-        return self._zero(beta, route)
-
     # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)
 
     def descendant(self, g: int, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Conventional descendant correlator, dispatching on (g, beta, n)."""
         beta = _effective(beta)
-        if g >= 1:
-            if any(beta):
-                raise UnsupportedQueryError(
-                    "out of scope: positive genus needs curve class zero here"
-                )
-            return constant_map_correlator(g, list(pairs), self.model, self.taut)
+        if g >= 1 and any(beta):
+            raise UnsupportedQueryError("out of scope: positive genus needs curve class zero here")
         if not any(beta):
-            return constant_map_correlator(0, list(pairs), self.model, self.taut)
-        n = len(pairs)
-        if n >= 3:
-            return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._gen)
-        if n == 2:
-            (d1, x), (d2, y) = pairs
-            return self.two_point_general(d1, x, d2, y, beta)
-        if n == 1:
-            (d, x) = pairs[0]
-            return self.one_point(d, x, beta)
-        return self.zero_point(beta)
+            return constant_map_correlator(g, list(pairs), self.model, self.taut)
+        value = self._gen if len(pairs) >= 3 else self._unstable
+        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], value)
 
     def generalized(
         self,
@@ -591,17 +521,17 @@ class CorrelatorEngine:
         """Three-point descendant correlator by the contraction recursion."""
         if len(pairs) != 3:
             raise ValueError("exactly three insertions required")
-        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._three_at)
+        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._three_desc)
 
     def two_point(self, d: int, x: CohClass, y: CohClass, beta: CurveClass) -> Fraction:
         """Two-point correlator with the cotangent power on the first slot."""
         return self.two_point_general(d, x, 0, y, beta)
 
     def two_point_general(self, d1: int, x: CohClass, d2: int, y: CohClass, beta: CurveClass) -> Fraction:
-        return self._sum(beta, [(d1, 0, x), (d2, 0, y)], self._two_at)
+        return self._sum(beta, [(d1, 0, x), (d2, 0, y)], self._unstable)
 
     def primary3(self, beta: CurveClass, x: CohClass, y: CohClass, z: CohClass) -> Fraction:
-        return self._sum(beta, [(0, 0, x), (0, 0, y), (0, 0, z)], self._primary3_at)
+        return self._sum(beta, [(0, 0, x), (0, 0, y), (0, 0, z)], self._three_desc)
 
     def primary(self, beta: CurveClass, classes: Sequence[CohClass]) -> Fraction:
         """Primary n-point correlator (n >= 3)."""
@@ -610,12 +540,12 @@ class CorrelatorEngine:
     def one_point(self, d: int, x: CohClass, beta: CurveClass, route: str = "divisor") -> Fraction:
         if route not in ("divisor", "dilaton"):
             raise ValueError("route must be 'divisor' or 'dilaton'")
-        return self._sum(beta, [(d, 0, x)], self._one_at, route)
+        return self._sum(beta, [(d, 0, x)], self._unstable, route)
 
     def zero_point(self, beta: CurveClass, route: str = "divisor") -> Fraction:
         if route not in ("divisor", "dilaton"):
             raise ValueError("route must be 'divisor' or 'dilaton'")
-        return self._sum(beta, [], self._zero_at, route)
+        return self._sum(beta, [], self._unstable, route)
 
     # ------------------------------------------------------------------
     # relation checks (both sides evaluated independently)

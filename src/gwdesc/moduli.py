@@ -22,6 +22,10 @@ from .geometry import CohClass, GeometryModel
 class TautTableError(KeyError):
     """A tautological integral needed for a non-vanishing term is missing."""
 
+    def __str__(self) -> str:
+        # KeyError's str() is the repr of its key; this error carries a message
+        return Exception.__str__(self)
+
 
 def psi_integral_genus0(exponents: Sequence[int]) -> Fraction:
     """Integral of a cotangent-power monomial over genus-0 stable curves.

@@ -73,6 +73,13 @@ def test_correlator_missing_tautological_integral(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_correlator_deeper_than_the_stack(capsys):
+    code, out, err = run(capsys, "correlator", "--model", "P1", "--beta", "300", "--ins", "tau(598):h,tau(0):h")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the reduction is deeper than the interpreter stack allows\n"
+
+
 def test_correlator_unknown_label(capsys):
     code, _, err = run(capsys, "correlator", "--model", "P1", "--beta", "1", "--ins", "tau(0):nope")
     assert code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -313,7 +314,7 @@ def test_permutation_invariance(p2_engine, p2):
         assert p2_engine.descendant(0, (1,), shuffled) == base
 
 
-def test_dimension_shortcircuit_matches_recursion(p2):
+def test_dimension_shortcircuit_matches_recursion(p1, p2):
     checked = CorrelatorEngine(p2.model, p2.primary)
     unchecked = CorrelatorEngine(p2.model, p2.primary, check_dimension=False)
     m = p2.model
@@ -324,6 +325,24 @@ def test_dimension_shortcircuit_matches_recursion(p2):
         beta = (rng.randint(0, 2),)
         pairs = [(rng.choice((0, 0, 1, 2)), rng.choice(basis)) for _ in range(n)]
         assert checked.descendant(0, beta, pairs) == unchecked.descendant(0, beta, pairs)
+    # the unstable range: two-, one- and zero-point values at nonzero classes
+    nonzero = 0
+    for fixture in (p1, p2):
+        checked = CorrelatorEngine(fixture.model, fixture.primary)
+        unchecked = CorrelatorEngine(fixture.model, fixture.primary, check_dimension=False)
+        basis = [fixture.model.basis_class(i) for i in range(fixture.model.rank)]
+        for beta in ((1,), (2,), (3,)):
+            values = []
+            for d1, d2, x, y in product(range(4), range(4), basis, basis):
+                values.append((checked.two_point_general(d1, x, d2, y, beta), unchecked.two_point_general(d1, x, d2, y, beta)))
+            for route in ("divisor", "dilaton"):
+                for d, x in product(range(6), basis):
+                    values.append((checked.one_point(d, x, beta, route), unchecked.one_point(d, x, beta, route)))
+                values.append((checked.zero_point(beta, route), unchecked.zero_point(beta, route)))
+            for want, got in values:
+                assert want == got
+                nonzero += bool(want)
+    assert nonzero == 98  # of the 816 values compared
 
 
 def test_gamma0_independence_smoke(p2):
