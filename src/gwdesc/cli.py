@@ -15,11 +15,11 @@ import re
 import sys
 from pathlib import Path
 
-from .engine import CorrelatorEngine, PrimaryTable, ReconstructionError
-from .exact import format_rational
+from .engine import CorrelatorEngine, PrimaryTable
+from .exact import GwdescError, format_rational
 from .fixtures import FIXTURE_NAMES, genus1_taut_table, load_fixture
 from .geometry import GeometryModel, load_geometry
-from .moduli import TautTable, TautTableError, psi_integral_genus0
+from .moduli import TautTable, psi_integral_genus0
 from .phase import (
     build_transform,
     potential_modified,
@@ -32,7 +32,7 @@ from .verify import SUITE_NAMES, run_suite
 _TOKEN = re.compile(r"^tau\((\d+)(?:,(\d+))?\):([A-Za-z0-9_]+)$")
 
 
-class CliError(ValueError):
+class CliError(GwdescError, ValueError):
     pass
 
 
@@ -257,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ReconstructionError, TautTableError, FileNotFoundError) as exc:
-        # CliError, ModelError and UnsupportedQueryError are ValueErrors
+    except (GwdescError, ValueError, FileNotFoundError) as exc:
+        # plain ValueErrors (the engine's class and genus checks among them) are input errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

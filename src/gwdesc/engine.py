@@ -31,20 +31,20 @@ from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .exact import CurveClass, beta_splittings, format_rational, parse_rational
+from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, parse_rational
 from .geometry import CohClass, GeometryModel
 from .moduli import TautTable, constant_map_correlator
 
 
-class UnsupportedQueryError(ValueError):
+class UnsupportedQueryError(GwdescError, ValueError):
     """Query outside the supported range (positive genus at nonzero class)."""
 
 
-class ReconstructionError(RuntimeError):
+class ReconstructionError(GwdescError, RuntimeError):
     """An n-point primary value is not reachable from the three-point table."""
 
 
-class TableFormatError(ValueError):
+class TableFormatError(GwdescError, ValueError):
     """A primary-table record is malformed or violates its invariants."""
 
 
@@ -159,6 +159,10 @@ class CorrelatorEngine:
         self._lowered = [_parts(model.cup(self.gamma0, model.basis_class(a))) for a in range(model.rank)]
         self._memo: dict = {}
         self._active: set = set()
+        # c1·beta and gamma0·beta per class; each window's classes grouped by c1·beta
+        self._c1: dict[CurveClass, Fraction] = {}
+        self._g0: dict[CurveClass, Fraction] = {}
+        self._windows: dict[TruncationPolicy, dict[Fraction, list[CurveClass]]] = {}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -167,10 +171,15 @@ class CorrelatorEngine:
         return self.model.degrees[idx]
 
     def _c1_beta(self, beta: CurveClass) -> Fraction:
-        return self.model.c1_pairing(beta)
+        c1 = self._c1.get(beta)
+        if c1 is None:
+            c1 = self._c1[beta] = self.model.c1_pairing(beta)
+        return c1
 
     def _gamma0_pairing(self, beta: CurveClass) -> Fraction:
-        pairing = self.model.beta_pairing(self.gamma0, beta)
+        pairing = self._g0.get(beta)
+        if pairing is None:
+            pairing = self._g0[beta] = self.model.beta_pairing(self.gamma0, beta)
         if pairing == 0:
             raise ValueError(f"reduction divisor pairs to zero with {beta}; not ample there")
         return pairing
@@ -184,9 +193,23 @@ class CorrelatorEngine:
         """Pairing of the degree-1 basis class idx with beta."""
         return Fraction(sum(r * b for r, b in zip(self.model.pairing_row(idx), beta)))
 
+    def _c1_needed(self, n: int, total: int) -> int:
+        """The c1·beta at which n insertions of degree sum total pass dimension + c1·beta + n - 3 == total."""
+        return total - self.model.dimension - n + 3
+
     def _dimension_ok(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> bool:
-        need = self.model.dimension + self._c1_beta(beta) + len(ins) - 3
-        return sum(d + e + self._deg(a) for d, e, a in ins) == need
+        return self._c1_beta(beta) == self._c1_needed(len(ins), sum(d + e + self._deg(a) for d, e, a in ins))
+
+    def admissible_classes(self, policy: TruncationPolicy, n: int, total: int) -> Sequence[CurveClass]:
+        """The window's classes, in window order, at which n insertions of total
+        degree ``total`` can be nonzero: all of them with ``check_dimension`` off."""
+        if not self.check_dimension:
+            return tuple(policy.iter_effective())
+        if policy not in self._windows:
+            self._windows[policy] = {}
+            for beta in policy.iter_effective():
+                self._windows[policy].setdefault(self._c1_beta(beta), []).append(beta)
+        return self._windows[policy].get(self._c1_needed(n, total), ())
 
     def _memo_get(self, key):
         if self.use_cache:
@@ -483,6 +506,8 @@ class CorrelatorEngine:
     def descendant(self, g: int, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Conventional descendant correlator, dispatching on (g, beta, n)."""
         beta = _effective(beta)
+        if g < 0:
+            raise ValueError("genus must be non-negative")
         if g >= 1 and any(beta):
             raise UnsupportedQueryError("out of scope: positive genus needs curve class zero here")
         if not any(beta):

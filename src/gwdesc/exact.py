@@ -17,7 +17,11 @@ Rational = Fraction
 CurveClass = tuple[int, ...]
 
 
-class PolicyMismatchError(ValueError):
+class GwdescError(Exception):
+    """Base of the package's own errors; each also keeps a builtin base (ValueError, KeyError or RuntimeError)."""
+
+
+class PolicyMismatchError(GwdescError, ValueError):
     """Combining series that were built over different truncation policies."""
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .exact import (
     CurveClass,
+    GwdescError,
     TruncationPolicy,
     format_rational,
     invert_matrix,
@@ -26,7 +27,7 @@ from .exact import (
 )
 
 
-class ModelError(ValueError):
+class ModelError(GwdescError, ValueError):
     """A geometry input failed to load or validate."""
 
 
@@ -123,6 +124,7 @@ class GeometryModel:
         self.labels = tuple(labels)
         self.degrees = tuple(degrees)
         self.rank = len(labels)
+        self._basis = tuple(CohClass(tuple(Fraction(int(j == i)) for j in range(self.rank))) for i in range(self.rank))
         self.lattice_rank = lattice_rank
         self._index = {label: i for i, label in enumerate(labels)}
         self._by_degree = {d: tuple(i for i, e in enumerate(degrees) if e == d) for d in set(degrees)}
@@ -174,7 +176,8 @@ class GeometryModel:
         return self.basis_class(self.unit_index)
 
     def basis_class(self, i: int) -> CohClass:
-        return CohClass(tuple(Fraction(int(j == i)) for j in range(self.rank)))
+        """The i-th basis class, built once (CohClass is frozen, so callers share it)."""
+        return self._basis[i]
 
     def class_from_map(self, coeffs: dict[str, Fraction | int | str]) -> CohClass:
         vec = [Fraction(0)] * self.rank

@@ -15,11 +15,11 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import format_rational, parse_rational
+from .exact import GwdescError, format_rational, parse_rational
 from .geometry import CohClass, GeometryModel
 
 
-class TautTableError(KeyError):
+class TautTableError(GwdescError, KeyError):
     """A tautological integral needed for a non-vanishing term is missing."""
 
     def __str__(self) -> str:

@@ -78,10 +78,12 @@ class SeriesClass:
 # summation over effective classes
 
 
-def summed(policy: TruncationPolicy, value: Callable[[CurveClass], Fraction]) -> NovikovSeries:
-    """The series of ``value(beta)`` over the effective classes of the window."""
+def summed(
+    policy: TruncationPolicy, value: Callable[[CurveClass], Fraction], classes: Sequence[CurveClass] | None = None
+) -> NovikovSeries:
+    """The series of ``value(beta)`` over ``classes``, by default every effective class of the window."""
     terms = {}
-    for beta in policy.iter_effective():
+    for beta in policy.iter_effective() if classes is None else classes:
         coeff = value(beta)
         if coeff:
             terms[beta] = coeff
@@ -464,37 +466,39 @@ def _assemble(policy: TruncationPolicy, indices: Sequence[PhaseIndex], correlato
     return PotentialSeries(policy, coeffs)
 
 
-def _standard_potential(
-    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex]
+def _potential(
+    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
 ) -> PotentialSeries:
+    """Potential whose key coefficient sums the key's descendant correlator (pulled-back
+    powers if ``modified``) over the classes where the key's dimension count can hold."""
     model = engine.model
 
     def correlator(key):
+        classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
+        if not classes:
+            return NovikovSeries.zero(policy)
+        if modified:
+            triples = [(0, d, model.basis_class(a)) for d, a in key]
+            return summed(policy, lambda beta: engine.generalized(beta, triples), classes)
         pairs = [(d, model.basis_class(a)) for d, a in key]
-        return summed_correlator(engine, pairs, policy)
+        return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
 
     return _assemble(policy, indices, correlator)
 
 
 def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
     """Stable-range descendant potential at genus zero."""
-    return _standard_potential(engine, policy, phase_indices(policy, engine.model.rank))
+    return _potential(engine, policy, phase_indices(policy, engine.model.rank))
 
 
 def potential_modified(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
     """Same assembly with every cotangent power replaced by a pulled-back one."""
-    model = engine.model
-
-    def correlator(key):
-        triples = [(0, d, model.basis_class(a)) for d, a in key]
-        return summed(policy, lambda beta: engine.generalized(beta, triples))
-
-    return _assemble(policy, phase_indices(policy, model.rank), correlator)
+    return _potential(engine, policy, phase_indices(policy, engine.model.rank), modified=True)
 
 
 def potential_primary(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
     """Restriction of the standard potential to the level-zero coordinates."""
-    return _standard_potential(engine, policy, [(0, a) for a in range(engine.model.rank)])
+    return _potential(engine, policy, [(0, a) for a in range(engine.model.rank)])
 
 
 def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform) -> PotentialSeries:

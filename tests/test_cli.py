@@ -4,6 +4,15 @@ import json
 
 import pytest
 
+from gwdesc import (
+    GwdescError,
+    ModelError,
+    PolicyMismatchError,
+    ReconstructionError,
+    TableFormatError,
+    TautTableError,
+    UnsupportedQueryError,
+)
 from gwdesc.cli import main, parse_insertions, CliError
 
 
@@ -52,6 +61,33 @@ def test_correlator_out_of_scope(capsys):
     code, _, err = run(capsys, "correlator", "--model", "P1", "--beta", "1", "--genus", "1", "--ins", "tau(0):h")
     assert code == 2
     assert "out of scope" in err
+
+
+def test_correlator_negative_genus_at_nonzero_class(capsys):
+    code, out, err = run(
+        capsys, "correlator", "--model", "P1", "--beta", "1", "--genus", "-1", "--ins", "tau(1):one,tau(0):h"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: genus must be non-negative\n"
+
+
+@pytest.mark.parametrize(
+    "error, builtin",
+    [
+        (ModelError, ValueError),
+        (PolicyMismatchError, ValueError),
+        (TableFormatError, ValueError),
+        (UnsupportedQueryError, ValueError),
+        (ReconstructionError, RuntimeError),
+        (TautTableError, KeyError),
+        (CliError, ValueError),
+    ],
+)
+def test_library_errors_share_one_base(error, builtin):
+    # existing handlers that catch the builtin base still catch the error
+    assert issubclass(error, GwdescError)
+    assert issubclass(error, builtin)
 
 
 def test_correlator_non_effective_class_with_pulled_back_power(capsys):

@@ -416,6 +416,13 @@ def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
         calls[entry]()
 
 
+@pytest.mark.parametrize("beta", [(0,), (1,)])
+def test_negative_genus_is_rejected_at_every_class(p1_engine, p1, beta):
+    h = cls(p1.model, "h")
+    with pytest.raises(ValueError, match="genus must be non-negative"):
+        p1_engine.descendant(-1, beta, [(1, p1.model.unit), (0, h)])
+
+
 def test_gamma0_must_be_a_divisor(p1):
     with pytest.raises(ValueError, match="degree-1"):
         CorrelatorEngine(p1.model, p1.primary, gamma0=p1.model.unit)

@@ -39,6 +39,11 @@ GOLDEN = [
         "6759d7b063beb966d02d14a9b3d51b71df657464032c2556ba0a23e243273739",
         id="verify-identities",
     ),
+    pytest.param(
+        "verify --model P2 --suite transform --qmax 2 --xdeg 4 --dmax 2",
+        "5d091b462ae09098e53294025b739cc5b9a9a220f7a013c56f40b77f6e8c381e",
+        id="verify-transform",
+    ),
 ]
 
 

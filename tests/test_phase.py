@@ -2,6 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+from test_quadric import quadric_model, quadric_table
+
+from gwdesc import CorrelatorEngine
 from gwdesc.exact import NovikovSeries
 from gwdesc.phase import (
     PhaseTransform,
@@ -190,6 +194,30 @@ def test_potential_coefficient_normalization(p1_engine, p1):
     triple_h = standard.coefficient(((0, 1), (0, 1), (0, 1)))
     # repeated index: the correlator value divided by 3!
     assert triple_h == Fraction(1, 6) * NovikovSeries.monomial(policy, (1,))
+
+
+@pytest.mark.parametrize(
+    "name, window, standard_keys, modified_keys",
+    [("P2", (2, 4, 2), 64, 14), ("quadric", (2, 3, 2), 49, 5)],
+)
+def test_dimension_skip_matches_the_full_window(p2, name, window, standard_keys, modified_keys):
+    """The checked engine assembles only the dimension-admissible (key, class)
+    pairs; an unchecked engine visits every class and must agree.  On the
+    quadric several classes share one value of c1·beta."""
+    if name == "P2":
+        model, table = p2.model, p2.primary
+    else:
+        model = quadric_model()
+        table = quadric_table(model)
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    checked = CorrelatorEngine(model, table)
+    unchecked = CorrelatorEngine(model, table, check_dimension=False)
+    standard = potential_standard(checked, policy)
+    modified = potential_modified(checked, policy)
+    assert standard == potential_standard(unchecked, policy)
+    assert modified == potential_modified(unchecked, policy)
+    # the counts at the full-window assembly, so an emptied potential cannot pass
+    assert (len(standard.items()), len(modified.items())) == (standard_keys, modified_keys)
 
 
 def test_potential_keys_are_order_free(p1_engine, p1):
