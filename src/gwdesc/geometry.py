@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -25,6 +25,9 @@ from .exact import (
     invert_matrix,
     parse_rational,
 )
+
+
+_ZERO = Fraction(0)
 
 
 class ModelError(GwdescError, ValueError):
@@ -53,10 +56,17 @@ class CohClass:
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.support()
 
-    def support(self) -> list[int]:
-        return [i for i, a in enumerate(self.coeffs) if a]
+    def support(self) -> tuple[int, ...]:
+        """Indices of the nonzero coefficients, in basis order."""
+        return self._support
+
+    @cached_property
+    def _support(self) -> tuple[int, ...]:
+        # computed once per instance; cached_property writes to __dict__, which
+        # a frozen dataclass allows, and equality and hashing read only coeffs
+        return tuple(i for i, a in enumerate(self.coeffs) if a)
 
 
 @dataclass(frozen=True)
@@ -134,6 +144,12 @@ class GeometryModel:
         self.ample = self.class_from_map(ample)
         self.chern = tuple(self.class_from_map(c) for c in chern)
         self._cup_table = self._build_cup_table()
+        # sparse structure constants: _cup_terms[i][j] lists (k, c) with
+        # basis[i] ∪ basis[j] = Σ c · basis[k] over the nonzero c only
+        self._cup_terms = tuple(
+            tuple(tuple((k, product.coeffs[k]) for k in product.support()) for product in row)
+            for row in self._cup_table
+        )
         self._dual: DualBases | None = None
         self._decomp_cache: dict[int, list[tuple[Fraction, int, int]] | None] = {}
 
@@ -196,12 +212,18 @@ class GeometryModel:
     # algebra
 
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
-        out = self.zero_class()
+        # Fraction is immutable, so every slot may start from one shared zero
+        out = [_ZERO] * self.rank
+        y_coeffs, y_support = y.coeffs, y.support()
         for i in x.support():
-            xi = x.coeffs[i]
-            for j in y.support():
-                out = out + (xi * y.coeffs[j]) * self._cup_table[i][j]
-        return out
+            xi, row = x.coeffs[i], self._cup_terms[i]
+            for j in y_support:
+                terms = row[j]
+                if terms:
+                    xy = xi * y_coeffs[j]
+                    for k, c in terms:
+                        out[k] += xy * c
+        return CohClass(tuple(out))
 
     def cup_power(self, x: CohClass, n: int) -> CohClass:
         out = self.unit

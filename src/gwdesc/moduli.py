@@ -170,6 +170,14 @@ def constant_map_correlator(
     surviving terms of the obstruction expansion; higher genus feeds the
     full Chern-root expansion with tautological integrals from the injected
     table.  Queries outside the dimension constraints return exactly zero.
+
+    Once every insertion is homogeneous, the dimension constraints are
+    screened on the integer degrees before any cup product is formed.  The
+    screen gives the same value as cupping first on any model that passes
+    ``validate()``: by ``cup-graded`` the product of the insertions is zero
+    or homogeneous of the summed degree, by ``degrees-in-range`` it is zero
+    when that degree exceeds the dimension, and by ``integral-top-degree``
+    it integrates to zero off the top degree.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -178,10 +186,12 @@ def constant_map_correlator(
         raise ValueError("descendant exponents must be non-negative")
 
     # multilinearity: split any mixed-degree insertion into homogeneous parts
+    degrees: list[int] = []
     for slot, (d, cls) in enumerate(insertions):
         if cls.is_zero():
             return Fraction(0)
-        if model.degree_of(cls) is None:
+        degree = model.degree_of(cls)
+        if degree is None:
             total = Fraction(0)
             for idx in cls.support():
                 part = cls.coeffs[idx] * model.basis_class(idx)
@@ -189,37 +199,42 @@ def constant_map_correlator(
                 rest[slot] = (d, part)
                 total += constant_map_correlator(g, rest, model, table)
             return total
+        degrees.append(degree)
 
+    n = len(insertions)
+    delta = model.dimension
     if g == 0:
+        if n < 3 or sum(exponents) != n - 3 or sum(degrees) != delta:
+            return Fraction(0)
         return _constant_maps_genus0(insertions, model)
     if g == 1:
-        return _constant_maps_genus1(insertions, model, table)
+        return _constant_maps_genus1(insertions, degrees, model, table)
+    if delta >= 4 or sum(degrees) > delta or sum(exponents) + sum(degrees) != (g - 1) * (3 - delta) + n:
+        return Fraction(0)
     return _constant_maps_higher(g, insertions, model, table)
 
 
-def _constant_maps_genus0(insertions, model: GeometryModel) -> Fraction:
-    n = len(insertions)
-    if n < 3:
-        return Fraction(0)
-    exponents = [d for d, _ in insertions]
-    if sum(exponents) != n - 3:
-        return Fraction(0)
+def _cup_all(insertions, model: GeometryModel) -> CohClass:
     product = model.unit
     for _, cls in insertions:
         product = model.cup(product, cls)
-    value = model.integrate(product)
+    return product
+
+
+def _constant_maps_genus0(insertions, model: GeometryModel) -> Fraction:
+    """Genus-0 value of a pattern that passed the degree screen."""
+    value = model.integrate(_cup_all(insertions, model))
     if not value:
         return Fraction(0)
-    return psi_integral_genus0(exponents) * value
+    return psi_integral_genus0([d for d, _ in insertions]) * value
 
 
-def _constant_maps_genus1(insertions, model: GeometryModel, table: TautTable | None) -> Fraction:
+def _constant_maps_genus1(insertions, degrees: list[int], model: GeometryModel, table: TautTable | None) -> Fraction:
     n = len(insertions)
     if n < 1:
         return Fraction(0)
     delta = model.dimension
     exponents = [d for d, _ in insertions]
-    degrees = [model.degree_of(cls) for _, cls in insertions]
     unit_idx = model.unit_index
     total = Fraction(0)
 
@@ -249,20 +264,12 @@ def _constant_maps_genus1(insertions, model: GeometryModel, table: TautTable | N
 
 
 def _constant_maps_higher(g: int, insertions, model: GeometryModel, table: TautTable | None) -> Fraction:
+    """Genus >= 2 value of a pattern that passed the degree screen."""
     delta = model.dimension
-    if delta >= 4:
-        return Fraction(0)
     n = len(insertions)
     exponents = [d for d, _ in insertions]
-    product = model.unit
-    for _, cls in insertions:
-        product = model.cup(product, cls)
+    product = _cup_all(insertions, model)
     if product.is_zero():
-        return Fraction(0)
-    degree_sum = model.degree_of(product)
-    if degree_sum is None or degree_sum > delta:
-        return Fraction(0)
-    if sum(exponents) + degree_sum != (g - 1) * (3 - delta) + n:
         return Fraction(0)
 
     total = Fraction(0)

@@ -472,11 +472,12 @@ def _potential(
     """Potential whose key coefficient sums the key's descendant correlator (pulled-back
     powers if ``modified``) over the classes where the key's dimension count can hold."""
     model = engine.model
+    zero = NovikovSeries.zero(policy)  # shared by every key with no admissible class
 
     def correlator(key):
         classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
         if not classes:
-            return NovikovSeries.zero(policy)
+            return zero
         if modified:
             triples = [(0, d, model.basis_class(a)) for d, a in key]
             return summed(policy, lambda beta: engine.generalized(beta, triples), classes)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -13,6 +16,8 @@ from gwdesc.geometry import (
     monomial_to_elementary,
     validate_model,
 )
+from gwdesc.verify import _p3_like_model
+from test_quadric import quadric_model
 
 
 def test_cup_identity_and_fixtures(p1, p2):
@@ -81,6 +86,66 @@ def test_frobenius_property(p2):
             assert m.eta(x, y) == m.eta(y, x)
             for z in basis:
                 assert m.eta(m.cup(x, y), z) == m.eta(x, m.cup(y, z))
+
+
+def _basis_products_from_records(m):
+    """Dense table of basis products read off the model's serialized records."""
+    unit = m.unit_index
+    table = [[m.zero_class()] * m.rank for _ in range(m.rank)]
+    for i in range(m.rank):
+        table[unit][i] = table[i][unit] = m.basis_class(i)
+    for record in m.to_dict()["cup"]:
+        i, j = m.label_index(record["a"]), m.label_index(record["b"])
+        if unit not in (i, j):
+            table[i][j] = table[j][i] = m.class_from_map(record["result"])
+    return table
+
+
+def _random_class(rng, rank):
+    # about a third of the coefficients are zero; the rest are signed rationals
+    return CohClass(
+        tuple(
+            Fraction(0) if rng.random() < 0.35 else Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            for _ in range(rank)
+        )
+    )
+
+
+def test_cup_matches_dense_bilinear_reference(p1, p2):
+    rng = random.Random(11)
+    for m in (p1.model, p2.model, _p3_like_model(), quadric_model()):
+        table = _basis_products_from_records(m)
+        samples = [_random_class(rng, m.rank) for _ in range(24)] + [m.zero_class(), m.unit]
+        for x in samples:
+            for y in samples[:10] + samples[-2:]:
+                reference = m.zero_class()
+                for i in range(m.rank):
+                    for j in range(m.rank):
+                        reference = reference + (x.coeffs[i] * y.coeffs[j]) * table[i][j]
+                got = m.cup(x, y)
+                assert got == reference, (m.name, x, y)
+                assert all(type(c) is Fraction for c in got.coeffs)
+                assert got.support() == tuple(k for k, c in enumerate(got.coeffs) if c)
+
+
+def test_cached_support_keeps_value_semantics(p2):
+    m = p2.model
+    coeffs = (Fraction(0), Fraction(-3, 2), Fraction(5))
+    read = CohClass(coeffs)
+    assert read.support() == (1, 2)
+    assert read.support() is read.support()
+    fresh = CohClass(coeffs)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert {read: 1}[fresh] == 1
+    for other in (copy.copy(read), pickle.loads(pickle.dumps(read)), dataclasses.replace(read)):
+        assert other == fresh and hash(other) == hash(fresh)
+        assert other.support() == (1, 2)
+    replaced = dataclasses.replace(read, coeffs=(Fraction(1), Fraction(0), Fraction(0)))
+    assert replaced.support() == (0,)
+    assert replaced == m.unit and not replaced.is_zero()
+    assert m.zero_class().support() == () and m.zero_class().is_zero()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.coeffs = coeffs
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from gwdesc.geometry import CohClass
 from gwdesc.moduli import (
+    TautRecord,
     TautTable,
     TautTableError,
     constant_map_correlator,
@@ -141,3 +143,133 @@ def test_constant_maps_mixed_class_multilinearity(p2):
         0, [(1, h), (0, h), (0, h), (0, one)], m
     )
     assert direct == split
+
+
+# ----------------------------------------------------------------------
+# the integer degree screen against cup-first evaluation
+
+
+def _cup_first_reference(g, insertions, model, table):
+    """Constant-map correlator evaluated cup first, dimension tests after."""
+    for slot, (d, cls) in enumerate(insertions):
+        if cls.is_zero():
+            return Fraction(0)
+        if model.degree_of(cls) is None:
+            total = Fraction(0)
+            for idx in cls.support():
+                rest = list(insertions)
+                rest[slot] = (d, cls.coeffs[idx] * model.basis_class(idx))
+                total += _cup_first_reference(g, rest, model, table)
+            return total
+    n = len(insertions)
+    delta = model.dimension
+    exponents = [d for d, _ in insertions]
+    if g == 1:
+        return _genus1_reference(insertions, model, table)
+    if g == 0 and n < 3:
+        return Fraction(0)
+    product = model.unit
+    for _, cls in insertions:
+        product = model.cup(product, cls)
+    if g == 0:
+        if sum(exponents) != n - 3:
+            return Fraction(0)
+        value = model.integrate(product)
+        return psi_integral_genus0(exponents) * value if value else Fraction(0)
+    if delta >= 4 or product.is_zero():
+        return Fraction(0)
+    degree_sum = model.degree_of(product)
+    if degree_sum is None or degree_sum > delta:
+        return Fraction(0)
+    if sum(exponents) + degree_sum != (g - 1) * (3 - delta) + n:
+        return Fraction(0)
+    total = Fraction(0)
+    for tup in combinations_with_replacement(range(g + 1), delta):
+        target_value = model.integrate(model.cup(model.chern_symmetric(tup, g), product))
+        if not target_value:
+            continue
+        lambdas = tuple(i for i in tup if i)
+        if table is None:
+            raise TautTableError(
+                f"table incomplete: need integral g={g} n={n} "
+                f"psi={sorted(exponents, reverse=True)} lambda={list(lambdas)}"
+            )
+        total += table.lookup(g, n, exponents, lambdas) * target_value
+    return Fraction((-1) ** (g * delta)) * total
+
+
+def _genus1_reference(insertions, model, table):
+    n = len(insertions)
+    if n < 1:
+        return Fraction(0)
+    delta = model.dimension
+    exponents = [d for d, _ in insertions]
+    degrees = [model.degree_of(cls) for _, cls in insertions]
+    unit = model.unit_index
+    total = Fraction(0)
+    if sum(exponents) == n and all(deg == 0 for deg in degrees):
+        scale = Fraction(1)
+        for _, cls in insertions:
+            scale *= cls.coeffs[unit]
+        euler = model.integrate(model.chern[delta])
+        if scale and euler:
+            if table is None:
+                raise TautTableError("table incomplete: genus-1 psi integrals required")
+            total += scale * euler * table.lookup(1, n, exponents, ())
+    if delta >= 1 and sum(exponents) == n - 1 and degrees.count(1) == 1 and degrees.count(0) == n - 1:
+        slot = degrees.index(1)
+        scale = Fraction(1)
+        for other, (_, cls) in enumerate(insertions):
+            if other != slot:
+                scale *= cls.coeffs[unit]
+        pairing = model.integrate(model.cup(model.chern[delta - 1], insertions[slot][1]))
+        if scale and pairing:
+            if table is None:
+                raise TautTableError("table incomplete: genus-1 lambda-psi integrals required")
+            total -= scale * pairing * table.lookup(1, n, exponents, (1,))
+    return total
+
+
+def _synthetic_genus2_table(max_n):
+    """Every genus-2 psi/lambda integral with n <= max_n, each a distinct rational."""
+    records = []
+    for n in range(max_n + 1):
+        dim = 3 + n
+        for length in range(4):
+            for lambdas in combinations_with_replacement((1, 2), length):
+                for psi in combinations_with_replacement(range(dim - sum(lambdas) + 1), n):
+                    if sum(psi) + sum(lambdas) == dim:
+                        records.append(TautRecord(2, n, psi, lambdas, Fraction(len(records) + 1, len(records) + 5)))
+    return TautTable(records)
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except TautTableError as exc:
+        return ("TautTableError", str(exc))
+
+
+def test_degree_screen_matches_cup_first_evaluation(p1, p2, point):
+    from gwdesc.fixtures import genus1_taut_table
+    from gwdesc.verify import _p3_like_model
+
+    tables = {0: None, 1: genus1_taut_table(), 2: _synthetic_genus2_table(3)}
+    compared = nonzero = raised = 0
+    for model in (point.model, p1.model, p2.model, _p3_like_model()):
+        classes = [model.basis_class(i) for i in range(model.rank)]
+        classes.append(CohClass(tuple(Fraction((-1) ** i * (i + 1), i + 2) for i in range(model.rank))))
+        slots = [(d, c) for d in range(3) for c in range(len(classes))]
+        for g in (0, 1, 2):
+            for n in range(4):
+                for key in combinations_with_replacement(slots, n):
+                    insertions = [(d, classes[c]) for d, c in key]
+                    for table in dict.fromkeys((None, tables[g])):
+                        want = _outcome(lambda: _cup_first_reference(g, insertions, model, table))
+                        got = _outcome(lambda: constant_map_correlator(g, insertions, model, table))
+                        assert got == want, (model.name, g, key, table is None)
+                        compared += 1
+                        raised += isinstance(want, tuple)
+                        nonzero += not isinstance(want, tuple) and want != 0
+    # counts measured with the cup-first code; a screen that zeroes too much cannot match them
+    assert (compared, nonzero, raised) == (7875, 349, 555)
