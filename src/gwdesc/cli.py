@@ -57,9 +57,25 @@ def parse_beta(text: str) -> tuple[int, ...]:
         raise CliError(f"curve class {text!r} must be a comma-separated integer vector") from exc
 
 
+class _MissingPrimaryTable(PrimaryTable):
+    """A file model's table when no ``--primary`` was given.
+
+    Any lookup (always at a nonzero curve class) is an input error, so a
+    value that needs table data never prints as a silent 0.
+    """
+
+    def value(self, beta, ia, ib, ic):
+        raise CliError(
+            f"the query needs three-point values at curve class {list(beta)}, but no --primary "
+            "table was given (pass a table file; '[]' declares an empty one)"
+        )
+
+
 def resolve_model(args) -> tuple[GeometryModel, PrimaryTable, TautTable | None]:
     name = args.model
     if name in FIXTURE_NAMES:
+        if getattr(args, "primary", None):
+            raise CliError(f"--primary applies to geometry files only; fixture {name} ships its own table")
         fixture = load_fixture(name)
         model, primary = fixture.model, fixture.primary
         taut = genus1_taut_table()
@@ -68,7 +84,7 @@ def resolve_model(args) -> tuple[GeometryModel, PrimaryTable, TautTable | None]:
         primary = (
             PrimaryTable.from_file(model, args.primary)
             if getattr(args, "primary", None)
-            else PrimaryTable(model)
+            else _MissingPrimaryTable(model)
         )
         taut = None
     if getattr(args, "taut", None):
@@ -202,7 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_model_flags(p):
         p.add_argument("--model", required=True, help="fixture name (P1, P2, point) or geometry JSON path")
-        p.add_argument("--primary", help="primary-table JSON path (for file models)")
+        p.add_argument(
+            "--primary",
+            help="primary-table JSON path; geometry files only (an error with a fixture name); "
+            "without it, a query that needs table values is an error",
+        )
         p.add_argument("--taut", help="tautological-table JSON path")
 
     p = sub.add_parser("correlator", help="evaluate one correlator or its summed series")

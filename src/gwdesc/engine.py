@@ -107,6 +107,10 @@ class PrimaryTable:
     def from_records(cls, model: GeometryModel, rows: Sequence[dict]) -> PrimaryTable:
         records = []
         for row in rows:
+            if len(row["classes"]) != 3:
+                raise TableFormatError(
+                    f"record {row}: a three-point record needs 3 classes, got {len(row['classes'])}"
+                )
             triple = tuple(model.label_index(label) for label in row["classes"])
             records.append((tuple(int(b) for b in row["beta"]), triple, parse_rational(row["value"])))
         return cls(model, records)

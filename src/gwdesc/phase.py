@@ -212,34 +212,79 @@ def two_point_from_primaries(
     triple correlators that the product-compatibility identity converts
     into lower two-point series; each step ends with one formal
     antiderivative per division by the divisor pairing.  This is a second,
-    engine-independent route to the same series.
+    engine-independent route to the same series.  Each call builds a fresh
+    :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
     """
-    gamma0 = gamma0 if gamma0 is not None else model.ample
-    pairing = lambda beta: model.beta_pairing(gamma0, beta)  # noqa: E731
-    total = NovikovSeries.zero(policy)
-    product = None
-    for j in range(1, d + 2):
-        sign = Fraction((-1) ** (j + 1))
-        shifted_x = model.cup(model.cup_power(gamma0, j - 1), x)
-        if shifted_x.is_zero():
-            continue
-        if j <= d:
-            if product is None:
-                product = quantum_product(model, table, policy, gamma0, y)
-            bracket = NovikovSeries.zero(policy)
-            for beta_shift, cls in product.items():
-                inner = two_point_from_primaries(model, table, policy, d - j, shifted_x, cls, gamma0)
-                bracket = bracket + inner.shift(beta_shift)
-        else:
-            bracket = summed(
-                policy, lambda beta: _primary3_multilinear(model, table, beta, gamma0, shifted_x, y)
-            )
-            zero_beta = policy.zero_beta()
-            bracket = bracket - NovikovSeries.monomial(policy, zero_beta, bracket.constant_term())
-        for _ in range(j):
-            bracket = antiderivative_q(bracket, pairing)
-        total = total + sign * bracket
-    return total
+    return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
+
+
+class _PrimaryTwoPoint:
+    """The primary-only two-point route at one (table, policy, gamma0).
+
+    The recursion asks for the same lower series and the same quantum
+    product ``gamma0 * y`` many times over; both are memoized here, and the
+    cup powers of gamma0 are formed once.  Table, policy and divisor are
+    fixed for the life of the object, so a memo never crosses divisors: a
+    divisor-independence check must compare two separate routes.  The
+    route never consults the correlator engine.
+    """
+
+    def __init__(
+        self,
+        model: GeometryModel,
+        table: PrimaryTable,
+        policy: TruncationPolicy,
+        gamma0: CohClass | None = None,
+    ) -> None:
+        self.model = model
+        self.table = table
+        self.policy = policy
+        self.gamma0 = gamma0 if gamma0 is not None else model.ample
+        self._powers = [model.unit]  # _powers[k] == model.cup_power(gamma0, k)
+        self._products: dict[CohClass, SeriesClass] = {}
+        self._series: dict[tuple[int, CohClass, CohClass], NovikovSeries] = {}
+
+    def _pairing(self, beta: CurveClass) -> Fraction:
+        return self.model.beta_pairing(self.gamma0, beta)
+
+    def _power(self, k: int) -> CohClass:
+        while len(self._powers) <= k:
+            self._powers.append(self.model.cup(self._powers[-1], self.gamma0))
+        return self._powers[k]
+
+    def _product(self, y: CohClass) -> SeriesClass:
+        if y not in self._products:
+            self._products[y] = quantum_product(self.model, self.table, self.policy, self.gamma0, y)
+        return self._products[y]
+
+    def series(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
+        key = (d, x, y)
+        if key not in self._series:
+            self._series[key] = self._compute(d, x, y)
+        return self._series[key]
+
+    def _compute(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
+        model, policy, gamma0 = self.model, self.policy, self.gamma0
+        total = NovikovSeries.zero(policy)
+        for j in range(1, d + 2):
+            sign = Fraction((-1) ** (j + 1))
+            shifted_x = model.cup(self._power(j - 1), x)
+            if shifted_x.is_zero():
+                continue
+            if j <= d:
+                bracket = NovikovSeries.zero(policy)
+                for beta_shift, cls in self._product(y).items():
+                    bracket = bracket + self.series(d - j, shifted_x, cls).shift(beta_shift)
+            else:
+                bracket = summed(
+                    policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y)
+                )
+                zero_beta = policy.zero_beta()
+                bracket = bracket - NovikovSeries.monomial(policy, zero_beta, bracket.constant_term())
+            for _ in range(j):
+                bracket = antiderivative_q(bracket, self._pairing)
+            total = total + sign * bracket
+        return total
 
 
 # ----------------------------------------------------------------------

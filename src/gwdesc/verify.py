@@ -17,11 +17,11 @@ from .fixtures import plane_curve_counts
 from .geometry import GeometryModel
 from .moduli import constant_map_correlator, psi_integral_genus0
 from .phase import (
+    _PrimaryTwoPoint,
     build_transform,
     divisor_product_identity,
     summed_two_point,
     transform_identity_report,
-    two_point_from_primaries,
 )
 
 
@@ -162,15 +162,16 @@ def suite_divisor_independence(
         checked += 1
         if base.zero_point(beta) != scaled.zero_point(beta):
             failures.append(f"zero-point {beta}")
-    # the primary-only route must not depend on the divisor choice either
+    # the primary-only route must not depend on the divisor choice either;
+    # each divisor gets its own route, so no memo is shared between them
+    ample_route = _PrimaryTwoPoint(model, primary, policy)
+    scaled_route = _PrimaryTwoPoint(model, primary, policy, 3 * model.ample)
     for d in range(dmax + 1):
         for x in basis:
             for y in basis:
                 checked += 1
-                with_ample = two_point_from_primaries(model, primary, policy, d, x, y)
-                with_scaled = two_point_from_primaries(
-                    model, primary, policy, d, x, y, gamma0=3 * model.ample
-                )
+                with_ample = ample_route.series(d, x, y)
+                with_scaled = scaled_route.series(d, x, y)
                 if with_ample != with_scaled:
                     failures.append(f"primary-route series d={d}: divisor choice leaked")
     lines = [f"checked {checked} reductions with both divisors"] + failures[:10]
@@ -308,12 +309,13 @@ def suite_two_point_paths(
     failures = []
     checked = 0
     basis = [model.basis_class(i) for i in range(model.rank)]
+    route = _PrimaryTwoPoint(model, primary, policy)
     for d in range(dmax + 1):
         for x in basis:
             for y in basis:
                 checked += 1
                 via_engine = summed_two_point(engine, d, x, y, policy)
-                via_primaries = two_point_from_primaries(model, primary, policy, d, x, y)
+                via_primaries = route.series(d, x, y)
                 if via_engine != via_primaries:
                     failures.append(f"d={d}: {via_engine} vs {via_primaries}")
     lines = [f"checked {checked} series at levels up to {dmax}"] + failures[:10]

@@ -242,3 +242,34 @@ def test_file_model_loading(tmp_path, capsys):
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "correlator", "--model", "no/such/file.json", "--beta", "1", "--ins", "tau(0):h")
     assert code == 2
+
+
+def test_primary_with_a_fixture_is_an_input_error(tmp_path, capsys):
+    # the flag used to be ignored, even for a file that is not JSON
+    table = tmp_path / "t.json"
+    table.write_text("not json")
+    code, out, err = run(
+        capsys, "correlator", "--model", "P2", "--primary", str(table),
+        "--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --primary") and err.count("\n") == 1
+
+
+def test_file_model_without_primary_table(tmp_path, capsys):
+    from gwdesc import load_fixture
+
+    geometry = tmp_path / "plane.json"
+    geometry.write_text(json.dumps(load_fixture("P2").model.to_dict()))
+    query = ["--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h"]
+    code, out, err = run(capsys, "correlator", "--model", str(geometry), *query)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--primary" in err and err.count("\n") == 1
+    # an explicit empty table is still accepted
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    code, out, _ = run(capsys, "correlator", "--model", str(geometry), "--primary", str(empty), *query)
+    assert code == 0
+    assert out.strip() == "0"

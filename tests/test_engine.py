@@ -40,6 +40,16 @@ def test_primary_table_rejects_identity_insertions(p2):
         )
 
 
+@pytest.mark.parametrize("classes", [["h", "h2"], ["h", "h", "h2", "one"]])
+def test_primary_table_needs_three_classes(p2, classes):
+    # a two-class record used to be misreported as a dimension violation
+    row = {"beta": [1], "classes": classes, "value": "1"}
+    with pytest.raises(TableFormatError, match=f"needs 3 classes, got {len(classes)}") as info:
+        PrimaryTable.from_records(p2.model, [row])
+    assert "dimension" not in str(info.value)
+    assert str(row) in str(info.value)
+
+
 def test_primary_table_symmetrizes(p2):
     table = PrimaryTable.from_records(
         p2.model, [{"beta": [1], "classes": ["h2", "h", "h2"], "value": "1"}]

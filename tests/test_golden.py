@@ -44,6 +44,11 @@ GOLDEN = [
         "5d091b462ae09098e53294025b739cc5b9a9a220f7a013c56f40b77f6e8c381e",
         id="verify-transform",
     ),
+    pytest.param(
+        "verify --model P2 --suite two-point-paths --qmax 6 --dmax 12",
+        "4d54c69c59908cf4ebfd6150e08029ba10cf28ef72fea368f7cfbe4d370d24c7",
+        id="verify-two-point-paths",
+    ),
 ]
 
 

@@ -7,6 +7,7 @@ from test_quadric import quadric_model, quadric_table
 
 from gwdesc import CorrelatorEngine
 from gwdesc.exact import NovikovSeries
+from gwdesc import phase
 from gwdesc.phase import (
     PhaseTransform,
     SeriesClass,
@@ -25,6 +26,7 @@ from gwdesc.phase import (
     two_point_contraction,
     two_point_from_primaries,
 )
+from gwdesc.verify import suite_divisor_independence
 
 
 def cls(model, label):
@@ -120,6 +122,49 @@ def test_two_point_from_primaries_examples(p1, p1_engine):
     )
     zero = two_point_from_primaries(m, p1.primary, policy, 0, m.zero_class(), h)
     assert zero.is_zero()
+
+
+def test_shared_primary_route_matches_fresh_calls(p1, p2):
+    # the quadric's two-parameter window is costly, so it gets the basis and
+    # the ample divisor only; the lines add a mixed class and a rescaled divisor
+    quadric = quadric_model()
+    cases = [
+        (p1.model, p1.primary, 3, True),
+        (p2.model, p2.primary, 3, True),
+        (quadric, quadric_table(quadric), 2, False),
+    ]
+    for m, table, qmax, extended in cases:
+        policy = m.policy(qmax)
+        classes = [m.basis_class(i) for i in range(m.rank)]
+        divisors = [None]
+        if extended:
+            classes.append(m.unit + 2 * m.ample)
+            divisors.append(2 * m.ample)
+        for gamma0 in divisors:
+            route = phase._PrimaryTwoPoint(m, table, policy, gamma0)
+            # highest level first, so most lower series come out of the memo
+            for d in range(6, -1, -1):
+                for x in classes:
+                    for y in classes:
+                        fresh = two_point_from_primaries(m, table, policy, d, x, y, gamma0)
+                        assert route.series(d, x, y) == fresh
+
+
+def test_divisor_independence_evaluates_both_divisor_routes(p2, monkeypatch):
+    # a memo shared across divisors would compare the ample route with itself
+    m = p2.model
+    calls = {}
+    original = phase.quantum_product
+
+    def counting(model, table, policy, x, y):
+        calls[x] = calls.get(x, 0) + 1
+        return original(model, table, policy, x, y)
+
+    monkeypatch.setattr(phase, "quantum_product", counting)
+    result = suite_divisor_independence(m, p2.primary, qmax=2, dmax=2)
+    assert result.ok
+    assert set(calls) == {m.ample, 3 * m.ample}
+    assert calls[m.ample] > 0 and calls[3 * m.ample] > 0
 
 
 def test_build_transform_trivial_truncation(p1_engine, p1):
