@@ -57,6 +57,13 @@ def parse_beta(text: str) -> tuple[int, ...]:
         raise CliError(f"curve class {text!r} must be a comma-separated integer vector") from exc
 
 
+def _non_negative(text: str) -> int:
+    """Argparse type of verify's window and count options: a negative one would run no check."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _MissingPrimaryTable(PrimaryTable):
     """A file model's table when no ``--primary`` was given.
 
@@ -261,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity suites")
     add_model_flags(p)
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--qmax", type=int, default=3)
-    p.add_argument("--xdeg", type=int, default=4)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=7)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--qmax", type=_non_negative, default=3)
+    p.add_argument("--xdeg", type=_non_negative, default=4)
+    p.add_argument("--dmax", type=_non_negative, default=3)
+    p.add_argument("--nmax", type=_non_negative, default=7)
+    p.add_argument("--count", type=_non_negative, default=200)
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(func=cmd_verify)
 
@@ -277,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GwdescError, ValueError, FileNotFoundError) as exc:
+    except (GwdescError, ValueError, OSError) as exc:
         # plain ValueErrors (the engine's class and genus checks among them) are input errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,9 @@ Evaluation strategy, in reduction order:
   value for fewer; for fewer than two marks the dilaton relation gives an
   independent route to the same value.
 
-Everything is memoized on canonically sorted keys, so values are
-independent of insertion order and of evaluation interleaving.
+The dimension count is screened once per query, at the entry.  Everything
+is memoized on canonically sorted keys, so values are independent of
+insertion order and of evaluation interleaving.
 """
 
 from __future__ import annotations
@@ -105,14 +106,19 @@ class PrimaryTable:
 
     @classmethod
     def from_records(cls, model: GeometryModel, rows: Sequence[dict]) -> PrimaryTable:
+        if not isinstance(rows, list):
+            raise TableFormatError(f"a primary table is a list of records, not {type(rows).__name__}")
         records = []
         for row in rows:
-            if len(row["classes"]) != 3:
-                raise TableFormatError(
-                    f"record {row}: a three-point record needs 3 classes, got {len(row['classes'])}"
-                )
-            triple = tuple(model.label_index(label) for label in row["classes"])
-            records.append((tuple(int(b) for b in row["beta"]), triple, parse_rational(row["value"])))
+            if not isinstance(row, dict) or not {"beta", "classes", "value"} <= row.keys():
+                raise TableFormatError(f"record {row!r}: a record is an object with beta, classes and value")
+            beta, classes = row["beta"], row["classes"]
+            if not (isinstance(beta, list) and all(type(b) is int for b in beta) and isinstance(classes, list)):
+                raise TableFormatError(f"record {row}: beta must be a list of integers and classes a list of labels")
+            if len(classes) != 3:
+                raise TableFormatError(f"record {row}: a three-point record needs 3 classes, got {len(classes)}")
+            triple = tuple(model.label_index(str(label)) for label in classes)
+            records.append((tuple(beta), triple, parse_rational(row["value"])))
         return cls(model, records)
 
     @classmethod
@@ -244,11 +250,12 @@ class CorrelatorEngine:
                 core.append(ins)
             yield coeff, tuple(sorted(core))
 
-    def _candidates(self, beta: CurveClass, need: int) -> Sequence[int]:
-        """Basis indices a node class at class beta may take: those of degree need + c1·beta."""
+    def _candidates(self, beta: CurveClass, n: int, others: int) -> Sequence[int]:
+        """Basis indices a node class at class beta may take: those completing the
+        dimension count of n marks whose other marks' degrees sum to ``others``."""
         if not self.check_dimension:
             return range(self.model.rank)
-        return self.model.basis_of_degree(need + self._c1_beta(beta))
+        return self.model.basis_of_degree(self._c1_beta(beta) - self._c1_needed(n, others))
 
     # ------------------------------------------------------------------
     # base values
@@ -270,8 +277,6 @@ class CorrelatorEngine:
             return constant_map_correlator(
                 0, [(d, self.model.basis_class(a)) for d, _, a in ins], self.model, self.taut
             )
-        if self.check_dimension and not self._dimension_ok(beta, ins):
-            return Fraction(0)
         if all(d == 0 for d, _, _ in ins):
             return self._primary3(beta, tuple(a for _, _, a in ins))
         key = ("3", beta, ins)
@@ -280,12 +285,12 @@ class CorrelatorEngine:
             return cached
         j = next(p for p, (d, _, _) in enumerate(ins) if d >= 1)
         d_j, _, a_j = ins[j]
-        need = self.model.dimension - sum(d + self._deg(a) for p, (d, _, a) in enumerate(ins) if p != j)
+        others = sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
         total = Fraction(0)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
-            for a in self._candidates(beta2, need):
+            for a in self._candidates(beta2, len(ins), others):
                 tp = Fraction(0)
                 for c, b in self._dual_parts[a]:
                     tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
@@ -311,8 +316,6 @@ class CorrelatorEngine:
         divides <tau_1(1)·ins> by the dilaton factor 2g-2+n = n-2 instead.
         """
         if not any(beta):
-            return Fraction(0)
-        if self.check_dimension and not self._dimension_ok(beta, ins):
             return Fraction(0)
         n = len(ins)
         # two-point values do not depend on the route, so their key leaves it out
@@ -343,8 +346,6 @@ class CorrelatorEngine:
     # generalized correlators (stable range)
 
     def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
-        if self.check_dimension and not self._dimension_ok(beta, ins):
-            return Fraction(0)
         key = ("g", beta, ins)
         cached = self._memo_get(key)
         if cached is not None:
@@ -370,12 +371,11 @@ class CorrelatorEngine:
         shifted = list(ins)
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
-        need = self.model.dimension + len(ins) - 3 - e_j
-        need -= sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
+        others = e_j + sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
         for beta1, beta2 in beta_splittings(beta):
             if not any(beta1):
                 continue
-            for a in self._candidates(beta2, need):
+            for a in self._candidates(beta2, len(ins), others):
                 tp = Fraction(0)
                 for c, b in self._dual_parts[a]:
                     tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
@@ -429,9 +429,9 @@ class CorrelatorEngine:
                 side_c.extend([val] * (count - s))
             # the node class on side S completes S's dimension count; on a
             # dimension-valid query its dual then completes the other side's
-            need = self.model.dimension + len(side_s) - 2 - sum(d + e + self._deg(a) for d, e, a in side_s)
+            others = sum(d + e + self._deg(a) for d, e, a in side_s)
             for beta1, beta2 in beta_splittings(beta):
-                for a in self._candidates(beta1, need):
+                for a in self._candidates(beta1, len(side_s) + 1, others):
                     left = self._gen(beta1, tuple(sorted(side_s + [(0, 0, a)])))
                     if not left:
                         continue
@@ -479,30 +479,20 @@ class CorrelatorEngine:
     # the one multilinear entry: every public correlator sums over the basis here
 
     def _sum(self, beta: CurveClass, triples: Sequence[tuple[int, int, CohClass]], value, *args) -> Fraction:
-        """Sum ``value(beta, core, *args)`` over the basis expansion of the insertions."""
+        """Sum ``value(beta, core, *args)`` over the basis expansion of the insertions,
+        skipping, with ``check_dimension`` on, each core that fails the dimension count.
+        This is the engine's one screen: every reduction step maps a dimension-valid node
+        to dimension-valid nodes (lowering, the divisor, dilaton and detour steps and the
+        shifted term keep the count, and every split node takes its class from ``_candidates``)."""
         beta = _effective(beta)
         total = Fraction(0)
         for coeff, core in self._expand(triples):
+            if self.check_dimension and not self._dimension_ok(beta, core):
+                continue
             term = value(beta, core, *args)
             if term:
                 total += coeff * term
         return total
-
-    def _gen_at(self, beta: CurveClass, core: tuple[Insertion, ...], reduce_at: int | None) -> Fraction:
-        if reduce_at is None:
-            return self._gen(beta, core)
-        if not (0 <= reduce_at < len(core)) or core[reduce_at][0] < 1:
-            raise ValueError("reduce_at must point at a slot with a positive cotangent power")
-        if self.check_dimension and not self._dimension_ok(beta, core):
-            return Fraction(0)
-        return self._gen_apply_relation(beta, core, reduce_at)
-
-    def _modified_at(self, beta: CurveClass, core: tuple[Insertion, ...], refs) -> Fraction:
-        if refs is None or not any(e for _, e, _ in core):
-            return self._gen(beta, core)
-        if self.check_dimension and not self._dimension_ok(beta, core):
-            return Fraction(0)
-        return self._modified_core(beta, core, refs=refs)
 
     # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)
@@ -533,7 +523,13 @@ class CorrelatorEngine:
         """
         if len(triples) < 3:
             raise UnsupportedQueryError("generalized correlators need the stable range (n >= 3)")
-        return self._sum(beta, triples, self._gen_at, reduce_at)
+        if reduce_at is None:
+            return self._sum(beta, triples, self._gen)
+        # every expanded core sorts its slots by cotangent power first, so all share these powers
+        powers = sorted(d for d, _, _ in triples)
+        if not (0 <= reduce_at < len(powers)) or powers[reduce_at] < 1:
+            raise ValueError("reduce_at must point at a slot with a positive cotangent power")
+        return self._sum(beta, triples, self._gen_apply_relation, reduce_at)
 
     def modified(
         self,
@@ -544,7 +540,10 @@ class CorrelatorEngine:
         """Correlator with pulled-back powers only (the modified kind)."""
         if len(pairs) < 3:
             raise UnsupportedQueryError("modified correlators need at least three marks")
-        return self._sum(beta, [(0, e, cls) for e, cls in pairs], self._modified_at, refs)
+        triples = [(0, e, cls) for e, cls in pairs]
+        if refs is None or not any(e for e, _ in pairs):
+            return self._sum(beta, triples, self._gen)
+        return self._sum(beta, triples, self._modified_core, refs)
 
     def three_point_descendant(self, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Three-point descendant correlator by the contraction recursion."""

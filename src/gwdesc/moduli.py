@@ -125,18 +125,25 @@ class TautTable:
 
     @classmethod
     def from_records(cls, rows: Sequence[dict]) -> TautTable:
-        return cls(
-            [
-                TautRecord(
-                    g=int(row["g"]),
-                    n=int(row["n"]),
-                    psi=tuple(int(v) for v in row["psi"]),
-                    lambdas=tuple(int(v) for v in row["lambda"]),
-                    value=parse_rational(row["value"]),
+        if not isinstance(rows, list):
+            raise ValueError(f"a tautological table is a list of records, not {type(rows).__name__}")
+        records = []
+        for row in rows:
+            if not isinstance(row, dict) or not {"g", "n", "psi", "lambda", "value"} <= row.keys():
+                raise ValueError(f"tautological record {row!r}: a record is an object with g, n, psi, lambda and value")
+            try:
+                records.append(
+                    TautRecord(
+                        g=int(row["g"]),
+                        n=int(row["n"]),
+                        psi=tuple(int(v) for v in row["psi"]),
+                        lambdas=tuple(int(v) for v in row["lambda"]),
+                        value=parse_rational(row["value"]),
+                    )
                 )
-                for row in rows
-            ]
-        )
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"tautological record {row!r}: {exc}") from exc
+        return cls(records)
 
     @classmethod
     def from_file(cls, path: str | Path) -> TautTable:

@@ -182,6 +182,12 @@ def suite_divisor_independence(
 # randomized identity battery
 
 
+def _dimension_valid(model: GeometryModel, beta, raw) -> bool:
+    """Whether (cotangent power, basis index) pairs at beta pass degree sum == dimension + c1·beta + n - 3;
+    written apart from the engine's own count, which the dimension-vanishing check tests."""
+    return sum(d + model.degrees[a] for d, a in raw) == model.dimension + model.c1_pairing(beta) + len(raw) - 3
+
+
 def _random_query(rng: random.Random, model: GeometryModel, qmax: int, force_valid: bool):
     """A random small genus-0 stable query; optionally dimension-valid."""
     for _ in range(200):
@@ -195,11 +201,8 @@ def _random_query(rng: random.Random, model: GeometryModel, qmax: int, force_val
             d = rng.choice((0, 0, 0, 1, 1, 2))
             a = rng.randrange(model.rank)
             pairs.append((d, a))
-        if force_valid:
-            need = model.dimension + model.c1_pairing(beta) + n - 3
-            have = sum(d + model.degrees[a] for d, a in pairs)
-            if have != need:
-                continue
+        if force_valid and not _dimension_valid(model, beta, pairs):
+            continue
         return beta, pairs
     return None
 
@@ -260,9 +263,7 @@ def suite_identities(
         if engine.descendant(0, beta, shuffled) != value:
             failures.append(f"permutation {beta} {raw}")
 
-        need = model.dimension + model.c1_pairing(beta) + len(raw) - 3
-        have = sum(d + model.degrees[a] for d, a in raw)
-        if have != need:
+        if not _dimension_valid(model, beta, raw):
             counters["dimension-vanishing"] += 1
             if value != 0:
                 failures.append(f"dimension short-circuit violated {beta} {raw}")

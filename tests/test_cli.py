@@ -273,3 +273,83 @@ def test_file_model_without_primary_table(tmp_path, capsys):
     code, out, _ = run(capsys, "correlator", "--model", str(geometry), "--primary", str(empty), *query)
     assert code == 0
     assert out.strip() == "0"
+
+
+def _plane_geometry(tmp_path):
+    from gwdesc import load_fixture
+
+    geometry = tmp_path / "plane.json"
+    geometry.write_text(json.dumps(load_fixture("P2").model.to_dict()))
+    return geometry
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ([{"classes": ["h2", "h2", "h"], "value": "1"}], "record {'classes'"),
+        ({"beta": [1], "classes": ["h2", "h2", "h"], "value": "1"}, "not dict"),
+    ],
+)
+def test_malformed_primary_file_is_an_input_error(tmp_path, capsys, content, named):
+    # a record without beta ended in a KeyError, a top-level object in a TypeError
+    table = tmp_path / "f.json"
+    table.write_text(json.dumps(content))
+    code, out, err = run(
+        capsys, "correlator", "--model", str(_plane_geometry(tmp_path)), "--primary", str(table),
+        "--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, named",
+    [([{"g": 1}], "tautological record {'g': 1}"), ({"a": 1}, "list of records, not dict")],
+)
+def test_malformed_taut_file_is_an_input_error(tmp_path, capsys, content, named):
+    # the first ended in KeyError: 'n', the second in a TypeError
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(content))
+    code, out, err = run(
+        capsys, "correlator", "--model", "P1", "--taut", str(table), "--genus", "1", "--beta", "0",
+        "--ins", "tau(1):one",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--model"],
+        ["correlator", "--beta", "1", "--ins", "tau(0):h", "--model"],
+    ],
+)
+def test_unreadable_model_path_is_an_input_error(tmp_path, capsys, argv):
+    # a directory ended in an IsADirectoryError traceback
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option, suite",
+    [
+        ("--count", "identities"),
+        ("--dmax", "two-point-paths"),
+        ("--nmax", "point-oracle"),
+        ("--qmax", "transform"),
+        ("--xdeg", "transform"),
+    ],
+)
+def test_negative_window_is_rejected_before_any_suite_runs(capsys, option, suite):
+    # a negative count or bound ran no check and printed [PASS]
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--model", "P1", "--suite", suite, option, "-3"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert f"error: argument {option}: expected a non-negative integer, got '-3'" in err

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
+from test_quadric import quadric_model, quadric_table
 
 from gwdesc.engine import (
     CorrelatorEngine,
@@ -13,6 +14,7 @@ from gwdesc.engine import (
     UnsupportedQueryError,
 )
 from gwdesc.moduli import constant_map_correlator, psi_boundary_partitions, psi_integral_genus0
+from gwdesc.phase import transform_identity_report
 
 
 def cls(model, label):
@@ -48,6 +50,24 @@ def test_primary_table_needs_three_classes(p2, classes):
         PrimaryTable.from_records(p2.model, [row])
     assert "dimension" not in str(info.value)
     assert str(row) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows, match",
+    [
+        ({"beta": [1], "classes": ["h", "h2", "h2"], "value": "1"}, "list of records, not dict"),
+        (["h"], "record 'h': a record is an object"),
+        ([{"classes": ["h", "h2", "h2"], "value": "1"}], "a record is an object with beta"),
+        ([{"beta": [1], "value": "1"}], "a record is an object with beta"),
+        ([{"beta": [1], "classes": ["h", "h2", "h2"]}], "a record is an object with beta"),
+        ([{"beta": [1.5], "classes": ["h", "h2", "h2"], "value": "1"}], "beta must be a list of integers"),
+        ([{"beta": 1, "classes": ["h", "h2", "h2"], "value": "1"}], "beta must be a list of integers"),
+        ([{"beta": [1], "classes": "h", "value": "1"}], "classes a list of labels"),
+    ],
+)
+def test_primary_table_rejects_malformed_records(p2, rows, match):
+    with pytest.raises(TableFormatError, match=match):
+        PrimaryTable.from_records(p2.model, rows)
 
 
 def test_primary_table_symmetrizes(p2):
@@ -353,6 +373,62 @@ def test_dimension_shortcircuit_matches_recursion(p1, p2):
                 assert want == got
                 nonzero += bool(want)
     assert nonzero == 98  # of the 816 values compared
+
+
+def test_every_memo_key_passes_the_dimension_count(p1, p2):
+    """The count is screened only at the entry, so every node the recursions
+    reach from a screened query must pass it without a screen of its own."""
+    engines, reports = [], []
+    quadric = quadric_model()
+    for model, table, (qmax, xdeg, dmax) in (
+        (p2.model, p2.primary, (2, 4, 2)),
+        (quadric, quadric_table(quadric), (2, 3, 2)),
+    ):
+        engine = CorrelatorEngine(model, table)
+        reports.append(transform_identity_report(engine, model.policy(qmax, max_x_degree=xdeg, max_descendant=dmax)))
+        engines.append(engine)
+    for fixture in (p1, p2):
+        engine = CorrelatorEngine(fixture.model, fixture.primary)
+        slots = [(d, fixture.model.basis_class(a)) for d, a in product(range(3), range(fixture.model.rank))]
+        for beta, n in product(((0,), (1,), (2,)), range(5)):
+            for pairs in combinations_with_replacement(slots, n):
+                engine.descendant(0, beta, list(pairs))
+        engines.append(engine)
+    for engine in engines:
+        assert engine._memo
+        invalid = [key for key in engine._memo if not engine._dimension_ok(key[1], key[2])]
+        assert not invalid, f"{len(invalid)} of {len(engine._memo)} nodes fail the count, e.g. {invalid[0]}"
+    assert all(report.ok for report in reports)
+
+
+class _RaisingTable(PrimaryTable):
+    def value(self, beta, ia, ib, ic):
+        raise AssertionError(f"table lookup at {beta}")
+
+
+def test_dimension_invalid_queries_never_reach_the_table(p2):
+    """Every public entry screens through `_sum`: a query failing the count is
+    0 without a table lookup (at class 1 on the plane, n marks need degree sum n + 2)."""
+    m = p2.model
+    engine = CorrelatorEngine(m, _RaisingTable(m))
+    h, h2 = cls(m, "h"), cls(m, "h2")
+    beta = (1,)
+    with pytest.raises(AssertionError, match="table lookup"):
+        engine.descendant(0, beta, [(0, h2), (0, h2), (0, h)])
+    queries = {
+        "descendant": lambda: engine.descendant(0, beta, [(0, h2), (0, h2), (0, h2)]),
+        "generalized-reduce-at": lambda: engine.generalized(beta, [(1, 0, h2), (0, 0, h2), (0, 0, h2)], reduce_at=2),
+        "modified-refs": lambda: engine.modified(beta, [(1, h2), (0, h2), (0, h2), (0, h2)], refs=(3, 0, 1)),
+        "three_point_descendant": lambda: engine.three_point_descendant(beta, [(1, h2), (0, h2), (0, h2)]),
+        "primary3": lambda: engine.primary3(beta, h2, h2, h2),
+        "two_point_general": lambda: engine.two_point_general(1, h2, 0, h2, beta),
+        "one_point-divisor": lambda: engine.one_point(2, h2, beta, "divisor"),
+        "one_point-dilaton": lambda: engine.one_point(2, h2, beta, "dilaton"),
+        "zero_point-divisor": lambda: engine.zero_point(beta, "divisor"),
+        "zero_point-dilaton": lambda: engine.zero_point(beta, "dilaton"),
+    }
+    for entry, query in queries.items():
+        assert query() == 0, entry
 
 
 def test_gamma0_independence_smoke(p2):
