@@ -64,6 +64,18 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
+def _at_least(low: int):
+    """Argparse type of a verify option below whose bound ``low`` its suite runs no check."""
+
+    def parse(text: str) -> int:
+        value = _non_negative(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected at least {low}, got {text!r}: a smaller value runs no check")
+        return value
+
+    return parse
+
+
 class _MissingPrimaryTable(PrimaryTable):
     """A file model's table when no ``--primary`` was given.
 
@@ -271,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=_non_negative, default=3)
     p.add_argument("--xdeg", type=_non_negative, default=4)
     p.add_argument("--dmax", type=_non_negative, default=3)
-    p.add_argument("--nmax", type=_non_negative, default=7)
-    p.add_argument("--count", type=_non_negative, default=200)
+    p.add_argument("--nmax", type=_at_least(3), default=7)
+    p.add_argument("--count", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=20240801)
     p.set_defaults(func=cmd_verify)
 

@@ -19,7 +19,10 @@ Evaluation strategy, in reduction order:
 
 The dimension count is screened once per query, at the entry.  Everything
 is memoized on canonically sorted keys, so values are independent of
-insertion order and of evaluation interleaving.
+insertion order and of evaluation interleaving.  The pairings c1·beta and
+gamma0·beta and the basis coefficients of a class are held as ints where
+integral (a factor 1 is skipped); every value the engine returns or
+memoizes is a Fraction.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, parse_rational
+from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, narrow, parse_rational
 from .geometry import CohClass, GeometryModel
 from .moduli import TautTable, constant_map_correlator
 
@@ -127,11 +130,6 @@ class PrimaryTable:
             return cls.from_records(model, json.load(handle))
 
 
-def _parts(cls: CohClass) -> list[tuple[Fraction, int]]:
-    """A class as (coefficient, basis index) pairs over its support."""
-    return [(cls.coeffs[idx], idx) for idx in cls.support()]
-
-
 def _effective(beta: CurveClass) -> CurveClass:
     beta = tuple(beta)
     if any(b < 0 for b in beta):
@@ -165,14 +163,16 @@ class CorrelatorEngine:
         if model.lattice_rank > 0 and model.degree_of(self.gamma0) != 1:
             raise ValueError("the reduction divisor must be a degree-1 class")
         # gamma0 and gamma0 ∪ basis[a] (the lowering terms) as (coefficient, index) parts
-        self._gamma0_parts = _parts(self.gamma0)
-        self._lowered = [_parts(model.cup(self.gamma0, model.basis_class(a))) for a in range(model.rank)]
+        self._gamma0_parts = self.gamma0.parts
+        self._lowered = [model.cup(self.gamma0, model.basis_class(a)).parts for a in range(model.rank)]
         self._memo: dict = {}
         self._active: set = set()
-        # c1·beta and gamma0·beta per class; each window's classes grouped by c1·beta
-        self._c1: dict[CurveClass, Fraction] = {}
-        self._g0: dict[CurveClass, Fraction] = {}
-        self._windows: dict[TruncationPolicy, dict[Fraction, list[CurveClass]]] = {}
+        # c1·beta and gamma0·beta per class (an int where integral, see exact.narrow);
+        # each window's classes grouped by c1·beta; each class's splittings
+        self._c1: dict[CurveClass, int | Fraction] = {}
+        self._g0: dict[CurveClass, int | Fraction] = {}
+        self._windows: dict[TruncationPolicy, dict[int | Fraction, list[CurveClass]]] = {}
+        self._splits: dict[CurveClass, tuple[tuple[CurveClass, CurveClass], ...]] = {}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -180,24 +180,31 @@ class CorrelatorEngine:
     def _deg(self, idx: int) -> int:
         return self.model.degrees[idx]
 
-    def _c1_beta(self, beta: CurveClass) -> Fraction:
+    def _c1_beta(self, beta: CurveClass) -> int | Fraction:
         c1 = self._c1.get(beta)
         if c1 is None:
-            c1 = self._c1[beta] = self.model.c1_pairing(beta)
+            c1 = self._c1[beta] = narrow(self.model.c1_pairing(beta))
         return c1
 
-    def _gamma0_pairing(self, beta: CurveClass) -> Fraction:
+    def _gamma0_pairing(self, beta: CurveClass) -> int | Fraction:
         pairing = self._g0.get(beta)
         if pairing is None:
-            pairing = self._g0[beta] = self.model.beta_pairing(self.gamma0, beta)
+            pairing = self._g0[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
         if pairing == 0:
             raise ValueError(f"reduction divisor pairs to zero with {beta}; not ample there")
         return pairing
 
     @cached_property
-    def _dual_parts(self) -> list[list[tuple[Fraction, int]]]:
+    def _dual_parts(self) -> list[tuple[tuple[int | Fraction, int], ...]]:
         """The pairing-dual basis as parts, built on first use (it needs a nondegenerate pairing)."""
-        return [_parts(dual) for dual in self.model.dual_bases().delta_dual]
+        return [dual.parts for dual in self.model.dual_bases().delta_dual]
+
+    def _splittings(self, beta: CurveClass) -> tuple[tuple[CurveClass, CurveClass], ...]:
+        """beta_splittings(beta), formed once per class; the first splitting is (0, beta)."""
+        splits = self._splits.get(beta)
+        if splits is None:
+            splits = self._splits[beta] = tuple(beta_splittings(beta))
+        return splits
 
     def _row_pairing(self, idx: int, beta: CurveClass) -> Fraction:
         """Pairing of the degree-1 basis class idx with beta."""
@@ -234,19 +241,22 @@ class CorrelatorEngine:
     def clear_cache(self) -> None:
         self._memo.clear()
 
-    def _expand(self, triples: Sequence[tuple[int, int, CohClass]]) -> Iterator[tuple[Fraction, tuple[Insertion, ...]]]:
+    def _expand(
+        self, triples: Sequence[tuple[int, int, CohClass]]
+    ) -> Iterator[tuple[int | Fraction, tuple[Insertion, ...]]]:
         """Multilinear expansion of class-valued insertions over the basis."""
         slots = []
         for d, e, cls in triples:
-            comps = [(c, (d, e, idx)) for c, idx in _parts(cls)]
+            comps = [(c, (d, e, idx)) for c, idx in cls.parts]
             if not comps:
                 return
             slots.append(comps)
         for combo in _cartesian(*slots):
-            coeff = Fraction(1)
+            coeff = 1
             core = []
             for c, ins in combo:
-                coeff *= c
+                if c != 1:
+                    coeff *= c
                 core.append(ins)
             yield coeff, tuple(sorted(core))
 
@@ -287,13 +297,12 @@ class CorrelatorEngine:
         d_j, _, a_j = ins[j]
         others = sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
         total = Fraction(0)
-        for beta1, beta2 in beta_splittings(beta):
-            if not any(beta1):
-                continue
+        for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
             for a in self._candidates(beta2, len(ins), others):
                 tp = Fraction(0)
                 for c, b in self._dual_parts[a]:
-                    tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
+                    value = self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
+                    tp += value if c == 1 else c * value
                 if not tp:
                     continue
                 replaced = list(ins)
@@ -331,15 +340,17 @@ class CorrelatorEngine:
         for c, gi in self._gamma0_parts:
             with_divisor = tuple(sorted(ins + ((0, 0, gi),)))
             if n == 2:
-                total += c * self._three_desc(beta, with_divisor)
+                value = self._three_desc(beta, with_divisor)
             else:
-                total += c * self._unstable(beta, with_divisor, route)
+                value = self._unstable(beta, with_divisor, route)
+            total += value if c == 1 else c * value
         for slot, (d, e, a) in enumerate(ins):
             if d >= 1:
                 for c, idx in self._lowered[a]:
                     lowered = list(ins)
                     lowered[slot] = (d - 1, e, idx)
-                    total -= c * self._unstable(beta, tuple(sorted(lowered)), route)
+                    value = self._unstable(beta, tuple(sorted(lowered)), route)
+                    total -= value if c == 1 else c * value
         return self._memo_put(key, total / pairing)
 
     # ------------------------------------------------------------------
@@ -372,13 +383,12 @@ class CorrelatorEngine:
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
         others = e_j + sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
-        for beta1, beta2 in beta_splittings(beta):
-            if not any(beta1):
-                continue
+        for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
             for a in self._candidates(beta2, len(ins), others):
                 tp = Fraction(0)
                 for c, b in self._dual_parts[a]:
-                    tp += c * self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
+                    value = self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
+                    tp += value if c == 1 else c * value
                 if not tp:
                     continue
                 replaced = list(ins)
@@ -430,7 +440,7 @@ class CorrelatorEngine:
             # the node class on side S completes S's dimension count; on a
             # dimension-valid query its dual then completes the other side's
             others = sum(d + e + self._deg(a) for d, e, a in side_s)
-            for beta1, beta2 in beta_splittings(beta):
+            for beta1, beta2 in self._splittings(beta):
                 for a in self._candidates(beta1, len(side_s) + 1, others):
                     left = self._gen(beta1, tuple(sorted(side_s + [(0, 0, a)])))
                     if not left:
@@ -439,9 +449,9 @@ class CorrelatorEngine:
                     for c, b in self._dual_parts[a]:
                         piece = self._gen(beta2, tuple(sorted(side_c + [(0, 0, b)])))
                         if piece:
-                            right += c * piece
+                            right += piece if c == 1 else c * piece
                     if right:
-                        total += mult * left * right
+                        total += left * right if mult == 1 else mult * left * right
         return total
 
     # ------------------------------------------------------------------
@@ -491,7 +501,7 @@ class CorrelatorEngine:
                 continue
             term = value(beta, core, *args)
             if term:
-                total += coeff * term
+                total += term if coeff == 1 else coeff * term
         return total
 
     # ------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Exact coefficient arithmetic: curve classes, truncation, Novikov-type series.
 
-All coefficients in this package are `fractions.Fraction`; curve classes are
-short integer vectors in the effective cone of a rank-m lattice; a series is
-a finite map from curve classes to rationals, truncated by a weighted degree
-(the pairing with a fixed ample divisor).  No floating point anywhere.
+All coefficients this package returns are `fractions.Fraction`; curve
+classes are short integer vectors in the effective cone of a rank-m lattice;
+a series is a finite map from curve classes to rationals, truncated by a
+weighted degree (the pairing with a fixed ample divisor).  No floating point
+anywhere.  Inside the engine an integral coefficient may be held as a plain
+``int`` (see :func:`narrow`), which equals, hashes and combines with
+Fractions exactly as the Fraction would.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render an exact rational as "p/q", or "p" when the denominator is 1."""
     return str(value)
+
+
+def narrow(value: Fraction) -> int | Fraction:
+    """``value`` as an ``int`` when it is integral: the int is equal, hashes the
+    same and multiplies and hashes faster, and any sum or product with a
+    Fraction is again a Fraction."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def beta_add(a: CurveClass, b: CurveClass) -> CurveClass:
@@ -101,7 +111,9 @@ class NovikovSeries:
 
     Instances are immutable by convention: every operation returns a new
     series, re-truncated against the shared policy.  Zero coefficients are
-    never stored.
+    never stored.  The public constructor truncates its terms and coerces
+    them to Fraction; the ring operations, whose terms are already both,
+    build their results through :meth:`_trusted`.
     """
 
     __slots__ = ("policy", "_terms")
@@ -118,10 +130,19 @@ class NovikovSeries:
             beta = tuple(beta)
             if policy.beta_degree(beta) > policy.max_beta_degree:
                 continue
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff:
-                acc[beta] = acc.get(beta, Fraction(0)) + coeff
+                acc[beta] = acc[beta] + coeff if beta in acc else coeff
         self._terms = {b: c for b, c in acc.items() if c}
+
+    @classmethod
+    def _trusted(cls, policy: TruncationPolicy, terms: dict[CurveClass, Fraction]) -> NovikovSeries:
+        """A series over Fraction terms already inside the window; only zero terms are dropped."""
+        series = cls.__new__(cls)
+        series.policy = policy
+        series._terms = {b: c for b, c in terms.items() if c}
+        return series
 
     @classmethod
     def zero(cls, policy: TruncationPolicy) -> NovikovSeries:
@@ -158,11 +179,11 @@ class NovikovSeries:
         self._check_policy(other)
         acc = dict(self._terms)
         for beta, coeff in other._terms.items():
-            acc[beta] = acc.get(beta, Fraction(0)) + coeff
-        return NovikovSeries(self.policy, acc)
+            acc[beta] = acc[beta] + coeff if beta in acc else coeff
+        return NovikovSeries._trusted(self.policy, acc)
 
     def __neg__(self) -> NovikovSeries:
-        return NovikovSeries(self.policy, {b: -c for b, c in self._terms.items()})
+        return NovikovSeries._trusted(self.policy, {b: -c for b, c in self._terms.items()})
 
     def __sub__(self, other: NovikovSeries) -> NovikovSeries:
         if not isinstance(other, NovikovSeries):
@@ -174,25 +195,30 @@ class NovikovSeries:
             self._check_policy(other)
             bound = self.policy.max_beta_degree
             deg = self.policy.beta_degree
+            right = [(b2, c2, deg(b2)) for b2, c2 in other._terms.items()]
             acc: dict[CurveClass, Fraction] = {}
             for b1, c1 in self._terms.items():
-                d1 = deg(b1)
-                for b2, c2 in other._terms.items():
-                    if d1 + deg(b2) > bound:
+                room = bound - deg(b1)
+                for b2, c2, d2 in right:
+                    if d2 > room:
                         continue
                     b = beta_add(b1, b2)
-                    acc[b] = acc.get(b, Fraction(0)) + c1 * c2
-            return NovikovSeries(self.policy, acc)
+                    acc[b] = acc[b] + c1 * c2 if b in acc else c1 * c2
+            return NovikovSeries._trusted(self.policy, acc)
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return NovikovSeries(self.policy, {b: c * q for b, c in self._terms.items()})
+            # a Fraction times an int is a Fraction, so only the zero terms need dropping
+            return NovikovSeries._trusted(self.policy, {b: c * other for b, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def shift(self, beta: CurveClass) -> NovikovSeries:
         """Multiply by the monomial q^beta."""
-        return self * NovikovSeries.monomial(self.policy, beta)
+        beta = tuple(beta)
+        deg = self.policy.beta_degree
+        room = self.policy.max_beta_degree - deg(beta)
+        terms = {beta_add(b, beta): c for b, c in self._terms.items() if deg(b) <= room}
+        return NovikovSeries._trusted(self.policy, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):
@@ -216,7 +242,7 @@ class NovikovSeries:
 
 def derivative_q(series: NovikovSeries, pairing) -> NovikovSeries:
     """Multiply the q^beta coefficient by pairing(beta)."""
-    return NovikovSeries(series.policy, {b: c * pairing(b) for b, c in series._terms.items()})
+    return NovikovSeries._trusted(series.policy, {b: c * pairing(b) for b, c in series._terms.items()})
 
 
 def antiderivative_q(series: NovikovSeries, pairing) -> NovikovSeries:
@@ -233,7 +259,7 @@ def antiderivative_q(series: NovikovSeries, pairing) -> NovikovSeries:
         if p == 0:
             raise ValueError(f"pairing vanishes on the nonzero class {beta!r}; divisor not ample here")
         acc[beta] = coeff / p
-    return NovikovSeries(series.policy, acc)
+    return NovikovSeries._trusted(series.policy, acc)
 
 
 def _row_reduce(aug: list[list[Fraction]], ncols: int) -> list[tuple[int, int]]:

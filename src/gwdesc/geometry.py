@@ -23,6 +23,7 @@ from .exact import (
     TruncationPolicy,
     format_rational,
     invert_matrix,
+    narrow,
     parse_rational,
 )
 
@@ -67,6 +68,12 @@ class CohClass:
         # computed once per instance; cached_property writes to __dict__, which
         # a frozen dataclass allows, and equality and hashing read only coeffs
         return tuple(i for i, a in enumerate(self.coeffs) if a)
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int | Fraction, int], ...]:
+        """The class as (coefficient, basis index) pairs over its support, an
+        integral coefficient as an ``int`` (see :func:`gwdesc.exact.narrow`)."""
+        return tuple((narrow(self.coeffs[i]), i) for i in self._support)
 
 
 @dataclass(frozen=True)

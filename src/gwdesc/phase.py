@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Sequence
 
@@ -499,37 +498,63 @@ def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
     return factor
 
 
-def _assemble(policy: TruncationPolicy, indices: Sequence[PhaseIndex], correlator) -> PotentialSeries:
-    """Potential over the monomials in ``indices`` of degree 3..max_x_degree."""
+def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], correlator) -> PotentialSeries:
+    """Potential over the monomials ``keys``, each weighted by its multiplicity factor."""
     coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    for n in range(3, policy.max_x_degree + 1):
-        for key in combinations_with_replacement(indices, n):
-            series = correlator(key)
-            if series.is_zero():
-                continue
-            coeffs[key] = series * Fraction(1, _multiplicity_factor(key))
+    for key in keys:
+        series = correlator(key)
+        if series.is_zero():
+            continue
+        coeffs[key] = series * Fraction(1, _multiplicity_factor(key))
     return PotentialSeries(policy, coeffs)
+
+
+def _admissible_keys(
+    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex]
+) -> list[tuple[PhaseIndex, ...]]:
+    """The monomials of degree 3..max_x_degree in ``indices``, in combinations_with_replacement
+    order, whose degree sum leaves the window some dimension-admissible class (all of them
+    with ``check_dimension`` off).  The walk only enters a prefix that can still complete."""
+    weights = [d + engine.model.degrees[a] for d, a in indices]
+    top = policy.max_x_degree
+    # reach[i][r]: the degree sums of r indices drawn, with repetition, from indices[i:]
+    reach = [[{0}] + [set() for _ in range(top)] for _ in range(len(indices) + 1)]
+    for i in range(len(indices) - 1, -1, -1):
+        for r in range(1, top + 1):
+            reach[i][r] = reach[i + 1][r] | {weights[i] + t for t in reach[i][r - 1]}
+    keys: list[tuple[PhaseIndex, ...]] = []
+
+    def extend(prefix: tuple[PhaseIndex, ...], start: int, left: int, wanted: set[int]) -> None:
+        if not left:
+            keys.append(prefix)
+            return
+        for i in range(start, len(indices)):
+            rest = {t - weights[i] for t in wanted}
+            if not rest.isdisjoint(reach[i][left - 1]):
+                extend(prefix + (indices[i],), i, left - 1, rest)
+
+    for n in range(3, top + 1):
+        extend((), 0, n, {t for t in reach[0][n] if engine.admissible_classes(policy, n, t)})
+    return keys
 
 
 def _potential(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
 ) -> PotentialSeries:
     """Potential whose key coefficient sums the key's descendant correlator (pulled-back
-    powers if ``modified``) over the classes where the key's dimension count can hold."""
+    powers if ``modified``) over the classes where the key's dimension count can hold;
+    keys with no such class are never formed."""
     model = engine.model
-    zero = NovikovSeries.zero(policy)  # shared by every key with no admissible class
 
     def correlator(key):
         classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
-        if not classes:
-            return zero
         if modified:
             triples = [(0, d, model.basis_class(a)) for d, a in key]
             return summed(policy, lambda beta: engine.generalized(beta, triples), classes)
         pairs = [(d, model.basis_class(a)) for d, a in key]
         return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
 
-    return _assemble(policy, indices, correlator)
+    return _assemble(policy, _admissible_keys(engine, policy, indices), correlator)
 
 
 def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:

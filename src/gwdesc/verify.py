@@ -68,6 +68,8 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
             want = psi_integral_genus0(list(exps))
             if got != want:
                 failures.append(f"exponents {exps}: got {got}, expected {want}")
+    if not checked:
+        failures.append("no checks ran")
     lines = [f"checked {checked} exponent multisets up to n={nmax}"] + lines + failures
     return SuiteResult("point-oracle", not failures, lines)
 
@@ -296,6 +298,8 @@ def suite_identities(
             if lhs_s != rhs_s:
                 failures.append(f"product compatibility d={d}: {lhs_s} vs {rhs_s}")
 
+    if not any(counters.values()):
+        failures.append("no checks ran")
     lines = [f"{name}: {done} checks" for name, done in sorted(counters.items())]
     lines += failures[:10]
     return SuiteResult("identities", not failures, lines)

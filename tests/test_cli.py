@@ -353,3 +353,20 @@ def test_negative_window_is_rejected_before_any_suite_runs(capsys, option, suite
     assert info.value.code == 2
     assert out == ""
     assert f"error: argument {option}: expected a non-negative integer, got '-3'" in err
+
+
+@pytest.mark.parametrize(
+    "option, value, suite, bound",
+    [("--count", "0", "identities", 1), ("--nmax", "2", "point-oracle", 3)],
+)
+def test_window_that_runs_no_check_is_rejected(capsys, option, value, suite, bound):
+    # both printed [PASS] after 0 checks and exited 0
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--model", "P1", "--suite", suite, option, value])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"gwdesc verify: error: argument {option}: expected at least {bound}, got '{value}': "
+        "a smaller value runs no check"
+    )

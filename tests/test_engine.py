@@ -14,7 +14,13 @@ from gwdesc.engine import (
     UnsupportedQueryError,
 )
 from gwdesc.moduli import constant_map_correlator, psi_boundary_partitions, psi_integral_genus0
-from gwdesc.phase import transform_identity_report
+from gwdesc.phase import (
+    build_transform,
+    potential_modified,
+    potential_primary,
+    potential_standard,
+    transform_identity_report,
+)
 
 
 def cls(model, label):
@@ -440,6 +446,59 @@ def test_gamma0_independence_smoke(p2):
         assert base.two_point(1, h2, h2, beta) == scaled.two_point(1, h2, h2, beta)
         assert base.zero_point(beta) == scaled.zero_point(beta)
     assert base.primary((2,), [h2] * 5) == scaled.primary((2,), [h2] * 5)
+
+
+def test_non_integral_divisor_pairing_gives_the_same_values(p2):
+    # gamma0 = ample/2 pairs to 1/2 with the line, so the engine's pairing cache
+    # holds a Fraction there, a branch no fixture's ample divisor reaches
+    m = p2.model
+    base = CorrelatorEngine(m, p2.primary)
+    half = CorrelatorEngine(m, p2.primary, gamma0=Fraction(1, 2) * m.ample)
+    basis = [m.basis_class(i) for i in range(m.rank)]
+    slots = [(d, x) for d in range(3) for x in basis]
+    checked = 0
+    for beta in ((1,), (2,)):
+        for pairs in combinations_with_replacement(slots, 3):
+            want = base.descendant(0, beta, list(pairs))
+            assert half.descendant(0, beta, list(pairs)) == want, (beta, pairs)
+            checked += want != 0
+        for (d1, x), (d2, y) in product(slots, repeat=2):
+            want = base.two_point_general(d1, x, d2, y, beta)
+            assert half.two_point_general(d1, x, d2, y, beta) == want, (beta, d1, d2)
+            checked += want != 0
+    assert checked >= 30
+    assert half._g0[(1,)] == Fraction(1, 2) and type(half._g0[(1,)]) is Fraction
+    assert base._g0[(1,)] == 1 and type(base._g0[(1,)]) is int
+
+
+@pytest.mark.parametrize("name", ["p1", "p2", "point"])
+def test_public_values_are_fractions(request, name):
+    # the engine may hold integral coefficients as ints inside; nothing it returns may be one
+    fixture = request.getfixturevalue(name)
+    m = fixture.model
+    engine = CorrelatorEngine(m, fixture.primary)
+    basis = [m.basis_class(i) for i in range(m.rank)]
+    classes = basis + [sum((Fraction(i + 1, 2) * b for i, b in enumerate(basis)), m.zero_class())]
+    betas = [(b,) for b in range(3)] if m.lattice_rank else [()]
+    values = []
+    for beta in betas:
+        for x, y, z in combinations_with_replacement(classes, 3):
+            values.append(engine.primary3(beta, x, y, z))
+            for d in range(3):
+                values.append(engine.descendant(0, beta, [(d, x), (0, y), (0, z)]))
+                values.append(engine.generalized(beta, [(d, 0, x), (0, d, y), (0, 0, z)]))
+                values.append(engine.modified(beta, [(d, x), (0, y), (0, z), (1, z)]))
+        for d in range(3):
+            for x, y in product(classes, repeat=2):
+                values.append(engine.two_point(d, x, y, beta))
+            for x in classes:
+                values += [engine.one_point(d, x, beta), engine.one_point(d, x, beta, route="dilaton")]
+    policy = m.policy(2 if m.lattice_rank else 0, max_x_degree=4, max_descendant=2)
+    for potential in (potential_standard, potential_modified, potential_primary):
+        values += [c for _, series in potential(engine, policy).items() for _, c in series.items()]
+    values += [c for _, series in build_transform(engine, policy).items() for _, c in series.items()]
+    assert len(values) > 60 and any(values)
+    assert {type(v) for v in values} == {Fraction}
 
 
 def test_cache_transparency(p2):

@@ -159,3 +159,59 @@ def test_solve_linear_and_invert():
     assert solve_linear([[Fraction(0)]], [Fraction(1)]) is None
     tall = solve_linear([[Fraction(1)], [Fraction(2)]], [Fraction(3), Fraction(6)])
     assert tall == [Fraction(3)]
+
+
+# ----------------------------------------------------------------------
+# the ring operations build their results without the public constructor's
+# checks; each must store exactly what the public constructor would
+
+WEIGHTED = TruncationPolicy(beta_weights=(2, 3), max_beta_degree=9)
+
+
+def rebuilt(terms, policy=WEIGHTED):
+    """The public constructor's series over (class, coefficient) pairs, duplicates summed."""
+    return NovikovSeries(policy, list(terms))
+
+
+def assert_same_storage(got, want):
+    assert got == want
+    assert got._terms == want._terms
+    assert all(type(c) is Fraction and c for c in got._terms.values())
+
+
+def test_trusted_ring_operations_store_what_the_public_constructor_would():
+    rng = random.Random(20240805)
+    classes = [(i, j) for i in range(5) for j in range(4)]  # some lie past the window
+    scalars = [0, 1, -2, 7, Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(5, 6)]
+    pairing = lambda beta: Fraction(beta[0] + 2 * beta[1], 3)  # noqa: E731  nonzero off the origin
+    for _ in range(60):
+        a, b = (
+            NovikovSeries(WEIGHTED, {c: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for c in rng.sample(classes, 8)})
+            for _ in range(2)
+        )
+        a_items, b_items = list(a._terms.items()), list(b._terms.items())
+        assert_same_storage(a + b, rebuilt(a_items + b_items))
+        assert_same_storage(a - b, rebuilt(a_items + [(beta, -c) for beta, c in b_items]))
+        assert_same_storage(-a, rebuilt((beta, -c) for beta, c in a_items))
+        assert_same_storage(
+            a * b, rebuilt(((x + y, p + q), c * d) for (x, p), c in a_items for (y, q), d in b_items)
+        )
+        for q in scalars:
+            assert_same_storage(a * q, rebuilt((beta, c * q) for beta, c in a_items))
+            assert_same_storage(q * a, a * q)
+        for shift in ((0, 0), (1, 0), (0, 1), (2, 1), (3, 1)):
+            assert_same_storage(a.shift(shift), rebuilt(((x + shift[0], y + shift[1]), c) for (x, y), c in a_items))
+        no_constant = a - NovikovSeries.monomial(WEIGHTED, (0, 0), a.constant_term())
+        assert_same_storage(
+            antiderivative_q(no_constant, pairing),
+            rebuilt((beta, c / pairing(beta)) for beta, c in no_constant._terms.items()),
+        )
+        assert (a - a)._terms == {}
+        assert a.shift((5, 0)).is_zero() and a.shift((0, 4)).is_zero()  # degree 10 and 12, past 9
+
+
+def test_shift_keeps_the_terms_inside_the_window():
+    s = NovikovSeries(WEIGHTED, {(0, 0): 1, (1, 0): Fraction(1, 2), (0, 1): 3, (3, 1): 5})
+    assert s.shift((3, 0))._terms == {(3, 0): 1, (4, 0): Fraction(1, 2), (3, 1): 3}
+    with pytest.raises(ValueError, match="wrong rank"):
+        s.shift((1,))

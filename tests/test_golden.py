@@ -8,10 +8,14 @@ here, not only a run that disagrees with a repeat of itself.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
+from test_quadric import quadric_model, quadric_table
 
+from gwdesc import CorrelatorEngine
 from gwdesc.cli import main
+from gwdesc.phase import build_transform, potential_modified, potential_standard
 
 GOLDEN = [
     pytest.param(
@@ -57,3 +61,21 @@ def test_cli_output_matches_golden_digest(capsys, command, digest):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_quadric_records_match_golden_digest():
+    # the fixtures are all of lattice rank <= 1; this pins the two-parameter
+    # splittings of the quadric: both potentials, the transform and its inverse
+    model = quadric_model()
+    engine = CorrelatorEngine(model, quadric_table(model))
+    policy = model.policy(2, max_x_degree=3, max_descendant=2)
+    transform = build_transform(engine, policy)
+    records = [
+        potential_standard(engine, policy).to_records(model),
+        potential_modified(engine, policy).to_records(model),
+        transform.to_records(model),
+        transform.inverse().to_records(model),
+    ]
+    assert [len(r) for r in records] == [78, 5, 29, 29]
+    digest = hashlib.sha256(json.dumps(records).encode("utf-8")).hexdigest()
+    assert digest == "1a2cb31a311831dd65f5d6316742c552f3e1a062fc70b3f04172dd3f0428d750"
