@@ -76,6 +76,13 @@ def _at_least(low: int):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse-time input error as argparse's one error line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 class _MissingPrimaryTable(PrimaryTable):
     """A file model's table when no ``--primary`` was given.
 
@@ -139,7 +146,10 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    exponents = [int(part) for part in args.psi.split(",")]
+    try:
+        exponents = [int(part) for part in args.psi.split(",")]
+    except ValueError:
+        raise CliError(f"--psi expects comma-separated integers, got {args.psi!r}") from None
     if len(exponents) != args.n:
         raise CliError(f"need exactly {args.n} exponents, got {len(exponents)}")
     print(format_rational(psi_integral_genus0(exponents)))
@@ -229,7 +239,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gwdesc",
         description="Exact genus-zero descendant correlators from finite quantum-cohomology input.",
     )

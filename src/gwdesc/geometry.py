@@ -25,6 +25,7 @@ from .exact import (
     invert_matrix,
     narrow,
     parse_rational,
+    solve_linear,
 )
 
 
@@ -125,7 +126,7 @@ class GeometryModel:
         dimension: int,
         labels: list[str],
         degrees: list[int],
-        cup_records: dict[tuple[str, str], dict[str, Fraction]],
+        cup_records: dict[tuple[str, str], dict[str, Fraction]] | list[tuple[tuple[str, str], dict[str, Fraction]]],
         integral: dict[str, Fraction],
         lattice_rank: int,
         divisor_pairing: dict[str, list[int]],
@@ -145,30 +146,34 @@ class GeometryModel:
         self.lattice_rank = lattice_rank
         self._index = {label: i for i, label in enumerate(labels)}
         self._by_degree = {d: tuple(i for i, e in enumerate(degrees) if e == d) for d in set(degrees)}
-        self._cup_records = {tuple(sorted(k)): dict(v) for k, v in cup_records.items()}
+        # cup records come by ordered pair, as a dict or as a file's list (where a pair may
+        # repeat); they are kept by unordered pair, the last one winning, and a pair whose
+        # records disagree is a conflict that validate() reports
+        self._cup_records: dict[tuple[str, str], dict[str, Fraction]] = {}
+        self._cup_conflicts: set[tuple[str, str]] = set()
+        for pair, result in cup_records.items() if isinstance(cup_records, dict) else cup_records:
+            key = tuple(sorted(pair))
+            if key in self._cup_records and self.class_from_map(result) != self.class_from_map(self._cup_records[key]):
+                self._cup_conflicts.add(key)
+            self._cup_records[key] = dict(result)
         self._integral = tuple(Fraction(integral.get(label, 0)) for label in labels)
         self._pairing_rows = {label: tuple(row) for label, row in divisor_pairing.items()}
         self.ample = self.class_from_map(ample)
         self.chern = tuple(self.class_from_map(c) for c in chern)
-        self._cup_table = self._build_cup_table()
-        # sparse structure constants: _cup_terms[i][j] lists (k, c) with
-        # basis[i] ∪ basis[j] = Σ c · basis[k] over the nonzero c only
-        self._cup_terms = tuple(
-            tuple(tuple((k, product.coeffs[k]) for k in product.support()) for product in row)
-            for row in self._cup_table
-        )
+        self._cup_terms = self._build_cup_terms()
         self._dual: DualBases | None = None
         self._decomp_cache: dict[int, list[tuple[Fraction, int, int]] | None] = {}
 
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _build_cup_table(self) -> list[list[CohClass]]:
-        table: list[list[CohClass]] = [[self.zero_class()] * self.rank for _ in range(self.rank)]
+    def _build_cup_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+        """Sparse structure constants: [i][j] lists (k, c) with basis[i] ∪ basis[j] = Σ c · basis[k], c nonzero."""
+        table = [[()] * self.rank for _ in range(self.rank)]
         unit = self.unit_index
         for i in range(self.rank):
-            table[unit][i] = self.basis_class(i)
-            table[i][unit] = self.basis_class(i)
+            table[unit][i] = ((i, Fraction(1)),)
+            table[i][unit] = ((i, Fraction(1)),)
         for (la, lb), result in self._cup_records.items():
             i, j = self._index[la], self._index[lb]
             value = self.class_from_map(result)
@@ -176,9 +181,9 @@ class GeometryModel:
                 # identity products are fixed by the axiom; records may
                 # restate them and are checked in validate()
                 continue
-            table[i][j] = value
-            table[j][i] = value
-        return table
+            table[i][j] = tuple((k, value.coeffs[k]) for k in value.support())
+            table[j][i] = table[i][j]
+        return tuple(tuple(row) for row in table)
 
     def basis_of_degree(self, d: int) -> tuple[int, ...]:
         """Indices of the basis elements of degree d, in basis order."""
@@ -371,16 +376,14 @@ class GeometryModel:
         return self._decomp_cache[i]
 
     def _solve_decomposition(self, i: int) -> list[tuple[Fraction, int, int]] | None:
-        from .exact import solve_linear
-
         deg = self.degrees[i]
         if deg < 2:
             return None
         pairs = [(d, x) for d in self.basis_of_degree(1) for x in self.basis_of_degree(deg - 1)]
         if not pairs:
             return None
-        columns = [self._cup_table[d][x] for d, x in pairs]
-        matrix = [[col.coeffs[row] for col in columns] for row in range(self.rank)]
+        columns = [dict(self._cup_terms[d][x]) for d, x in pairs]
+        matrix = [[col.get(row, _ZERO) for col in columns] for row in range(self.rank)]
         rhs = list(self.basis_class(i).coeffs)
         solution = solve_linear(matrix, rhs)
         if solution is None:
@@ -426,9 +429,8 @@ class GeometryModel:
         grading_ok, grading_detail = True, ""
         for i in range(self.rank):
             for j in range(self.rank):
-                product = self._cup_table[i][j]
                 expected = self.degrees[i] + self.degrees[j]
-                for s in product.support():
+                for s, _ in self._cup_terms[i][j]:
                     if self.degrees[s] != expected:
                         grading_ok = False
                         grading_detail = f"{self.labels[i]}∪{self.labels[j]} hits degree {self.degrees[s]}"
@@ -446,12 +448,9 @@ class GeometryModel:
                         assoc_detail = f"witness ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
         checks.append(ValidationCheck("cup-associative", assoc_ok, assoc_detail))
 
-        comm_ok = all(
-            self._cup_table[i][j] == self._cup_table[j][i]
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
-        checks.append(ValidationCheck("cup-commutative", comm_ok))
+        # the table is symmetric by construction, so only conflicting records can break commutativity
+        conflicts = ", ".join(f"{a}∪{b}" for a, b in sorted(self._cup_conflicts))
+        checks.append(ValidationCheck("cup-commutative", not conflicts, conflicts and f"conflicting records for {conflicts}"))
 
         top_ok = all(
             self._integral[i] == 0 or self.degrees[i] == self.dimension
@@ -539,10 +538,10 @@ class GeometryModel:
         try:
             labels = [entry["label"] for entry in data["basis"]]
             degrees = [int(entry["degree"]) for entry in data["basis"]]
-            cup_records = {
-                (rec["a"], rec["b"]): {l: parse_rational(v) for l, v in rec["result"].items()}
+            cup_records = [
+                ((rec["a"], rec["b"]), {l: parse_rational(v) for l, v in rec["result"].items()})
                 for rec in data.get("cup", [])
-            }
+            ]
             integral = {l: parse_rational(v) for l, v in data.get("integral", {}).items()}
             ample = {l: parse_rational(v) for l, v in data.get("ample", {}).items()}
             chern = [

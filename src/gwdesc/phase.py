@@ -293,16 +293,21 @@ class _PrimaryTwoPoint:
 class PhaseTransform:
     """Linear change of phase-space coordinates with series entries.
 
-    Stored as an explicit matrix over the finite index window, with the
-    identity on the diagonal; off-diagonal entries may only connect an
-    output level c to input levels d >= c+1 (strict weight raising), which
-    makes the inverse a terminating alternating sum.
+    Stored as sparse rows over the finite index window: the row of an output
+    index maps each input index to its nonzero series.  The coordinate change
+    has the identity on its diagonal, and its off-diagonal entries only
+    connect an output level c to input levels d >= c+1 (strict weight
+    raising), so its inverse is found row by row by back-substitution from
+    the top level down.
     """
 
     def __init__(self, policy: TruncationPolicy, basis_rank: int, entries: dict[tuple[PhaseIndex, PhaseIndex], NovikovSeries]) -> None:
         self.policy = policy
         self.basis_rank = basis_rank
-        self._entries = {key: s for key, s in entries.items() if not s.is_zero()}
+        self._rows: dict[PhaseIndex, dict[PhaseIndex, NovikovSeries]] = {}
+        for (out, inp), s in entries.items():
+            if not s.is_zero():
+                self._rows.setdefault(out, {})[inp] = s
 
     @classmethod
     def identity(cls, policy: TruncationPolicy, basis_rank: int) -> PhaseTransform:
@@ -311,79 +316,59 @@ class PhaseTransform:
         return cls(policy, basis_rank, entries)
 
     def entry(self, out: PhaseIndex, inp: PhaseIndex) -> NovikovSeries:
-        return self._entries.get((out, inp), NovikovSeries.zero(self.policy))
+        return self._rows.get(out, {}).get(inp, NovikovSeries.zero(self.policy))
 
     def row(self, out: PhaseIndex) -> list[tuple[PhaseIndex, NovikovSeries]]:
-        return sorted(
-            ((inp, s) for (o, inp), s in self._entries.items() if o == out),
-            key=lambda kv: kv[0],
-        )
+        return sorted(self._rows.get(out, {}).items(), key=lambda kv: kv[0])
 
     def items(self) -> list[tuple[tuple[PhaseIndex, PhaseIndex], NovikovSeries]]:
-        return sorted(self._entries.items())
+        return [((out, inp), s) for out in sorted(self._rows) for inp, s in self.row(out)]
 
     def is_identity(self) -> bool:
         return self == PhaseTransform.identity(self.policy, self.basis_rank)
 
     def strictly_raising(self) -> bool:
         """Off-diagonal entries must raise the descendant level."""
-        for (out, inp), series in self._entries.items():
-            if out == inp:
-                if series != NovikovSeries.one(self.policy):
-                    return False
-            elif inp[0] < out[0] + 1:
-                return False
-        return True
+        one = NovikovSeries.one(self.policy)
+        return all(
+            s == one if inp == out else inp[0] >= out[0] + 1
+            for out, row in self._rows.items()
+            for inp, s in row.items()
+        )
 
     def compose(self, other: PhaseTransform) -> PhaseTransform:
         """Matrix product self . other (apply other first)."""
-        by_out: dict[PhaseIndex, list[tuple[PhaseIndex, NovikovSeries]]] = {}
-        for (out, mid), s in self._entries.items():
-            by_out.setdefault(out, []).append((mid, s))
-        other_rows: dict[PhaseIndex, list[tuple[PhaseIndex, NovikovSeries]]] = {}
-        for (mid, inp), s in other._entries.items():
-            other_rows.setdefault(mid, []).append((inp, s))
         entries: dict[tuple[PhaseIndex, PhaseIndex], NovikovSeries] = {}
-        for out, mids in by_out.items():
-            for mid, s1 in mids:
-                for inp, s2 in other_rows.get(mid, ()):
+        for out, row in self._rows.items():
+            for mid, s1 in row.items():
+                for inp, s2 in other._rows.get(mid, {}).items():
                     prod = s1 * s2
-                    if prod.is_zero():
-                        continue
                     key = (out, inp)
                     entries[key] = entries[key] + prod if key in entries else prod
         return PhaseTransform(self.policy, self.basis_rank, entries)
 
-    def _off_diagonal(self) -> PhaseTransform:
-        return PhaseTransform(
-            self.policy,
-            self.basis_rank,
-            {key: s for key, s in self._entries.items() if key[0] != key[1]},
-        )
-
     def inverse(self) -> PhaseTransform:
-        """Exact inverse at truncation via the alternating power sum."""
-        nilpotent = self._off_diagonal()
-        result = PhaseTransform.identity(self.policy, self.basis_rank)
-        power = nilpotent
-        sign = -1
-        for _ in range(self.policy.max_descendant + 1):
-            if not power._entries:
-                break
-            signed = PhaseTransform(
-                self.policy,
-                self.basis_rank,
-                {key: sign * s for key, s in power._entries.items()},
-            )
-            result = result._plus(signed)
-            power = nilpotent.compose(power)
-            sign = -sign
-        return result
-
-    def _plus(self, other: PhaseTransform) -> PhaseTransform:
-        entries = dict(self._entries)
-        for key, s in other._entries.items():
-            entries[key] = entries[key] + s if key in entries else s
+        """Exact inverse at truncation, by back-substitution from the top level down: with the
+        transform 1 + N, the inverse row at ``out`` is the unit vector minus N's row at ``out``
+        applied to the (higher-level) inverse rows already built.  Raises ValueError unless
+        the transform is strictly raising with a unit diagonal on its index window."""
+        window = phase_indices(self.policy, self.basis_rank)
+        if not self.strictly_raising() or self._rows.keys() != set(window) or any(
+            idx not in row or not row.keys() <= self._rows.keys() for idx, row in self._rows.items()
+        ):
+            raise ValueError("inverse needs a strictly raising transform with a unit diagonal on its window")
+        one = NovikovSeries.one(self.policy)
+        rows: dict[PhaseIndex, dict[PhaseIndex, NovikovSeries]] = {}
+        for out in reversed(window):
+            applied: dict[PhaseIndex, NovikovSeries] = {}  # N's row at out applied to the inverse rows
+            for mid, s in self._rows[out].items():
+                if mid == out:
+                    continue
+                for inp, t in rows[mid].items():
+                    term = s if inp == mid else s * t  # t is one on the diagonal
+                    applied[inp] = applied[inp] + term if inp in applied else term
+            rows[out] = {out: one, **{inp: -series for inp, series in applied.items()}}
+        entries = {(o, i): s for o, row in rows.items() for i, s in row.items()}
         return PhaseTransform(self.policy, self.basis_rank, entries)
 
     def __eq__(self, other) -> bool:
@@ -392,7 +377,7 @@ class PhaseTransform:
         return (
             self.policy == other.policy
             and self.basis_rank == other.basis_rank
-            and self._entries == other._entries
+            and self._rows == other._rows
         )
 
     def to_records(self, model: GeometryModel) -> list[dict]:
@@ -573,29 +558,24 @@ def potential_primary(engine: CorrelatorEngine, policy: TruncationPolicy) -> Pot
 
 
 def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform) -> PotentialSeries:
-    """Substitute the coordinate change into a potential, exactly."""
-    policy = potential.policy
-    rows = {idx: transform.row(idx) for idx in phase_indices(policy, transform.basis_rank)}
+    """Substitute the coordinate change into a potential, exactly: each key's
+    expansion starts from its coefficient and takes one transform row per index."""
     out: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    one = NovikovSeries.one(policy)
     for key, coeff in potential.items():
-        expansions: dict[tuple[PhaseIndex, ...], NovikovSeries] = {(): one}
+        expansions: dict[tuple[PhaseIndex, ...], NovikovSeries] = {(): coeff}
         for idx in key:
             new: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
             for xs, series in expansions.items():
-                for inp, entry in rows[idx]:
+                for inp, entry in transform._rows.get(idx, {}).items():
                     prod = series * entry
                     if prod.is_zero():
                         continue
                     nk = tuple(sorted(xs + (inp,)))
                     new[nk] = new[nk] + prod if nk in new else prod
             expansions = new
-        for xkey, mult in expansions.items():
-            term = coeff * mult
-            if term.is_zero():
-                continue
+        for xkey, term in expansions.items():
             out[xkey] = out[xkey] + term if xkey in out else term
-    return PotentialSeries(policy, out)
+    return PotentialSeries(potential.policy, out)
 
 
 # ----------------------------------------------------------------------

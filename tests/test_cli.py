@@ -370,3 +370,47 @@ def test_window_that_runs_no_check_is_rejected(capsys, option, value, suite, bou
         f"gwdesc verify: error: argument {option}: expected at least {bound}, got '{value}': "
         "a smaller value runs no check"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--model", "P1", "--suite", "identities", "--count", "0"],
+        ["correlator", "--model", "P1", "--beta", "1"],
+    ],
+)
+def test_parse_time_error_is_one_line(capsys, argv):
+    # argparse used to print its whole usage block before the error line
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err.startswith(f"gwdesc {argv[0]}: error: ") and err.count("\n") == 1
+
+
+def test_intersect_error_names_the_option(capsys):
+    # the message used to be int()'s "invalid literal for int() with base 10: 'x'"
+    code, out, err = run(capsys, "intersect", "--n", "3", "--psi", "0,0,x")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --psi expects comma-separated integers, got '0,0,x'\n"
+
+
+def test_conflicting_cup_records_are_an_input_error(tmp_path, capsys):
+    # a∪b = ab and b∪a = 2·ab passed every check, and the correlator used the later record
+    from test_quadric import quadric_model
+
+    data = quadric_model().to_dict()
+    data["cup"].append({"a": "b", "b": "a", "result": {"ab": "2"}})
+    geometry = tmp_path / "quadric.json"
+    geometry.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "validate", "--model", str(geometry))
+    assert code == 2
+    assert "FAIL cup-commutative (conflicting records for a∪b)" in out
+    code, out, err = run(
+        capsys, "correlator", "--model", str(geometry), "--beta", "0,0", "--ins", "tau(0):a,tau(0):b,tau(0):one"
+    )
+    assert code == 2
+    assert out == ""
+    assert "cup-commutative" in err and err.count("\n") == 1

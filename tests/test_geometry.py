@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from gwdesc.geometry import (
     CohClass,
     GeometryModel,
     ModelError,
+    load_geometry,
     monomial_to_elementary,
     validate_model,
 )
@@ -277,6 +279,50 @@ def test_identity_axiom_record_checked(p1):
     model = GeometryModel.from_dict(data)
     report = model.validate()
     assert any(c.name == "identity-axiom" for c in report.failures())
+
+
+def _quadric_cup_dict():
+    data = quadric_model().to_dict()
+    assert {"a": "a", "b": "b", "result": {"ab": "1"}} in data["cup"]
+    return data
+
+
+@pytest.mark.parametrize("a, b", [("b", "a"), ("a", "b")])
+def test_conflicting_cup_records_flagged(tmp_path, a, b):
+    # a second record for the same pair, in either order, used to replace the first silently
+    data = _quadric_cup_dict()
+    data["cup"].append({"a": a, "b": b, "result": {"ab": "2"}})
+    report = GeometryModel.from_dict(data).validate()
+    assert [c.name for c in report.failures()] == ["cup-commutative"]
+    assert report.failures()[0].detail == "conflicting records for a∪b"
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match="cup-commutative"):
+        load_geometry(path)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        {("a", "b"): {"ab": Fraction(1)}, ("b", "a"): {"ab": Fraction(2)}},
+        [(("a", "b"), {"ab": Fraction(1)}), (("a", "b"), {"ab": Fraction(2)})],
+    ],
+)
+def test_conflicting_cup_records_flagged_in_constructor(records):
+    model = quadric_model()
+    failing = GeometryModel(
+        name="conflict", dimension=2, labels=list(model.labels), degrees=list(model.degrees),
+        cup_records=records, integral={"ab": Fraction(1)}, lattice_rank=0, divisor_pairing={}, ample={},
+        chern=[{"one": Fraction(1)}, {}, {}],
+    ).validate().failures()
+    assert [c.name for c in failing] == ["cup-commutative"]
+
+
+def test_restated_cup_record_is_not_a_conflict():
+    data = _quadric_cup_dict()
+    data["cup"].append({"a": "b", "b": "a", "result": {"ab": "2/2"}})
+    data["cup"].append({"a": "a", "b": "b", "result": {"ab": "1", "one": "0"}})
+    assert GeometryModel.from_dict(data).validate().ok
 
 
 def test_divisor_decomposition(p1, p2):

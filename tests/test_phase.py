@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,57 @@ def test_transform_inverse(p1_engine, p1):
     inv = single.inverse()
     assert inv.entry((0, 0), (3, 0)) == -1 * NovikovSeries.monomial(policy, (1,))
     assert single.compose(inv).is_identity()
+
+
+def test_inverse_needs_a_unit_diagonal(p1_engine, p1):
+    # a diagonal entry of 2 used to return the identity, which does not invert it
+    m = p1.model
+    policy = m.policy(1, max_descendant=2)
+    entries = dict(build_transform(p1_engine, policy).items())
+    entries[((1, 0), (1, 0))] = 2 * NovikovSeries.one(policy)
+    doubled = PhaseTransform(policy, m.rank, entries)
+    with pytest.raises(ValueError, match="unit diagonal"):
+        doubled.inverse()
+    del entries[((1, 0), (1, 0))]
+    with pytest.raises(ValueError, match="unit diagonal"):
+        PhaseTransform(policy, m.rank, entries).inverse()
+
+
+def _power_sum_inverse(transform):
+    """Reference inverse: the terminating alternating sum of the powers of the off-diagonal part."""
+    policy, rank = transform.policy, transform.basis_rank
+    minus_n = PhaseTransform(policy, rank, {(o, i): -s for (o, i), s in transform.items() if o != i})
+    total = dict(PhaseTransform.identity(policy, rank).items())
+    power = minus_n
+    while power.items():
+        for key, s in power.items():
+            total[key] = total[key] + s if key in total else s
+        power = minus_n.compose(power)
+    return PhaseTransform(policy, rank, total)
+
+
+def _random_raising(rng, policy, rank):
+    classes = list(policy.iter_effective())
+    entries = {(idx, idx): NovikovSeries.one(policy) for idx in phase_indices(policy, rank)}
+    for out in phase_indices(policy, rank):
+        for inp in phase_indices(policy, rank):
+            if inp[0] > out[0] and rng.random() < 0.6:
+                terms = {rng.choice(classes): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)}
+                entries[(out, inp)] = NovikovSeries(policy, terms)
+    return PhaseTransform(policy, rank, entries)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "quadric"])
+@pytest.mark.parametrize("seed", range(3))
+def test_back_substitution_matches_power_sum(p1, p2, name, seed):
+    model = {"P1": p1.model, "P2": p2.model, "quadric": quadric_model()}[name]
+    policy = model.policy(2, max_descendant=3)
+    transform = _random_raising(random.Random(seed), policy, model.rank)
+    inverse = transform.inverse()
+    assert inverse == _power_sum_inverse(transform)
+    assert inverse.strictly_raising()
+    assert transform.compose(inverse).is_identity()
+    assert inverse.compose(transform).is_identity()
 
 
 def test_potentials_three_point_block_agrees(p1_engine, p1):
