@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--suite", default="all", choices=SUITE_NAMES + ("all",))
     p.add_argument("--qmax", type=_non_negative, default=3)
-    p.add_argument("--xdeg", type=_non_negative, default=4)
+    p.add_argument("--xdeg", type=_at_least(3), default=4)
     p.add_argument("--dmax", type=_non_negative, default=3)
     p.add_argument("--nmax", type=_at_least(3), default=7)
     p.add_argument("--count", type=_at_least(1), default=200)

@@ -170,10 +170,14 @@ class GeometryModel:
     def _build_cup_terms(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
         """Sparse structure constants: [i][j] lists (k, c) with basis[i] ∪ basis[j] = Σ c · basis[k], c nonzero."""
         table = [[()] * self.rank for _ in range(self.rank)]
-        unit = self.unit_index
-        for i in range(self.rank):
-            table[unit][i] = ((i, Fraction(1)),)
-            table[i][unit] = ((i, Fraction(1)),)
+        # without exactly one degree-0 element there is no unit row to fill;
+        # validate() reports that as identity-unique
+        zeros = self.basis_of_degree(0)
+        unit = zeros[0] if len(zeros) == 1 else None
+        if unit is not None:
+            for i in range(self.rank):
+                table[unit][i] = ((i, Fraction(1)),)
+                table[i][unit] = ((i, Fraction(1)),)
         for (la, lb), result in self._cup_records.items():
             i, j = self._index[la], self._index[lb]
             value = self.class_from_map(result)
@@ -471,7 +475,9 @@ class GeometryModel:
             )
         checks.append(ValidationCheck("dual-consistency", dual_ok))
 
-        chern_ok = len(self.chern) == self.dimension + 1 and (not self.chern or self.chern[0] == self.unit)
+        chern_ok = len(self.chern) == self.dimension + 1 and (
+            not self.chern or (len(zeros) == 1 and self.chern[0] == self.unit)
+        )
         checks.append(
             ValidationCheck(
                 "chern-normalized", chern_ok, "" if chern_ok else "need c_0 = unit and dimension+1 classes"

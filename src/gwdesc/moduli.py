@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import factorial
 from pathlib import Path
 from typing import Sequence
@@ -60,15 +61,10 @@ def psi_boundary_partitions(i: int, j: int, k: int, n: int) -> list[tuple[int, .
     marks = range(1, n + 1)
     if not {i, j, k} <= set(marks):
         raise ValueError("marks must lie in 1..n")
-    if n < 4:
-        return []
     rest = [m for m in marks if m not in (i, j, k)]
-    subsets: list[tuple[int, ...]] = []
-    for mask in range(1, 1 << len(rest)):
-        chosen = [rest[t] for t in range(len(rest)) if mask >> t & 1]
-        s = tuple(sorted([i] + chosen))
-        if 2 <= len(s) <= n - 2:
-            subsets.append(s)
+    subsets = [
+        tuple(sorted((i,) + chosen)) for r in range(1, n - 2) for chosen in combinations(rest, r)
+    ]
     subsets.sort(key=lambda s: (len(s), s))
     return subsets
 
@@ -280,7 +276,7 @@ def _constant_maps_higher(g: int, insertions, model: GeometryModel, table: TautT
         return Fraction(0)
 
     total = Fraction(0)
-    for tup in _weakly_increasing_tuples(delta, g):
+    for tup in combinations_with_replacement(range(g + 1), delta):
         target = model.chern_symmetric(tup, g)
         target_value = model.integrate(model.cup(target, product))
         if not target_value:
@@ -295,19 +291,3 @@ def _constant_maps_higher(g: int, insertions, model: GeometryModel, table: TautT
         if moduli_value:
             total += moduli_value * target_value
     return Fraction((-1) ** (g * delta)) * total
-
-
-def _weakly_increasing_tuples(length: int, bound: int) -> list[tuple[int, ...]]:
-    if length == 0:
-        return [()]
-    out = []
-
-    def rec(prefix: tuple[int, ...], lo: int) -> None:
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for v in range(lo, bound + 1):
-            rec(prefix + (v,), v)
-
-    rec((), 0)
-    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Sequence
 
@@ -497,29 +498,17 @@ def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], 
 def _admissible_keys(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex]
 ) -> list[tuple[PhaseIndex, ...]]:
-    """The monomials of degree 3..max_x_degree in ``indices``, in combinations_with_replacement
-    order, whose degree sum leaves the window some dimension-admissible class (all of them
-    with ``check_dimension`` off).  The walk only enters a prefix that can still complete."""
+    """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the
+    window some dimension-admissible class (all of them with ``check_dimension`` off): a
+    filtered ``combinations_with_replacement``, in its order."""
     weights = [d + engine.model.degrees[a] for d, a in indices]
-    top = policy.max_x_degree
-    # reach[i][r]: the degree sums of r indices drawn, with repetition, from indices[i:]
-    reach = [[{0}] + [set() for _ in range(top)] for _ in range(len(indices) + 1)]
-    for i in range(len(indices) - 1, -1, -1):
-        for r in range(1, top + 1):
-            reach[i][r] = reach[i + 1][r] | {weights[i] + t for t in reach[i][r - 1]}
     keys: list[tuple[PhaseIndex, ...]] = []
-
-    def extend(prefix: tuple[PhaseIndex, ...], start: int, left: int, wanted: set[int]) -> None:
-        if not left:
-            keys.append(prefix)
-            return
-        for i in range(start, len(indices)):
-            rest = {t - weights[i] for t in wanted}
-            if not rest.isdisjoint(reach[i][left - 1]):
-                extend(prefix + (indices[i],), i, left - 1, rest)
-
-    for n in range(3, top + 1):
-        extend((), 0, n, {t for t in reach[0][n] if engine.admissible_classes(policy, n, t)})
+    for n in range(3, policy.max_x_degree + 1):
+        totals = list(map(sum, combinations_with_replacement(weights, n)))
+        wanted = {t for t in set(totals) if engine.admissible_classes(policy, n, t)}
+        for key, total in zip(combinations_with_replacement(indices, n), totals):
+            if total in wanted:
+                keys.append(key)
     return keys
 
 

@@ -98,7 +98,9 @@ def suite_transform(
         lines.append(f"potential mismatch at {key}: {diff}")
     for key, lhs, rhs in report.substitution_mismatches[:5]:
         lines.append(f"substitution mismatch at {key}: {lhs} vs {rhs}")
-    ok = report.ok and triangular and inverse_ok
+    if not report.checked_keys:
+        lines.append("no checks ran")
+    ok = report.ok and triangular and inverse_ok and report.checked_keys > 0
     return SuiteResult("transform", ok, lines)
 
 

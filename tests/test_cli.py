@@ -181,6 +181,27 @@ def test_validate_broken_model(tmp_path, capsys):
     assert "FAIL pairing-nondegenerate" in out
 
 
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_validate_reports_identity_unique(tmp_path, capsys, zeros):
+    # the constructor used to raise first: "malformed geometry file: need exactly one degree-0 basis element"
+    from gwdesc import load_fixture
+
+    data = load_fixture("P1").model.to_dict()
+    if zeros:
+        data["basis"].append({"label": "e", "degree": 0})
+    else:
+        data["basis"][0]["degree"] = 1
+    path = tmp_path / "units.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "validate", "--model", str(path))
+    assert code == 2
+    assert f"FAIL identity-unique (degree-0 elements: {zeros})" in out.splitlines()
+    code, out, err = run(capsys, "correlator", "--model", str(path), "--beta", "0", "--ins", "tau(0):h,tau(0):h,tau(0):h")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: geometry 'P1' failed validation: identity-unique, ")
+
+
 def test_verify_point_oracle(capsys):
     code, out, _ = run(capsys, "verify", "--model", "point", "--suite", "point-oracle", "--nmax", "6")
     assert code == 0
@@ -357,10 +378,10 @@ def test_negative_window_is_rejected_before_any_suite_runs(capsys, option, suite
 
 @pytest.mark.parametrize(
     "option, value, suite, bound",
-    [("--count", "0", "identities", 1), ("--nmax", "2", "point-oracle", 3)],
+    [("--count", "0", "identities", 1), ("--nmax", "2", "point-oracle", 3), ("--xdeg", "2", "transform", 3)],
 )
 def test_window_that_runs_no_check_is_rejected(capsys, option, value, suite, bound):
-    # both printed [PASS] after 0 checks and exited 0
+    # each printed [PASS] after 0 checks and exited 0
     with pytest.raises(SystemExit) as info:
         main(["verify", "--model", "P1", "--suite", suite, option, value])
     out, err = capsys.readouterr()

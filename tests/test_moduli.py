@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -24,8 +24,6 @@ def test_psi_integral_values():
 
 
 def test_psi_integral_symmetric():
-    from itertools import permutations
-
     values = {psi_integral_genus0(list(p)) for p in set(permutations([2, 1, 0, 0, 0, 0]))}
     assert values == {psi_integral_genus0([2, 1, 0, 0, 0, 0])}
 
@@ -55,6 +53,19 @@ def test_boundary_partitions_enumeration():
     with pytest.raises(ValueError):
         psi_boundary_partitions(1, 2, 9, 4)
     assert psi_boundary_partitions(2, 1, 3, 4) == [(2, 4)]
+
+
+def test_boundary_partitions_match_a_brute_force_reference():
+    for n in range(3, 10):
+        subsets = [
+            tuple(m for m in range(1, n + 1) if mask >> (m - 1) & 1) for mask in range(1 << n)
+        ]
+        for i, j, k in permutations(range(1, n + 1), 3):
+            want = sorted(
+                (s for s in subsets if i in s and j not in s and k not in s and 2 <= len(s) <= n - 2),
+                key=lambda s: (len(s), s),
+            )
+            assert psi_boundary_partitions(i, j, k, n) == want
 
 
 def test_boundary_partition_count_matches_psi_degree():

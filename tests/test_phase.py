@@ -317,6 +317,30 @@ def test_dimension_skip_matches_the_full_window(p2, name, window, standard_keys,
     assert (len(standard.items()), len(modified.items())) == (standard_keys, modified_keys)
 
 
+@pytest.mark.parametrize(
+    "name, window, level0, counts",
+    [
+        ("P2", (3, 5, 3), False, (1564, 6097)),
+        ("P2", (3, 5, 3), True, (13, 46)),
+        ("P1", (3, 6, 4), False, (926, 7942)),
+        ("point", (0, 7, 4), False, (12, 771)),
+    ],
+)
+def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
+    """Pinned key counts, checked and unchecked engine.  A spare zero-valued key
+    would leave every coefficient unchanged, so only the counts catch it."""
+    fixture = {"P1": p1, "P2": p2, "point": point}[name]
+    model = fixture.model
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    indices = [(0, a) for a in range(model.rank)] if level0 else phase_indices(policy, model.rank)
+    checked = phase._admissible_keys(CorrelatorEngine(model, fixture.primary), policy, indices)
+    unchecked = phase._admissible_keys(CorrelatorEngine(model, fixture.primary, check_dimension=False), policy, indices)
+    assert (len(checked), len(unchecked)) == counts
+    # the checked list is the unchecked one with keys dropped, order kept
+    remaining = iter(unchecked)
+    assert all(key in remaining for key in checked)
+
+
 def test_potential_keys_are_order_free(p1_engine, p1):
     m = p1.model
     policy = m.policy(2, max_x_degree=3, max_descendant=2)

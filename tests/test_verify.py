@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from gwdesc.verify import run_suite, suite_identities, suite_point_oracle, suite_point_vanishing
+from gwdesc.verify import run_suite, suite_identities, suite_point_oracle, suite_point_vanishing, suite_transform
 
 
 def test_all_suite_names_dispatch(p1):
@@ -51,7 +51,11 @@ def test_render_shape(p1):
 
 def test_suites_fail_when_no_check_ran(p1):
     # called directly, a window that runs no check must not read as a pass
-    for result in (suite_identities(p1.model, p1.primary, count=0), suite_point_oracle(p1.model, p1.primary, nmax=2)):
+    for result in (
+        suite_identities(p1.model, p1.primary, count=0),
+        suite_point_oracle(p1.model, p1.primary, nmax=2),
+        suite_transform(p1.model, p1.primary, xdeg=2),
+    ):
         assert not result.ok
         assert result.render().startswith(f"[FAIL] suite {result.name}")
         assert result.lines[-1] == "no checks ran"
