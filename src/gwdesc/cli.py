@@ -65,12 +65,13 @@ def _non_negative(text: str) -> int:
 
 
 def _at_least(low: int):
-    """Argparse type of a verify option below whose bound ``low`` its suite runs no check."""
+    """Argparse type of an option below whose bound ``low`` the command computes nothing:
+    a verify suite runs no check, a potential dump lists no coefficient."""
 
     def parse(text: str) -> int:
         value = _non_negative(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"expected at least {low}, got {text!r}: a smaller value runs no check")
+            raise argparse.ArgumentTypeError(f"expected at least {low}, got {text!r}: a smaller value computes nothing")
         return value
 
     return parse
@@ -278,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     p.add_argument("--which", choices=("standard", "modified", "primary"), default="standard")
     p.add_argument("--qmax", type=int, default=2)
-    p.add_argument("--xdeg", type=int, default=3)
+    p.add_argument("--xdeg", type=_at_least(3), default=3)
     p.add_argument("--dmax", type=int, default=1)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_potential)

@@ -188,7 +188,8 @@ def constant_map_correlator(
     if any(d < 0 for d in exponents):
         raise ValueError("descendant exponents must be non-negative")
 
-    # multilinearity: split any mixed-degree insertion into homogeneous parts
+    # multilinearity: split any mixed-degree insertion into its homogeneous
+    # components, one per degree, so that terms of one degree still cancel
     degrees: list[int] = []
     for slot, (d, cls) in enumerate(insertions):
         if cls.is_zero():
@@ -196,8 +197,10 @@ def constant_map_correlator(
         degree = model.degree_of(cls)
         if degree is None:
             total = Fraction(0)
-            for idx in cls.support():
-                part = cls.coeffs[idx] * model.basis_class(idx)
+            for part_degree in sorted({model.degrees[idx] for idx in cls.support()}):
+                part = CohClass(
+                    tuple(c if model.degrees[i] == part_degree else Fraction(0) for i, c in enumerate(cls.coeffs))
+                )
                 rest = list(insertions)
                 rest[slot] = (d, part)
                 total += constant_map_correlator(g, rest, model, table)

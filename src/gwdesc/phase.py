@@ -81,13 +81,12 @@ class SeriesClass:
 def summed(
     policy: TruncationPolicy, value: Callable[[CurveClass], Fraction], classes: Sequence[CurveClass] | None = None
 ) -> NovikovSeries:
-    """The series of ``value(beta)`` over ``classes``, by default every effective class of the window."""
-    terms = {}
-    for beta in policy.iter_effective() if classes is None else classes:
-        coeff = value(beta)
-        if coeff:
-            terms[beta] = coeff
-    return NovikovSeries(policy, terms)
+    """The series of ``value(beta)`` over ``classes``, by default every effective class of the window.
+
+    ``value`` must return a Fraction and ``classes`` must lie inside the window: the series
+    is built unchecked (see :meth:`NovikovSeries._trusted`), which drops only the zero terms."""
+    betas = policy.iter_effective() if classes is None else classes
+    return NovikovSeries._trusted(policy, {beta: value(beta) for beta in betas})
 
 
 def summed_correlator(
@@ -550,13 +549,14 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     """Substitute the coordinate change into a potential, exactly: each key's
     expansion starts from its coefficient and takes one transform row per index."""
     out: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
+    one = NovikovSeries.one(potential.policy)
     for key, coeff in potential.items():
         expansions: dict[tuple[PhaseIndex, ...], NovikovSeries] = {(): coeff}
         for idx in key:
             new: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
             for xs, series in expansions.items():
                 for inp, entry in transform._rows.get(idx, {}).items():
-                    prod = series * entry
+                    prod = series if entry == one else series * entry
                     if prod.is_zero():
                         continue
                     nk = tuple(sorted(xs + (inp,)))

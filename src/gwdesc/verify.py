@@ -11,11 +11,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from .engine import CorrelatorEngine, PrimaryTable
-from .fixtures import plane_curve_counts
+from .fixtures import load_fixture, plane_curve_counts
 from .geometry import GeometryModel
-from .moduli import constant_map_correlator, psi_integral_genus0
+from .moduli import TautTableError, constant_map_correlator, psi_integral_genus0
 from .phase import (
     _PrimaryTwoPoint,
     build_transform,
@@ -38,6 +39,15 @@ class SuiteResult:
         return f"{head}\n{body}" if body else head
 
 
+def _verdict(name: str, head: list[str], failures: list[str], checked: int) -> SuiteResult:
+    """Every suite's verdict: FAIL when a check failed or none ran.  The report is
+    the head lines, at most ten failure lines, then "no checks ran" if nothing ran."""
+    lines = head + failures[:10]
+    if not checked:
+        lines.append("no checks ran")
+    return SuiteResult(name, not failures and checked > 0, lines)
+
+
 # ----------------------------------------------------------------------
 
 
@@ -50,8 +60,6 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
     """
     lines: list[str] = []
     if model.dimension != 0:
-        from .fixtures import load_fixture
-
         fixture = load_fixture("point")
         model, primary = fixture.model, fixture.primary
         lines.append("ran on the zero-dimensional fixture")
@@ -68,10 +76,8 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
             want = psi_integral_genus0(list(exps))
             if got != want:
                 failures.append(f"exponents {exps}: got {got}, expected {want}")
-    if not checked:
-        failures.append("no checks ran")
-    lines = [f"checked {checked} exponent multisets up to n={nmax}"] + lines + failures
-    return SuiteResult("point-oracle", not failures, lines)
+    lines = [f"checked {checked} exponent multisets up to n={nmax}"] + lines
+    return _verdict("point-oracle", lines, failures, checked)
 
 
 def suite_transform(
@@ -94,14 +100,11 @@ def suite_transform(
         f"triangular shape: {'ok' if triangular else 'violated'}",
         f"inverse composes to identity: {'ok' if inverse_ok else 'violated'}",
     ]
-    for key, diff in report.potential_mismatches[:5]:
-        lines.append(f"potential mismatch at {key}: {diff}")
-    for key, lhs, rhs in report.substitution_mismatches[:5]:
-        lines.append(f"substitution mismatch at {key}: {lhs} vs {rhs}")
-    if not report.checked_keys:
-        lines.append("no checks ran")
-    ok = report.ok and triangular and inverse_ok and report.checked_keys > 0
-    return SuiteResult("transform", ok, lines)
+    structural = (("triangular shape", triangular), ("inverse composition", inverse_ok))
+    failures = [f"{check} violated" for check, ok in structural if not ok]
+    failures += [f"potential mismatch at {key}: {diff}" for key, diff in report.potential_mismatches]
+    failures += [f"substitution mismatch at {key}: {lhs} vs {rhs}" for key, lhs, rhs in report.substitution_mismatches]
+    return _verdict("transform", lines, failures, report.checked_keys)
 
 
 def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4) -> SuiteResult:
@@ -118,8 +121,6 @@ def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4
         and any(d == 2 for d in model.degrees)
     )
     if not plane_shaped:
-        from .fixtures import load_fixture
-
         fixture = load_fixture("P2")
         model, primary = fixture.model, fixture.primary
         lines.append("ran on the built-in plane fixture")
@@ -132,8 +133,8 @@ def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4
         want = oracle[d]
         lines.append(f"degree {d}: engine {got}, oracle {want}")
         if got != want:
-            failures.append(d)
-    return SuiteResult("enumerative", not failures, lines)
+            failures.append(f"degree {d}: engine and oracle differ")
+    return _verdict("enumerative", lines, failures, dmax)
 
 
 def suite_divisor_independence(
@@ -178,8 +179,8 @@ def suite_divisor_independence(
                 with_scaled = scaled_route.series(d, x, y)
                 if with_ample != with_scaled:
                     failures.append(f"primary-route series d={d}: divisor choice leaked")
-    lines = [f"checked {checked} reductions with both divisors"] + failures[:10]
-    return SuiteResult("divisor-independence", not failures, lines)
+    head = [f"checked {checked} reductions with both divisors"]
+    return _verdict("divisor-independence", head, failures, checked)
 
 
 # ----------------------------------------------------------------------
@@ -300,11 +301,8 @@ def suite_identities(
             if lhs_s != rhs_s:
                 failures.append(f"product compatibility d={d}: {lhs_s} vs {rhs_s}")
 
-    if not any(counters.values()):
-        failures.append("no checks ran")
     lines = [f"{name}: {done} checks" for name, done in sorted(counters.items())]
-    lines += failures[:10]
-    return SuiteResult("identities", not failures, lines)
+    return _verdict("identities", lines, failures, sum(counters.values()))
 
 
 def suite_two_point_paths(
@@ -325,8 +323,8 @@ def suite_two_point_paths(
                 via_primaries = route.series(d, x, y)
                 if via_engine != via_primaries:
                     failures.append(f"d={d}: {via_engine} vs {via_primaries}")
-    lines = [f"checked {checked} series at levels up to {dmax}"] + failures[:10]
-    return SuiteResult("two-point-paths", not failures, lines)
+    head = [f"checked {checked} series at levels up to {dmax}"]
+    return _verdict("two-point-paths", head, failures, checked)
 
 
 def suite_degree_zero_collapse(
@@ -362,8 +360,8 @@ def suite_degree_zero_collapse(
                     want = constant_map_correlator(0, merged, model)
                     if got != want:
                         failures.append(f"{key}: {got} vs {want}")
-    lines = [f"checked {checked} mixed-power queries at curve class zero"] + failures[:10]
-    return SuiteResult("degree-zero-collapse", not failures, lines)
+    head = [f"checked {checked} mixed-power queries at curve class zero"]
+    return _verdict("degree-zero-collapse", head, failures, checked)
 
 
 def _p3_like_model() -> GeometryModel:
@@ -401,9 +399,6 @@ def suite_point_vanishing(models: list[GeometryModel] | None = None) -> SuiteRes
     exactly zero; admissible patterns may need table entries and are only
     counted, not evaluated.
     """
-    from .fixtures import load_fixture
-    from .moduli import TautTableError
-
     if models is None:
         models = [load_fixture(name).model for name in ("point", "P1", "P2")]
         models.append(_p3_like_model())
@@ -432,11 +427,11 @@ def suite_point_vanishing(models: list[GeometryModel] | None = None) -> SuiteRes
                         continue
                     if value != 0:
                         failures.append(f"{model.name} g={g} pattern {key}: nonzero {value}")
-    lines = [
-        f"checked {checked} patterns over {len(models or [])} models (dimensions 0..3)",
+    head = [
+        f"checked {checked} patterns over {len(models)} models (dimensions 0..3)",
         f"admissible patterns skipped: {skipped}",
-    ] + failures[:10]
-    return SuiteResult("point-vanishing", not failures, lines)
+    ]
+    return _verdict("point-vanishing", head, failures, checked - skipped)
 
 
 def _admissible_pattern(g: int, n: int, exps: list[int], degs: list[int], delta: int) -> bool:
@@ -457,11 +452,7 @@ def suite_determinism(model: GeometryModel, primary: PrimaryTable, qmax: int = 2
     """Byte-identical reports on repeat; cache on and off agree."""
     first = suite_identities(model, primary, count=40, qmax=qmax).render()
     second = suite_identities(model, primary, count=40, qmax=qmax).render()
-    lines = []
-    ok = True
-    if first != second:
-        ok = False
-        lines.append("repeated identity suite reports differ")
+    failures = [] if first == second else ["repeated identity suite reports differ"]
     cached = CorrelatorEngine(model, primary)
     uncached = CorrelatorEngine(model, primary, use_cache=False)
     policy = model.policy(qmax, max_x_degree=3, max_descendant=2)
@@ -475,26 +466,29 @@ def suite_determinism(model: GeometryModel, primary: PrimaryTable, qmax: int = 2
             if cached.descendant(0, beta, pairs) != uncached.descendant(0, beta, pairs):
                 mismatch += 1
     if mismatch:
-        ok = False
-        lines.append(f"cache on/off disagreed on {mismatch} queries")
-    lines.append(f"report stability: {'ok' if first == second else 'broken'}")
-    lines.append(f"cache transparency: {checked} queries compared")
-    return SuiteResult("determinism", ok, lines)
+        failures.append(f"cache on/off disagreed on {mismatch} queries")
+    head = [
+        f"report stability: {'ok' if first == second else 'broken'}",
+        f"cache transparency: {checked} queries compared",
+    ]
+    return _verdict("determinism", head, failures, checked)
 
 
 # ----------------------------------------------------------------------
 
-SUITE_NAMES = (
-    "point-oracle",
-    "transform",
-    "enumerative",
-    "divisor-independence",
-    "identities",
-    "two-point-paths",
-    "degree-zero-collapse",
-    "point-vanishing",
-    "determinism",
-)
+# Each runner takes the ``gwdesc verify`` window options and calls its suite with them.
+SUITES: dict[str, Callable[..., SuiteResult]] = {
+    "point-oracle": lambda model, primary, nmax, **_: suite_point_oracle(model, primary, nmax=nmax),
+    "transform": lambda model, primary, qmax, xdeg, dmax, **_: suite_transform(model, primary, qmax, xdeg, dmax),
+    "enumerative": lambda model, primary, qmax, **_: suite_enumerative(model, primary, dmax=min(4, max(2, qmax + 1))),
+    "divisor-independence": lambda model, primary, qmax, dmax, **_: suite_divisor_independence(model, primary, qmax, dmax),
+    "identities": lambda model, primary, qmax, count, seed, **_: suite_identities(model, primary, count, seed, qmax),
+    "two-point-paths": lambda model, primary, qmax, dmax, **_: suite_two_point_paths(model, primary, qmax, dmax),
+    "degree-zero-collapse": lambda model, primary, **_: suite_degree_zero_collapse(model, primary),
+    "point-vanishing": lambda model, primary, **_: suite_point_vanishing(),
+    "determinism": lambda model, primary, qmax, **_: suite_determinism(model, primary, qmax=min(qmax, 2)),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -508,22 +502,6 @@ def run_suite(
     count: int = 200,
     seed: int = 20240801,
 ) -> SuiteResult:
-    if name == "point-oracle":
-        return suite_point_oracle(model, primary, nmax=nmax)
-    if name == "transform":
-        return suite_transform(model, primary, qmax=qmax, xdeg=xdeg, dmax=dmax)
-    if name == "enumerative":
-        return suite_enumerative(model, primary, dmax=min(4, max(2, qmax + 1)))
-    if name == "divisor-independence":
-        return suite_divisor_independence(model, primary, qmax=qmax, dmax=dmax)
-    if name == "identities":
-        return suite_identities(model, primary, count=count, seed=seed, qmax=qmax)
-    if name == "two-point-paths":
-        return suite_two_point_paths(model, primary, qmax=qmax, dmax=dmax)
-    if name == "degree-zero-collapse":
-        return suite_degree_zero_collapse(model, primary)
-    if name == "point-vanishing":
-        return suite_point_vanishing()
-    if name == "determinism":
-        return suite_determinism(model, primary, qmax=min(qmax, 2))
-    raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    return SUITES[name](model, primary, qmax=qmax, xdeg=xdeg, dmax=dmax, nmax=nmax, count=count, seed=seed)

@@ -389,7 +389,7 @@ def test_window_that_runs_no_check_is_rejected(capsys, option, value, suite, bou
     assert out == ""
     assert err.splitlines()[-1] == (
         f"gwdesc verify: error: argument {option}: expected at least {bound}, got '{value}': "
-        "a smaller value runs no check"
+        "a smaller value computes nothing"
     )
 
 
@@ -398,6 +398,7 @@ def test_window_that_runs_no_check_is_rejected(capsys, option, value, suite, bou
     [
         ["verify", "--model", "P1", "--suite", "identities", "--count", "0"],
         ["correlator", "--model", "P1", "--beta", "1"],
+        ["potential", "--model", "P1", "--xdeg", "2"],
     ],
 )
 def test_parse_time_error_is_one_line(capsys, argv):

@@ -356,6 +356,49 @@ def test_compose_with_identity(p1_engine, p1):
     assert compose_with_transform(modified, PhaseTransform.identity(policy, m.rank)) == modified
 
 
+def _compose_multiplying_every_entry(potential, transform):
+    """Reference substitution: every transform entry is multiplied in, the unit diagonal included."""
+    out = {}
+    for key, coeff in potential.items():
+        expansions = {(): coeff}
+        for idx in key:
+            new = {}
+            for xs, series in expansions.items():
+                for inp, entry in transform.row(idx):
+                    nk = tuple(sorted(xs + (inp,)))
+                    new[nk] = new[nk] + series * entry if nk in new else series * entry
+            expansions = new
+        for xkey, term in expansions.items():
+            out[xkey] = out[xkey] + term if xkey in out else term
+    return phase.PotentialSeries(potential.policy, out)
+
+
+def test_compose_matches_multiplying_every_entry(p1_engine, p1):
+    # the unit diagonal is skipped by value, so a non-unit diagonal entry is still multiplied in
+    m = p1.model
+    policy = m.policy(2, max_x_degree=4, max_descendant=2)
+    entries = dict(build_transform(p1_engine, policy).items())
+    entries[((0, 1), (0, 1))] = 2 * NovikovSeries.one(policy) + NovikovSeries.monomial(policy, (1,))
+    transform = PhaseTransform(policy, m.rank, entries)
+    modified = potential_modified(p1_engine, policy)
+    composed = compose_with_transform(modified, transform)
+    assert composed == _compose_multiplying_every_entry(modified, transform)
+    assert composed != compose_with_transform(modified, build_transform(p1_engine, policy))
+
+
+def test_summed_builds_fraction_series_equal_to_the_public_constructor(p2_engine, p2):
+    m, table = p2.model, p2.primary
+    policy = m.policy(3)
+    h, pt = cls(m, "h"), cls(m, "h2")
+    for value in (
+        lambda beta: p2_engine.descendant(0, beta, [(1, pt), (0, h), (0, h)]),
+        lambda beta: phase._primary3_multilinear(m, table, beta, h, pt, pt),
+    ):
+        series = phase.summed(policy, value)
+        assert series == NovikovSeries(policy, {beta: value(beta) for beta in policy.iter_effective()})
+        assert series.items() and all(type(c) is Fraction for _, c in series.items())
+
+
 def test_transform_identity_small(p1_engine, p1):
     policy = p1.model.policy(2, max_x_degree=3, max_descendant=2)
     report = transform_identity_report(p1_engine, policy)

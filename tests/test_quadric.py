@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable
+from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable, constant_map_correlator
 from gwdesc.phase import summed_two_point, transform_identity_report, two_point_from_primaries
 from gwdesc.verify import suite_identities
 
@@ -147,3 +147,13 @@ def test_misoriented_table_is_caught(quadric):
     )
     result = suite_identities(model, flipped, count=60, qmax=2)
     assert not result.ok
+
+
+def test_constant_maps_split_a_mixed_class_by_degree(quadric):
+    # a mixed class used to be split into single basis parts, so a and -b were
+    # looked up one at a time and the missing genus-1 table was asked for
+    model, _ = quadric
+    one, a, b = (model.class_from_map({label: 1}) for label in ("one", "a", "b"))
+    assert constant_map_correlator(1, [(0, a - b)], model) == 0
+    assert constant_map_correlator(1, [(0, one)], model) == 0
+    assert constant_map_correlator(1, [(0, a - b + one)], model) == 0

@@ -1,8 +1,21 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from gwdesc.verify import run_suite, suite_identities, suite_point_oracle, suite_point_vanishing, suite_transform
+from gwdesc.verify import (
+    SUITE_NAMES,
+    run_suite,
+    suite_degree_zero_collapse,
+    suite_divisor_independence,
+    suite_identities,
+    suite_point_oracle,
+    suite_point_vanishing,
+    suite_transform,
+    suite_two_point_paths,
+)
 
 
 def test_all_suite_names_dispatch(p1):
@@ -49,13 +62,28 @@ def test_render_shape(p1):
     assert "checked" in text
 
 
-def test_suites_fail_when_no_check_ran(p1):
+# a window in which each suite runs no check; the last four printed [PASS] after 0 checks
+EMPTY_WINDOWS = {
+    "identities": lambda fx: suite_identities(fx.model, fx.primary, count=0),
+    "point-oracle": lambda fx: suite_point_oracle(fx.model, fx.primary, nmax=2),
+    "transform": lambda fx: suite_transform(fx.model, fx.primary, xdeg=2),
+    "two-point-paths": lambda fx: suite_two_point_paths(fx.model, fx.primary, dmax=-1),
+    "divisor-independence": lambda fx: suite_divisor_independence(fx.model, fx.primary, qmax=0, dmax=-1),
+    "degree-zero-collapse": lambda fx: suite_degree_zero_collapse(fx.model, fx.primary, nmax=2),
+    "point-vanishing": lambda fx: suite_point_vanishing(models=[]),
+}
+
+
+@pytest.mark.parametrize("name", list(EMPTY_WINDOWS))
+def test_suites_fail_when_no_check_ran(p1, name):
     # called directly, a window that runs no check must not read as a pass
-    for result in (
-        suite_identities(p1.model, p1.primary, count=0),
-        suite_point_oracle(p1.model, p1.primary, nmax=2),
-        suite_transform(p1.model, p1.primary, xdeg=2),
-    ):
-        assert not result.ok
-        assert result.render().startswith(f"[FAIL] suite {result.name}")
-        assert result.lines[-1] == "no checks ran"
+    result = EMPTY_WINDOWS[name](p1)
+    assert result.name == name and not result.ok
+    assert result.render().startswith(f"[FAIL] suite {name}")
+    assert result.lines[-1] == "no checks ran"
+
+
+def test_readme_lists_every_suite_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Verification suites", 1)[1].split("\n#", 1)[0]
+    assert tuple(re.findall(r"^\| `([a-z0-9-]+)` \|", table, flags=re.MULTILINE)) == SUITE_NAMES
