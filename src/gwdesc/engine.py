@@ -10,6 +10,9 @@ Evaluation strategy, in reduction order:
 * pure primary queries with four or more marks reduce by the divisor
   relation, and non-divisor insertions are rewritten through a one-step
   descendant detour for a cup-product decomposition;
+* a generalized correlator whose pulled-back powers sum past n - 3 is zero
+  without evaluation, since they come from the curve moduli of n marks,
+  whose dimension is n - 3;
 * base cases: the three-point table and constant-map closed forms;
 * the unstable range (two-, one- and zero-point at nonzero class) is one
   divisor-relation step with the ample divisor: the value with the divisor
@@ -357,6 +360,11 @@ class CorrelatorEngine:
     # generalized correlators (stable range)
 
     def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
+        # the pulled-back powers are pulled back from the curve moduli of n marks,
+        # of dimension n - 3, so a product of them of higher degree vanishes
+        # (every caller passes n >= 3, so the bound is never negative)
+        if sum(e for _, e, _ in ins) > len(ins) - 3:
+            return Fraction(0)
         key = ("g", beta, ins)
         cached = self._memo_get(key)
         if cached is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping
 
@@ -93,6 +94,12 @@ class TruncationPolicy:
             raise ValueError(f"curve class {beta!r} has wrong rank (expected {self.rank})")
         return sum(w * b for w, b in zip(self.beta_weights, beta))
 
+    @cached_property
+    def degrees(self) -> dict[CurveClass, int]:
+        """The degree of each effective class of the window, formed once per policy
+        (cached_property writes past the frozen dataclass's ``__setattr__``)."""
+        return {beta: self.beta_degree(beta) for beta in self.iter_effective()}
+
     def iter_effective(self) -> Iterator[CurveClass]:
         """All effective classes of degree <= max_beta_degree, degree order."""
         found = []
@@ -111,9 +118,10 @@ class NovikovSeries:
 
     Instances are immutable by convention: every operation returns a new
     series, re-truncated against the shared policy.  Zero coefficients are
-    never stored.  The public constructor truncates its terms and coerces
-    them to Fraction; the ring operations, whose terms are already both,
-    build their results through :meth:`_trusted`.
+    never stored.  The public constructor truncates its terms, rejects a
+    class that is not effective and coerces the coefficients to Fraction;
+    the ring operations, whose terms are already in the window and
+    Fractions, build their results through :meth:`_trusted`.
     """
 
     __slots__ = ("policy", "_terms")
@@ -128,7 +136,10 @@ class NovikovSeries:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for beta, coeff in items:
             beta = tuple(beta)
-            if policy.beta_degree(beta) > policy.max_beta_degree:
+            if beta not in policy.degrees:
+                # outside the window: dropped when above it, an error when not effective
+                if policy.beta_degree(beta) <= policy.max_beta_degree:
+                    raise ValueError(f"curve class {beta!r} is not effective")
                 continue
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
@@ -194,11 +205,11 @@ class NovikovSeries:
         if isinstance(other, NovikovSeries):
             self._check_policy(other)
             bound = self.policy.max_beta_degree
-            deg = self.policy.beta_degree
-            right = [(b2, c2, deg(b2)) for b2, c2 in other._terms.items()]
+            deg = self.policy.degrees  # every term lies inside the window
+            right = [(b2, c2, deg[b2]) for b2, c2 in other._terms.items()]
             acc: dict[CurveClass, Fraction] = {}
             for b1, c1 in self._terms.items():
-                room = bound - deg(b1)
+                room = bound - deg[b1]
                 for b2, c2, d2 in right:
                     if d2 > room:
                         continue

@@ -23,6 +23,7 @@ from .exact import (
     TruncationPolicy,
     antiderivative_q,
     beta_is_zero,
+    derivative_q,
     format_rational,
 )
 from .engine import CorrelatorEngine, PrimaryTable
@@ -516,18 +517,80 @@ def _potential(
 ) -> PotentialSeries:
     """Potential whose key coefficient sums the key's descendant correlator (pulled-back
     powers if ``modified``) over the classes where the key's dimension count can hold;
-    keys with no such class are never formed."""
+    keys with no such class are never formed.
+
+    Keys are assembled in increasing number of marks.  A descendant key of four or more
+    marks with a string, dilaton or divisor insertion takes its series from the keys of
+    one fewer mark by that genus-zero equation (see :func:`_axiom_reduction`); every
+    other key is summed from the engine."""
     model = engine.model
+    reduce = None if modified else _axiom_reduction(model, policy)
+    built: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}  # the raw series of every key so far
 
     def correlator(key):
-        classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
-        if modified:
-            triples = [(0, d, model.basis_class(a)) for d, a in key]
-            return summed(policy, lambda beta: engine.generalized(beta, triples), classes)
-        pairs = [(d, model.basis_class(a)) for d, a in key]
-        return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
+        series = None if reduce is None else reduce(key, built)
+        if series is None:
+            classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
+            if modified:
+                triples = [(0, d, model.basis_class(a)) for d, a in key]
+                series = summed(policy, lambda beta: engine.generalized(beta, triples), classes)
+            else:
+                pairs = [(d, model.basis_class(a)) for d, a in key]
+                series = summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
+        built[key] = series
+        return series
 
+    # _assemble asks for the keys in their order, so the keys of n - 1 marks are built first
     return _assemble(policy, _admissible_keys(engine, policy, indices), correlator)
+
+
+def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
+    """The genus-zero string, dilaton and divisor equations on raw potential series.
+
+    Returns ``reduce(key, built)``: the summed correlator of ``key`` from the raw series
+    ``built`` of keys with one fewer mark, by the equation of its first string τ_0(1),
+    dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), where X is the key
+    without that insertion:
+
+    * string: <τ_0(1) X> = Σ_i <X with slot i lowered one level>;
+    * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
+    * divisor: <τ_0(D) X>_β = (D·β) <X>_β + Σ_i <X with slot i lowered to τ_{d_i-1}(a_i ∪ D)>_β.
+
+    X has at least three marks, so it is stable at every class.  A key missing from
+    ``built`` has no admissible class and reads as zero.  ``reduce`` returns None when
+    the key has three marks or none of these insertions: the engine evaluates it."""
+    units = model.basis_of_degree(0)
+    units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
+    divisors = model.basis_of_degree(1)
+    # per insertion class: the parts of it cup each basis element (the unit's lowering keeps
+    # the class), and for a divisor D its pairing D·β on the window
+    lowerings = {
+        a_s: [model.cup(model.basis_class(a_s), model.basis_class(a)).parts for a in range(model.rank)]
+        for a_s in units + divisors
+    }
+    pairings = {
+        a_s: {beta: model.beta_pairing(model.basis_class(a_s), beta) for beta in policy.degrees} for a_s in divisors
+    }
+    axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
+    zero = NovikovSeries.zero(policy)
+
+    def reduce(key, built):
+        slot = next((p for p, idx in enumerate(key) if idx in axiom_indices), None) if len(key) >= 4 else None
+        if slot is None:
+            return None
+        d_s, a_s = key[slot]
+        rest = key[:slot] + key[slot + 1 :]
+        if d_s == 1:
+            return (len(rest) - 2) * built.get(rest, zero)
+        total = zero if a_s in units else derivative_q(built.get(rest, zero), pairings[a_s].__getitem__)
+        for i, (d, a) in enumerate(rest):
+            if d >= 1:
+                for c, idx in lowerings[a_s][a]:
+                    term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])), zero)
+                    total = total + (term if c == 1 else c * term)
+        return total
+
+    return reduce
 
 
 def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:

@@ -193,6 +193,60 @@ def test_modified_reference_choice_is_free(point_engine, point, p2_engine, p2):
         assert p2_engine.modified((1,), pairs2, refs=refs) == base
 
 
+@pytest.mark.parametrize("name", ["P1", "P2", "quadric"])
+def test_pulled_back_powers_past_the_moduli_dimension_vanish(p1, p2, name):
+    """``_gen`` returns 0 unevaluated when the pulled-back powers sum past n - 3.
+    The top step of ``modified(..., refs=...)`` is the boundary-splitting route,
+    which that rule does not screen; it must give 0 on every such query too."""
+    if name == "quadric":
+        model = quadric_model()
+        table = quadric_table(model)
+    else:
+        fixture = p1 if name == "P1" else p2
+        model, table = fixture.model, fixture.primary
+    engine = CorrelatorEngine(model, table)
+    top_steps = []
+    core = engine._modified_core
+    engine._modified_core = lambda beta, ins, refs: top_steps.append(ins) or core(beta, ins, refs)
+    slots = [(e, model.basis_class(a)) for e, a in product(range(3), range(model.rank))]
+    for beta in model.policy(2).iter_effective():
+        for n in (4, 5):
+            for pairs in combinations_with_replacement(slots, n):
+                if sum(e for e, _ in pairs) > n - 3:
+                    # the canonical expansion sorts the largest power last
+                    assert engine.modified(beta, list(pairs), refs=(n - 1, 0, 1)) == 0, (beta, pairs)
+    # the queries that pass the dimension count, so reach the unscreened top step
+    assert len(top_steps) == {"P1": 90, "P2": 366, "quadric": 2207}[name]
+
+
+def test_gen_is_entered_with_at_least_three_marks(p1, p2):
+    """Below three marks the vanishing bound n - 3 of ``_gen`` would be negative and
+    would zero every query, so no route may enter it with fewer."""
+    seen = []
+    quadric = quadric_model()
+    for model, table, (qmax, xdeg, dmax) in (
+        (p2.model, p2.primary, (2, 4, 2)),
+        (quadric, quadric_table(quadric), (2, 3, 2)),
+        (p1.model, p1.primary, (3, 5, 3)),
+    ):
+        engine = CorrelatorEngine(model, table)
+        gen = engine._gen
+
+        def recording(beta, ins, gen=gen):
+            seen.append(len(ins))
+            return gen(beta, ins)
+
+        engine._gen = recording  # the recursions look it up on the instance
+        policy = model.policy(qmax, max_x_degree=xdeg, max_descendant=dmax)
+        assert transform_identity_report(engine, policy).ok
+        potential_primary(engine, policy)
+        h = model.basis_class(model.basis_of_degree(1)[0])
+        for beta in policy.iter_effective():
+            engine.modified(beta, [(2, h), (1, h), (0, h), (0, h), (0, model.unit)], refs=(4, 0, 1))
+            engine.generalized(beta, [(2, 1, h), (1, 0, h), (0, 0, h), (0, 0, h)], reduce_at=3)
+    assert len(seen) > 1000 and min(seen) == 3
+
+
 def test_modified_matches_markwise_boundary_expansion(p2_engine, p2):
     """Grouped splitting against a literal mark-by-mark expansion."""
     m = p2.model

@@ -82,6 +82,15 @@ def test_multiplication_cases():
     assert s * s == NovikovSeries(tighter, {(0,): 1, (1,): 2})
 
 
+def test_constructor_rejects_a_non_effective_class():
+    # a product reads each class's degree from the window's table, which holds only effective classes
+    rank2 = TruncationPolicy(beta_weights=(1, 1), max_beta_degree=3)
+    with pytest.raises(ValueError, match="not effective"):
+        NovikovSeries(rank2, {(2, -1): 1})
+    assert NovikovSeries(rank2, {(5, -1): 1, (1, 0): 2}) == NovikovSeries.monomial(rank2, (1, 0), 2)
+    assert rank2.degrees == {beta: rank2.beta_degree(beta) for beta in rank2.iter_effective()}
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240803)
     for _ in range(40):

@@ -28,6 +28,18 @@ GOLDEN = [
         "874ebc152face74fc6c843c2c272adcb2a3780800ef241c075bf98aee4c08f14",
         id="potential-modified",
     ),
+    # a larger window, in which most standard coefficients have a string, dilaton
+    # or divisor insertion
+    pytest.param(
+        "potential --model P2 --which standard --qmax 4 --xdeg 5 --dmax 4",
+        "5b62d98dbdb43cdd79c7f821cd4f9c2f9a3e358fc430151fc95ece6d71aeef89",
+        id="potential-standard-454",
+    ),
+    pytest.param(
+        "potential --model P2 --which modified --qmax 4 --xdeg 5 --dmax 4",
+        "f27be5c5b3e95d10e2aca56d56111ab3124c3e1a12c8e459d287e53caea96423",
+        id="potential-modified-454",
+    ),
     pytest.param(
         "potential --model P2 --which primary --qmax 3 --xdeg 5 --dmax 0",
         "2221c62c949107e9bd590a442c4724ce3985471cab5ba6a3ee2fcbcc48c89485",

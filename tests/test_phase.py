@@ -341,6 +341,35 @@ def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
     assert all(key in remaining for key in checked)
 
 
+@pytest.mark.parametrize(
+    "name, window, derived",
+    [("P1", (2, 4, 2), (43, 111)), ("P2", (3, 5, 3), (1173, 3951)), ("quadric", (2, 4, 2), (333, 1035))],
+)
+def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
+    """Every coefficient of the standard potential, zero or not, equals the engine's
+    summed correlator over its multiplicity factor, with and without the dimension
+    screen.  Most keys take their series from keys of one fewer mark by the string,
+    dilaton or divisor equation; the quadric has two degree-1 divisors."""
+    if name == "quadric":
+        model = quadric_model()
+        table = quadric_table(model)
+    else:
+        fixture = p1 if name == "P1" else p2
+        model, table = fixture.model, fixture.primary
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    reference = CorrelatorEngine(model, table)
+    for check, count in zip((True, False), derived):
+        engine = CorrelatorEngine(model, table, check_dimension=check)
+        keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
+        reduce = phase._axiom_reduction(model, policy)
+        assert sum(reduce(key, {}) is not None for key in keys) == count
+        standard = potential_standard(engine, policy)
+        for key in keys:
+            pairs = [(d, model.basis_class(a)) for d, a in key]
+            want = summed_correlator(reference, pairs, policy) * Fraction(1, phase._multiplicity_factor(key))
+            assert standard.coefficient(key) == want, key
+
+
 def test_potential_keys_are_order_free(p1_engine, p1):
     m = p1.model
     policy = m.policy(2, max_x_degree=3, max_descendant=2)

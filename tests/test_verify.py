@@ -10,6 +10,7 @@ from gwdesc.verify import (
     run_suite,
     suite_degree_zero_collapse,
     suite_divisor_independence,
+    suite_enumerative,
     suite_identities,
     suite_point_oracle,
     suite_point_vanishing,
@@ -66,6 +67,7 @@ def test_render_shape(p1):
 EMPTY_WINDOWS = {
     "identities": lambda fx: suite_identities(fx.model, fx.primary, count=0),
     "point-oracle": lambda fx: suite_point_oracle(fx.model, fx.primary, nmax=2),
+    "enumerative": lambda fx: suite_enumerative(fx.model, fx.primary, dmax=0),
     "transform": lambda fx: suite_transform(fx.model, fx.primary, xdeg=2),
     "two-point-paths": lambda fx: suite_two_point_paths(fx.model, fx.primary, dmax=-1),
     "divisor-independence": lambda fx: suite_divisor_independence(fx.model, fx.primary, qmax=0, dmax=-1),
