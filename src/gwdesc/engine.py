@@ -241,9 +241,6 @@ class CorrelatorEngine:
             self._memo[key] = value
         return value
 
-    def clear_cache(self) -> None:
-        self._memo.clear()
-
     def _expand(
         self, triples: Sequence[tuple[int, int, CohClass]]
     ) -> Iterator[tuple[int | Fraction, tuple[Insertion, ...]]]:

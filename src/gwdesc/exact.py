@@ -94,6 +94,13 @@ class TruncationPolicy:
             raise ValueError(f"curve class {beta!r} has wrong rank (expected {self.rank})")
         return sum(w * b for w, b in zip(self.beta_weights, beta))
 
+    def reject_non_effective(self, beta: CurveClass) -> None:
+        """For a class outside :attr:`degrees`: raise ValueError when it lies within the
+        degree bound, where it can only be non-effective; a class above the bound passes
+        (callers drop it)."""
+        if self.beta_degree(beta) <= self.max_beta_degree:
+            raise ValueError(f"curve class {beta!r} is not effective")
+
     @cached_property
     def degrees(self) -> dict[CurveClass, int]:
         """The degree of each effective class of the window, formed once per policy
@@ -137,9 +144,7 @@ class NovikovSeries:
         for beta, coeff in items:
             beta = tuple(beta)
             if beta not in policy.degrees:
-                # outside the window: dropped when above it, an error when not effective
-                if policy.beta_degree(beta) <= policy.max_beta_degree:
-                    raise ValueError(f"curve class {beta!r} is not effective")
+                policy.reject_non_effective(beta)  # above the window: dropped
                 continue
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
@@ -181,7 +186,7 @@ class NovikovSeries:
         return sorted(self._terms.items(), key=lambda kv: (self.policy.beta_degree(kv[0]), kv[0]))
 
     def _check_policy(self, other: NovikovSeries) -> None:
-        if self.policy != other.policy:
+        if self.policy is not other.policy and self.policy != other.policy:
             raise PolicyMismatchError("series built over different truncation policies")
 
     def __add__(self, other: NovikovSeries) -> NovikovSeries:
@@ -224,11 +229,14 @@ class NovikovSeries:
     __rmul__ = __mul__
 
     def shift(self, beta: CurveClass) -> NovikovSeries:
-        """Multiply by the monomial q^beta."""
+        """Multiply by the monomial q^beta; the window rule of the constructor applies to beta."""
         beta = tuple(beta)
-        deg = self.policy.beta_degree
-        room = self.policy.max_beta_degree - deg(beta)
-        terms = {beta_add(b, beta): c for b, c in self._terms.items() if deg(b) <= room}
+        deg = self.policy.degrees
+        if beta not in deg:
+            self.policy.reject_non_effective(beta)
+            return NovikovSeries.zero(self.policy)  # above the window
+        room = self.policy.max_beta_degree - deg[beta]
+        terms = {beta_add(b, beta): c for b, c in self._terms.items() if deg[b] <= room}
         return NovikovSeries._trusted(self.policy, terms)
 
     def __eq__(self, other) -> bool:

@@ -37,7 +37,10 @@ def phase_indices(policy: TruncationPolicy, basis_rank: int) -> list[PhaseIndex]
 
 
 class SeriesClass:
-    """Cohomology class whose coefficients are truncated exact series."""
+    """Cohomology class whose coefficients are truncated exact series.
+
+    The window rule is that of :class:`NovikovSeries`: a class above the degree bound is
+    dropped, and a class within it that is not effective raises ValueError."""
 
     __slots__ = ("policy", "_parts")
 
@@ -46,13 +49,10 @@ class SeriesClass:
         self._parts: dict[CurveClass, CohClass] = {}
         for beta, cls in (parts or {}).items():
             beta = tuple(beta)
-            if policy.beta_degree(beta) > policy.max_beta_degree or cls.is_zero():
-                continue
-            self._parts[beta] = cls
-
-    @classmethod
-    def from_class(cls, policy: TruncationPolicy, value: CohClass) -> SeriesClass:
-        return cls(policy, {policy.zero_beta(): value})
+            if beta not in policy.degrees:
+                policy.reject_non_effective(beta)
+            elif not cls.is_zero():
+                self._parts[beta] = cls
 
     def items(self) -> list[tuple[CurveClass, CohClass]]:
         return sorted(self._parts.items(), key=lambda kv: (self.policy.beta_degree(kv[0]), kv[0]))
@@ -134,25 +134,6 @@ def _primary3_multilinear(
     return total
 
 
-def _contract(
-    model: GeometryModel,
-    policy: TruncationPolicy,
-    value: Callable[[CurveClass, int], Fraction],
-    out_basis: Sequence[CohClass],
-) -> SeriesClass:
-    """The class series sum_beta q^beta sum_a value(beta, a) out_basis[a]."""
-    parts: dict[CurveClass, CohClass] = {}
-    for beta in policy.iter_effective():
-        acc = model.zero_class()
-        for a in range(model.rank):
-            coeff = value(beta, a)
-            if coeff:
-                acc = acc + coeff * out_basis[a]
-        if not acc.is_zero():
-            parts[beta] = acc
-    return SeriesClass(policy, parts)
-
-
 def quantum_product(
     model: GeometryModel,
     table: PrimaryTable,
@@ -166,34 +147,15 @@ def quantum_product(
     primary table, so this path never touches the reduction engine.
     """
     duals = model.dual_bases()
-    return _contract(
-        model,
-        policy,
-        lambda beta, a: _primary3_multilinear(model, table, beta, duals.delta_dual[a], x, y),
-        duals.delta,
-    )
-
-
-def two_point_contraction(
-    engine: CorrelatorEngine,
-    d: int,
-    gamma: CohClass,
-    policy: TruncationPolicy,
-) -> SeriesClass:
-    """Operator trading one cotangent level for a dual-basis contraction.
-
-    Level zero is the identity; for d >= 1 the output collects two-point
-    descendant series against the basis, paired into the dual basis.
-    """
-    if d == 0:
-        return SeriesClass.from_class(policy, gamma)
-    duals = engine.model.dual_bases()
-    return _contract(
-        engine.model,
-        policy,
-        lambda beta, a: engine.two_point(d - 1, gamma, duals.delta[a], beta),
-        duals.delta_dual,
-    )
+    parts: dict[CurveClass, CohClass] = {}
+    for beta in policy.iter_effective():
+        acc = model.zero_class()
+        for a in range(model.rank):
+            coeff = _primary3_multilinear(model, table, beta, duals.delta_dual[a], x, y)
+            if coeff:
+                acc = acc + coeff * duals.delta[a]
+        parts[beta] = acc
+    return SeriesClass(policy, parts)  # the zero classes are dropped
 
 
 def two_point_from_primaries(
@@ -401,20 +363,21 @@ def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> Phase
 
     The (c,b) output coordinate picks up, from each input x_{d,a} with
     d >= c+1, the two-point series of level d-c-1 pairing the a-th basis
-    class against the b-th dual class.
+    class against the b-th dual class.  An entry depends on the levels only
+    through the gap d-c, so each gap's series are summed once; the
+    constructor drops the zero ones.
     """
-    model = engine.model
+    model, rank, top = engine.model, engine.model.rank, policy.max_descendant
     duals = model.dual_bases()
-    entries: dict[tuple[PhaseIndex, PhaseIndex], NovikovSeries] = {}
     one = NovikovSeries.one(policy)
-    for c, b in phase_indices(policy, model.rank):
-        entries[((c, b), (c, b))] = one
-        for d in range(c + 1, policy.max_descendant + 1):
-            for a in range(model.rank):
-                series = summed_two_point(engine, d - c - 1, duals.delta[a], duals.delta_dual[b], policy)
-                if not series.is_zero():
-                    entries[((c, b), (d, a))] = series
-    return PhaseTransform(policy, model.rank, entries)
+    entries = {(idx, idx): one for idx in phase_indices(policy, rank)}
+    for k in range(top):  # the gap d - c - 1
+        for a in range(rank):
+            for b in range(rank):
+                series = summed_two_point(engine, k, duals.delta[a], duals.delta_dual[b], policy)
+                for c in range(top - k):
+                    entries[((c, b), (c + k + 1, a))] = series
+    return PhaseTransform(policy, rank, entries)
 
 
 # ----------------------------------------------------------------------
@@ -641,6 +604,7 @@ class TransformIdentityReport:
     substitution_mismatches: list = field(default_factory=list)
     checked_keys: int = 0
     substitution_checked: int = 0
+    transform: PhaseTransform | None = None  # the coordinate change both identities used
 
     def __str__(self) -> str:
         lines = [
@@ -658,28 +622,33 @@ class TransformIdentityReport:
 
 def substitution_identity(
     engine: CorrelatorEngine,
-    policy: TruncationPolicy,
+    transform: PhaseTransform,
     key: tuple[PhaseIndex, ...],
 ) -> tuple[NovikovSeries, NovikovSeries]:
     """Both sides of the slot-substitution identity for one correlator.
 
-    The first slot carrying a positive level is rewritten as the sum over
-    splits of its level through the contraction operator; the remaining
-    slots stay conventional.
+    The first slot carrying a positive level, τ_d(δ_a), is substituted by the
+    transform's column at (d, a): the right side sums T[(j,b),(d,a)] times the
+    correlator with the pulled-back τ_{0,j}(δ_b) in that slot, the remaining
+    slots staying conventional.  Series are truncated by the transform's
+    policy.  Raises ValueError when no slot has a positive level, or when d
+    lies above the transform's window, where it has no column.
     """
-    model = engine.model
-    slot = next(p for p, (d, _) in enumerate(key) if d >= 1)
+    model, policy = engine.model, transform.policy
+    slot = next((p for p, (d, _) in enumerate(key) if d >= 1), None)
+    if slot is None:
+        raise ValueError(f"key {key} has no positive level to substitute")
     d_slot, a_slot = key[slot]
-    pairs = [(d, model.basis_class(a)) for d, a in key]
-    lhs = summed_correlator(engine, pairs, policy)
-    rhs = NovikovSeries.zero(policy)
+    if d_slot > policy.max_descendant:
+        raise ValueError(f"level {d_slot} of key {key} lies above the transform's window ({policy.max_descendant})")
+    lhs = summed_correlator(engine, [(d, model.basis_class(a)) for d, a in key], policy)
     rest = [(d, 0, model.basis_class(a)) for p, (d, a) in enumerate(key) if p != slot]
-    for j in range(d_slot + 1):
-        operator = two_point_contraction(engine, d_slot - j, model.basis_class(a_slot), policy)
-        for beta_shift, cls in operator.items():
-            triples = [(0, j, cls)] + rest
-            inner = summed(policy, lambda beta: engine.generalized(beta, triples))
-            rhs = rhs + inner.shift(beta_shift)
+    rhs = NovikovSeries.zero(policy)
+    for j, b in phase_indices(policy, model.rank):
+        entry = transform.entry((j, b), (d_slot, a_slot))
+        if not entry.is_zero():
+            triples = [(0, j, model.basis_class(b))] + rest
+            rhs = rhs + entry * summed(policy, lambda beta: engine.generalized(beta, triples))
     return lhs, rhs
 
 
@@ -689,7 +658,8 @@ def transform_identity_report(
     substitution_keys: Sequence[tuple[PhaseIndex, ...]] | None = None,
 ) -> TransformIdentityReport:
     """Check that the standard potential equals the modified one composed
-    with the coordinate change, and spot-check the substitution identity."""
+    with the coordinate change, and spot-check the substitution identity;
+    both use one build of the change, returned as ``transform``."""
     standard = potential_standard(engine, policy)
     modified = potential_modified(engine, policy)
     transform = build_transform(engine, policy)
@@ -703,7 +673,7 @@ def transform_identity_report(
         ][:12]
     sub_mismatches = []
     for key in substitution_keys:
-        lhs, rhs = substitution_identity(engine, policy, key)
+        lhs, rhs = substitution_identity(engine, transform, key)
         if lhs != rhs:
             sub_mismatches.append((key, lhs, rhs))
 
@@ -713,6 +683,7 @@ def transform_identity_report(
         substitution_mismatches=sub_mismatches,
         checked_keys=checked,
         substitution_checked=len(substitution_keys),
+        transform=transform,
     )
 
 

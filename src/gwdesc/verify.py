@@ -19,7 +19,6 @@ from .geometry import GeometryModel
 from .moduli import TautTableError, constant_map_correlator, psi_integral_genus0
 from .phase import (
     _PrimaryTwoPoint,
-    build_transform,
     divisor_product_identity,
     summed_two_point,
     transform_identity_report,
@@ -91,7 +90,7 @@ def suite_transform(
     engine = CorrelatorEngine(model, primary)
     policy = model.policy(qmax, max_x_degree=xdeg, max_descendant=dmax)
     report = transform_identity_report(engine, policy)
-    transform = build_transform(engine, policy)
+    transform = report.transform
     triangular = transform.strictly_raising()
     inverse_ok = transform.compose(transform.inverse()).is_identity()
     lines = [

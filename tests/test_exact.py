@@ -91,6 +91,15 @@ def test_constructor_rejects_a_non_effective_class():
     assert rank2.degrees == {beta: rank2.beta_degree(beta) for beta in rank2.iter_effective()}
 
 
+def test_shift_rejects_a_non_effective_class():
+    # q^[-1] times 1 + 2q used to return q^[-1] + 2, a term outside the window
+    s = series({(0,): 1, (1,): 2})
+    with pytest.raises(ValueError, match="not effective"):
+        s.shift((-1,))
+    assert s.shift((3,)) == series({(3,): 1, (4,): 2})
+    assert s.shift((5,)).is_zero()  # above the window
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(20240803)
     for _ in range(40):
@@ -123,6 +132,8 @@ def test_policy_mismatch_raises():
         _ = a + b
     with pytest.raises(PolicyMismatchError):
         _ = a * b
+    equal = NovikovSeries(TruncationPolicy(beta_weights=(1,), max_beta_degree=4), {(1,): 1})
+    assert equal.policy is not a.policy and a + equal == series({(1,): 2})
 
 
 def test_antiderivative():

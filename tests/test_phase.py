@@ -24,7 +24,6 @@ from gwdesc.phase import (
     summed_correlator,
     summed_two_point,
     transform_identity_report,
-    two_point_contraction,
     two_point_from_primaries,
 )
 from gwdesc.verify import suite_divisor_independence
@@ -53,7 +52,7 @@ def test_quantum_products(p1, p2):
     product = quantum_product(m, p1.primary, policy, h, h)
     assert product.items() == [((1,), m.unit)]
     with_unit = quantum_product(m, p1.primary, policy, m.unit, h)
-    assert with_unit == SeriesClass.from_class(policy, h)
+    assert with_unit == SeriesClass(policy, {(0,): h})
 
     m2 = p2.model
     policy2 = m2.policy(2)
@@ -90,15 +89,26 @@ def test_quantum_product_associative(p2):
                 assert left == right, (x, y, z)
 
 
-def test_two_point_contraction(p1_engine, p1):
+def test_transform_column_contracts_levels(p1_engine, p1):
+    # T's column at (d, a), read at row level j, is the class series sum_b T[(j,b),(d,a)] delta_b:
+    # the operator trading d - j cotangent levels of delta_a for a dual-basis contraction
     m = p1.model
-    policy = m.policy(2)
+    policy = m.policy(2, max_descendant=2)
+    transform = build_transform(p1_engine, policy)
     h = cls(m, "h")
-    assert two_point_contraction(p1_engine, 0, h, policy) == SeriesClass.from_class(policy, h)
-    u1 = two_point_contraction(p1_engine, 1, h, policy)
-    assert u1.items() == [((1,), m.unit)]
-    u2 = two_point_contraction(p1_engine, 2, h, policy)
-    assert u2.items() == [((1,), h)]
+    a = m.label_index("h")
+
+    def column(j, d):
+        parts = {}
+        for b in range(m.rank):
+            for beta, c in transform.entry((j, b), (d, a)).items():
+                parts[beta] = parts.get(beta, m.zero_class()) + c * m.basis_class(b)
+        return SeriesClass(policy, parts)
+
+    assert column(2, 2) == SeriesClass(policy, {(0,): h})
+    assert column(0, 1).items() == [((1,), m.unit)]
+    assert column(1, 2).items() == [((1,), m.unit)]
+    assert column(0, 2).items() == [((1,), h)]
 
 
 def test_two_point_paths_agree(p1_engine, p1, p2_engine, p2):
@@ -432,6 +442,7 @@ def test_transform_identity_small(p1_engine, p1):
     policy = p1.model.policy(2, max_x_degree=3, max_descendant=2)
     report = transform_identity_report(p1_engine, policy)
     assert report.ok, str(report)
+    assert report.transform == build_transform(p1_engine, policy)
 
 
 def test_transform_identity_trivial_descendants(p2_engine, p2):
@@ -447,9 +458,32 @@ def test_substitution_identity_example(p1_engine, p1):
     m = p1.model
     policy = m.policy(2, max_x_degree=3, max_descendant=2)
     key = ((1, 1), (0, 1), (0, 0))  # level-one h against h and the unit
-    lhs, rhs = substitution_identity(p1_engine, policy, key)
+    lhs, rhs = substitution_identity(p1_engine, build_transform(p1_engine, policy), key)
     assert lhs == rhs
     assert lhs == NovikovSeries.monomial(policy, (1,))
+
+
+def test_substitution_identity_rejects_a_key_without_positive_level(p1_engine, p1):
+    transform = build_transform(p1_engine, p1.model.policy(2, max_x_degree=3, max_descendant=2))
+    with pytest.raises(ValueError, match="no positive level"):
+        substitution_identity(p1_engine, transform, ((0, 1), (0, 1), (0, 0)))
+
+
+def test_substitution_identity_rejects_a_level_above_the_transform(p1_engine, p1):
+    # T has no column at level 2 when its window stops at level 1
+    transform = build_transform(p1_engine, p1.model.policy(2, max_x_degree=3, max_descendant=1))
+    with pytest.raises(ValueError, match="above the transform's window"):
+        substitution_identity(p1_engine, transform, ((2, 1), (0, 1), (0, 0)))
+    lhs, rhs = substitution_identity(p1_engine, transform, ((1, 1), (0, 1), (0, 0)))
+    assert lhs == rhs == NovikovSeries.monomial(transform.policy, (1,))
+
+
+def test_series_class_window_rule(p1):
+    m = p1.model
+    policy = m.policy(2)
+    with pytest.raises(ValueError, match="not effective"):
+        SeriesClass(policy, {(-1,): m.unit})
+    assert SeriesClass(policy, {(3,): m.unit, (1,): m.unit}).items() == [((1,), m.unit)]
 
 
 def test_divisor_product_identity(p1_engine, p1, p2_engine, p2):
