@@ -170,8 +170,11 @@ def cmd_transform(args) -> int:
     engine = CorrelatorEngine(model, primary, taut=taut)
     policy = model.policy(args.qmax, max_descendant=args.dmax)
     transform = build_transform(engine, policy)
-    inverse = transform.inverse()
-    if not transform.compose(inverse).is_identity():
+    try:
+        inverse = transform.inverse()
+    except ValueError:  # no unit diagonal or not strictly raising: a faulty T, not an input error
+        inverse = None
+    if inverse is None or not transform.compose(inverse).is_identity():
         print("error: inverse does not compose to the identity", file=sys.stderr)
         return 1
     payload = {

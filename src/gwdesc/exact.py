@@ -34,6 +34,21 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(str(text).strip())
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of an input file: a JSON integer only, so a float, a bool or a
+    string is a ValueError naming ``what``, never a truncated value."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_int_list(value, what: str) -> list[int]:
+    """A list of integers in an input file, by the rule of :func:`json_int`."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     """Render an exact rational as "p/q", or "p" when the denominator is 1."""
     return str(value)
@@ -242,7 +257,8 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        return self.policy == other.policy and self._terms == other._terms
+        # identity first: the dataclass __eq__ compares field by field
+        return (self.policy is other.policy or self.policy == other.policy) and self._terms == other._terms
 
     def __str__(self) -> str:
         if not self._terms:

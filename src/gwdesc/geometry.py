@@ -23,6 +23,8 @@ from .exact import (
     TruncationPolicy,
     format_rational,
     invert_matrix,
+    json_int,
+    json_int_list,
     narrow,
     parse_rational,
     solve_linear,
@@ -543,7 +545,7 @@ class GeometryModel:
     def from_dict(cls, data: dict) -> GeometryModel:
         try:
             labels = [entry["label"] for entry in data["basis"]]
-            degrees = [int(entry["degree"]) for entry in data["basis"]]
+            degrees = [json_int(entry["degree"], f"degree of {entry['label']!r}") for entry in data["basis"]]
             cup_records = [
                 ((rec["a"], rec["b"]), {l: parse_rational(v) for l, v in rec["result"].items()})
                 for rec in data.get("cup", [])
@@ -556,13 +558,15 @@ class GeometryModel:
             ]
             return cls(
                 name=data.get("name", "unnamed"),
-                dimension=int(data["dimension"]),
+                dimension=json_int(data["dimension"], "dimension"),
                 labels=labels,
                 degrees=degrees,
                 cup_records=cup_records,
                 integral=integral,
-                lattice_rank=int(data["lattice_rank"]),
-                divisor_pairing={l: [int(v) for v in row] for l, row in data.get("divisor_pairing", {}).items()},
+                lattice_rank=json_int(data["lattice_rank"], "lattice_rank"),
+                divisor_pairing={
+                    l: json_int_list(row, f"divisor_pairing row {l!r}") for l, row in data.get("divisor_pairing", {}).items()
+                },
                 ample=ample,
                 chern=chern,
             )

@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, format_rational, parse_rational
+from .exact import GwdescError, format_rational, json_int, json_int_list, parse_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -130,10 +130,10 @@ class TautTable:
             try:
                 records.append(
                     TautRecord(
-                        g=int(row["g"]),
-                        n=int(row["n"]),
-                        psi=tuple(int(v) for v in row["psi"]),
-                        lambdas=tuple(int(v) for v in row["lambda"]),
+                        g=json_int(row["g"], "g"),
+                        n=json_int(row["n"], "n"),
+                        psi=tuple(json_int_list(row["psi"], "psi")),
+                        lambdas=tuple(json_int_list(row["lambda"], "lambda")),
                         value=parse_rational(row["value"]),
                     )
                 )

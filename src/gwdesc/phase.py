@@ -36,45 +36,6 @@ def phase_indices(policy: TruncationPolicy, basis_rank: int) -> list[PhaseIndex]
     return [(d, a) for d in range(policy.max_descendant + 1) for a in range(basis_rank)]
 
 
-class SeriesClass:
-    """Cohomology class whose coefficients are truncated exact series.
-
-    The window rule is that of :class:`NovikovSeries`: a class above the degree bound is
-    dropped, and a class within it that is not effective raises ValueError."""
-
-    __slots__ = ("policy", "_parts")
-
-    def __init__(self, policy: TruncationPolicy, parts: dict[CurveClass, CohClass] | None = None) -> None:
-        self.policy = policy
-        self._parts: dict[CurveClass, CohClass] = {}
-        for beta, cls in (parts or {}).items():
-            beta = tuple(beta)
-            if beta not in policy.degrees:
-                policy.reject_non_effective(beta)
-            elif not cls.is_zero():
-                self._parts[beta] = cls
-
-    def items(self) -> list[tuple[CurveClass, CohClass]]:
-        return sorted(self._parts.items(), key=lambda kv: (self.policy.beta_degree(kv[0]), kv[0]))
-
-    def coefficient(self, beta: CurveClass) -> CohClass | None:
-        return self._parts.get(tuple(beta))
-
-    def is_zero(self) -> bool:
-        return not self._parts
-
-    def __add__(self, other: SeriesClass) -> SeriesClass:
-        merged = dict(self._parts)
-        for beta, cls in other._parts.items():
-            merged[beta] = merged[beta] + cls if beta in merged else cls
-        return SeriesClass(self.policy, merged)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesClass):
-            return NotImplemented
-        return self.policy == other.policy and self._parts == other._parts
-
-
 # ----------------------------------------------------------------------
 # summation over effective classes
 
@@ -140,22 +101,18 @@ def quantum_product(
     policy: TruncationPolicy,
     x: CohClass,
     y: CohClass,
-) -> SeriesClass:
-    """Small quantum product: structure constants from three-point series.
+) -> tuple[NovikovSeries, ...]:
+    """Small quantum product x * y as its coefficient series on the basis.
 
-    The zero-class part is the cup product; corrections are read off the
-    primary table, so this path never touches the reduction engine.
+    Entry a is the coefficient of ``basis[a]``: the three-point series of x, y and the
+    a-th dual class over the window.  The zero-class part is the cup product;
+    corrections are read off the primary table, so this path never touches the
+    reduction engine.
     """
-    duals = model.dual_bases()
-    parts: dict[CurveClass, CohClass] = {}
-    for beta in policy.iter_effective():
-        acc = model.zero_class()
-        for a in range(model.rank):
-            coeff = _primary3_multilinear(model, table, beta, duals.delta_dual[a], x, y)
-            if coeff:
-                acc = acc + coeff * duals.delta[a]
-        parts[beta] = acc
-    return SeriesClass(policy, parts)  # the zero classes are dropped
+    return tuple(
+        summed(policy, lambda beta: _primary3_multilinear(model, table, beta, dual, x, y))
+        for dual in model.dual_bases().delta_dual
+    )
 
 
 def two_point_from_primaries(
@@ -203,8 +160,9 @@ class _PrimaryTwoPoint:
         self.policy = policy
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         self._powers = [model.unit]  # _powers[k] == model.cup_power(gamma0, k)
-        self._products: dict[CohClass, SeriesClass] = {}
+        self._products: dict[CohClass, tuple[NovikovSeries, ...]] = {}
         self._series: dict[tuple[int, CohClass, CohClass], NovikovSeries] = {}
+        self._nonzero = [beta for beta in policy.degrees if not beta_is_zero(beta)]
 
     def _pairing(self, beta: CurveClass) -> Fraction:
         return self.model.beta_pairing(self.gamma0, beta)
@@ -214,7 +172,7 @@ class _PrimaryTwoPoint:
             self._powers.append(self.model.cup(self._powers[-1], self.gamma0))
         return self._powers[k]
 
-    def _product(self, y: CohClass) -> SeriesClass:
+    def _product(self, y: CohClass) -> tuple[NovikovSeries, ...]:
         if y not in self._products:
             self._products[y] = quantum_product(self.model, self.table, self.policy, self.gamma0, y)
         return self._products[y]
@@ -235,14 +193,15 @@ class _PrimaryTwoPoint:
                 continue
             if j <= d:
                 bracket = NovikovSeries.zero(policy)
-                for beta_shift, cls in self._product(y).items():
-                    bracket = bracket + self.series(d - j, shifted_x, cls).shift(beta_shift)
-            else:
+                for a, coeff in enumerate(self._product(y)):
+                    if not coeff.is_zero():
+                        bracket = bracket + coeff * self.series(d - j, shifted_x, model.basis_class(a))
+            else:  # the antiderivatives below need the bracket without its zero-class term
                 bracket = summed(
-                    policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y)
+                    policy,
+                    lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y),
+                    self._nonzero,
                 )
-                zero_beta = policy.zero_beta()
-                bracket = bracket - NovikovSeries.monomial(policy, zero_beta, bracket.constant_term())
             for _ in range(j):
                 bracket = antiderivative_q(bracket, self._pairing)
             total = total + sign * bracket
@@ -338,7 +297,7 @@ class PhaseTransform:
         if not isinstance(other, PhaseTransform):
             return NotImplemented
         return (
-            self.policy == other.policy
+            (self.policy is other.policy or self.policy == other.policy)
             and self.basis_rank == other.basis_rank
             and self._rows == other._rows
         )
@@ -408,7 +367,7 @@ class PotentialSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PotentialSeries):
             return NotImplemented
-        return self.policy == other.policy and self._coeffs == other._coeffs
+        return (self.policy is other.policy or self.policy == other.policy) and self._coeffs == other._coeffs
 
     def difference(self, other: PotentialSeries) -> list[tuple[tuple[PhaseIndex, ...], NovikovSeries]]:
         """Nonzero coefficients of self - other, canonically ordered."""
@@ -704,9 +663,8 @@ def divisor_product_identity(
     model = engine.model
     gamma0 = engine.gamma0
     lhs = summed(policy, lambda beta: engine.three_point_descendant(beta, [(0, gamma0), (d, x), (0, y)]))
-    product = quantum_product(model, engine.primary_table, policy, gamma0, y)
     rhs = NovikovSeries.zero(policy)
-    for beta_shift, cls in product.items():
-        inner = summed_two_point(engine, d - 1, x, cls, policy)
-        rhs = rhs + inner.shift(beta_shift)
+    for a, coeff in enumerate(quantum_product(model, engine.primary_table, policy, gamma0, y)):
+        if not coeff.is_zero():
+            rhs = rhs + coeff * summed_two_point(engine, d - 1, x, model.basis_class(a), policy)
     return lhs, rhs

@@ -13,7 +13,10 @@ from gwdesc import (
     TautTableError,
     UnsupportedQueryError,
 )
+from gwdesc import cli, phase
 from gwdesc.cli import main, parse_insertions, CliError
+from gwdesc.exact import NovikovSeries
+from gwdesc.phase import PhaseTransform
 
 
 def run(capsys, *argv):
@@ -225,6 +228,34 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def _doubled_diagonal(build):
+    """A ``build_transform`` whose T has 2 on one diagonal entry, so T has no inverse of its shape."""
+
+    def faulty(engine, policy):
+        transform = build(engine, policy)
+        entries = dict(transform.items())
+        entries[((0, 0), (0, 0))] = 2 * NovikovSeries.one(policy)
+        return PhaseTransform(policy, transform.basis_rank, entries)
+
+    return faulty
+
+
+def test_faulty_transform_fails_the_transform_suite(capsys, monkeypatch):
+    monkeypatch.setattr(phase, "build_transform", _doubled_diagonal(phase.build_transform))
+    code, out, _ = run(capsys, "verify", "--model", "P1", "--suite", "transform", "--qmax", "1", "--dmax", "1")
+    assert code == 1
+    assert "[FAIL] suite transform" in out
+    assert "inverse composition violated" in out
+
+
+def test_faulty_transform_is_not_dumped(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_transform", _doubled_diagonal(cli.build_transform))
+    code, out, err = run(capsys, "transform", "--model", "P1", "--qmax", "1", "--dmax", "1")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "error: inverse does not compose to the identity"
+
+
 def test_verify_report_is_deterministic(capsys):
     args = ["verify", "--model", "P1", "--suite", "identities", "--count", "40", "--qmax", "2"]
     code1 = main(list(args))
@@ -326,10 +357,17 @@ def test_malformed_primary_file_is_an_input_error(tmp_path, capsys, content, nam
 
 @pytest.mark.parametrize(
     "content, named",
-    [([{"g": 1}], "tautological record {'g': 1}"), ({"a": 1}, "list of records, not dict")],
+    [
+        ([{"g": 1}], "tautological record {'g': 1}"),
+        ({"a": 1}, "list of records, not dict"),
+        ([{"g": 1, "n": 1, "psi": [1.9], "lambda": [], "value": "1/24"}], "psi must be a list of integers, got [1.9]"),
+        ([{"g": 1, "n": 1, "psi": "11", "lambda": [], "value": "1/24"}], "psi must be a list of integers, got '11'"),
+        ([{"g": True, "n": 1, "psi": [1], "lambda": [], "value": "1/24"}], "g must be an integer, got True"),
+    ],
 )
 def test_malformed_taut_file_is_an_input_error(tmp_path, capsys, content, named):
-    # the first ended in KeyError: 'n', the second in a TypeError
+    # the first ended in KeyError: 'n', the second in a TypeError; psi [1.9] was read as [1]
+    # and printed 1/12, psi "11" as [1, 1]
     table = tmp_path / "t.json"
     table.write_text(json.dumps(content))
     code, out, err = run(
@@ -339,6 +377,29 @@ def test_malformed_taut_file_is_an_input_error(tmp_path, capsys, content, named)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.update(dimension=2.6), "dimension must be an integer, got 2.6"),
+        (lambda d: d.update(divisor_pairing={"h": [1.8]}), "divisor_pairing row 'h' must be a list of integers, got [1.8]"),
+        (lambda d: d.update(lattice_rank="1"), "lattice_rank must be an integer, got '1'"),
+        (lambda d: d["basis"][1].update(degree=True), "degree of 'h' must be an integer, got True"),
+    ],
+)
+def test_non_integer_geometry_field_is_an_input_error(tmp_path, capsys, edit, named):
+    # dimension 2.6 loaded as 2 and the pairing row [1.8] as [1], and both files validated
+    from gwdesc import load_fixture
+
+    data = load_fixture("P2").model.to_dict()
+    edit(data)
+    geometry = tmp_path / "plane.json"
+    geometry.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--model", str(geometry))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed geometry file:") and named in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

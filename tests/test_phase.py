@@ -7,11 +7,11 @@ import pytest
 from test_quadric import quadric_model, quadric_table
 
 from gwdesc import CorrelatorEngine
-from gwdesc.exact import NovikovSeries
+from gwdesc.exact import NovikovSeries, TruncationPolicy
 from gwdesc import phase
 from gwdesc.phase import (
     PhaseTransform,
-    SeriesClass,
+    PotentialSeries,
     build_transform,
     compose_with_transform,
     divisor_product_identity,
@@ -45,34 +45,37 @@ def test_summed_correlators(p1_engine, p1, p2_engine, p2):
     assert series == NovikovSeries.monomial(policy2, (1,))
 
 
+def on_basis(model, policy, **series):
+    """The coefficient tuple with the given series at the named basis labels and zero elsewhere."""
+    out = [NovikovSeries.zero(policy)] * model.rank
+    for label, value in series.items():
+        out[model.label_index(label)] = value
+    return tuple(out)
+
+
 def test_quantum_products(p1, p2):
     m = p1.model
     policy = m.policy(2)
     h = cls(m, "h")
-    product = quantum_product(m, p1.primary, policy, h, h)
-    assert product.items() == [((1,), m.unit)]
-    with_unit = quantum_product(m, p1.primary, policy, m.unit, h)
-    assert with_unit == SeriesClass(policy, {(0,): h})
+    q = NovikovSeries.monomial(policy, (1,))
+    assert quantum_product(m, p1.primary, policy, h, h) == on_basis(m, policy, one=q)
+    assert quantum_product(m, p1.primary, policy, m.unit, h) == on_basis(m, policy, h=NovikovSeries.one(policy))
 
     m2 = p2.model
     policy2 = m2.policy(2)
     hh = quantum_product(m2, p2.primary, policy2, cls(m2, "h"), cls(m2, "h"))
-    assert hh.items() == [((0,), cls(m2, "h2"))]
+    assert hh == on_basis(m2, policy2, h2=NovikovSeries.one(policy2))
     hh2 = quantum_product(m2, p2.primary, policy2, cls(m2, "h"), cls(m2, "h2"))
-    assert hh2.items() == [((1,), m2.unit)]
+    assert hh2 == on_basis(m2, policy2, one=NovikovSeries.monomial(policy2, (1,)))
 
 
-def _sc_times_class(model, table, policy, sc, y):
-    out = SeriesClass(policy, {})
-    for beta, part in sc.items():
-        shifted = quantum_product(model, table, policy, part, y)
-        pieces = {}
-        for b2, c2 in shifted.items():
-            from gwdesc.exact import beta_add
-
-            pieces[beta_add(beta, b2)] = c2
-        out = out + SeriesClass(policy, pieces)
-    return out
+def _product_times_class(model, table, policy, coeffs, z):
+    """The coefficients of (sum_a coeffs[a] basis[a]) * z."""
+    out = [NovikovSeries.zero(policy)] * model.rank
+    for a, coeff in enumerate(coeffs):
+        for b, series in enumerate(quantum_product(model, table, policy, model.basis_class(a), z)):
+            out[b] = out[b] + coeff * series
+    return tuple(out)
 
 
 def test_quantum_product_associative(p2):
@@ -84,31 +87,27 @@ def test_quantum_product_associative(p2):
             xy = quantum_product(m, p2.primary, policy, x, y)
             for z in basis:
                 yz = quantum_product(m, p2.primary, policy, y, z)
-                left = _sc_times_class(m, p2.primary, policy, xy, z)
-                right = _sc_times_class(m, p2.primary, policy, yz, x)
+                left = _product_times_class(m, p2.primary, policy, xy, z)
+                right = _product_times_class(m, p2.primary, policy, yz, x)
                 assert left == right, (x, y, z)
 
 
 def test_transform_column_contracts_levels(p1_engine, p1):
-    # T's column at (d, a), read at row level j, is the class series sum_b T[(j,b),(d,a)] delta_b:
+    # T's column at (d, a), read at row level j, has the coefficient T[(j,b),(d,a)] on delta_b:
     # the operator trading d - j cotangent levels of delta_a for a dual-basis contraction
     m = p1.model
     policy = m.policy(2, max_descendant=2)
     transform = build_transform(p1_engine, policy)
-    h = cls(m, "h")
     a = m.label_index("h")
+    q = NovikovSeries.monomial(policy, (1,))
 
     def column(j, d):
-        parts = {}
-        for b in range(m.rank):
-            for beta, c in transform.entry((j, b), (d, a)).items():
-                parts[beta] = parts.get(beta, m.zero_class()) + c * m.basis_class(b)
-        return SeriesClass(policy, parts)
+        return tuple(transform.entry((j, b), (d, a)) for b in range(m.rank))
 
-    assert column(2, 2) == SeriesClass(policy, {(0,): h})
-    assert column(0, 1).items() == [((1,), m.unit)]
-    assert column(1, 2).items() == [((1,), m.unit)]
-    assert column(0, 2).items() == [((1,), h)]
+    assert column(2, 2) == on_basis(m, policy, h=NovikovSeries.one(policy))
+    assert column(0, 1) == on_basis(m, policy, one=q)
+    assert column(1, 2) == on_basis(m, policy, one=q)
+    assert column(0, 2) == on_basis(m, policy, h=q)
 
 
 def test_two_point_paths_agree(p1_engine, p1, p2_engine, p2):
@@ -478,14 +477,6 @@ def test_substitution_identity_rejects_a_level_above_the_transform(p1_engine, p1
     assert lhs == rhs == NovikovSeries.monomial(transform.policy, (1,))
 
 
-def test_series_class_window_rule(p1):
-    m = p1.model
-    policy = m.policy(2)
-    with pytest.raises(ValueError, match="not effective"):
-        SeriesClass(policy, {(-1,): m.unit})
-    assert SeriesClass(policy, {(3,): m.unit, (1,): m.unit}).items() == [((1,), m.unit)]
-
-
 def test_divisor_product_identity(p1_engine, p1, p2_engine, p2):
     for engine, fx in ((p1_engine, p1), (p2_engine, p2)):
         m = fx.model
@@ -507,3 +498,29 @@ def test_potential_records_are_canonical(p1_engine, p1):
     keys = [(len(r["indices"]), [[d, m.label_index(a)] for d, a in r["indices"]]) for r in records]
     assert keys == sorted(keys)
     assert all(set(r) == {"indices", "beta", "value"} for r in records)
+
+
+def test_equality_on_one_policy_object_skips_the_field_comparison(p1, monkeypatch):
+    calls = []
+    field_eq = TruncationPolicy.__eq__
+
+    def counting(self, other):
+        calls.append(other)
+        return field_eq(self, other)
+
+    monkeypatch.setattr(TruncationPolicy, "__eq__", counting)
+
+    def containers(policy):
+        q = NovikovSeries.monomial(policy, (1,), 3)
+        return q, PotentialSeries(policy, {((0, 1),) * 3: q}), PhaseTransform.identity(policy, p1.model.rank)
+
+    policy = p1.model.policy(2, max_descendant=1)
+    for left, right in zip(containers(policy), containers(policy)):
+        assert left == right
+    assert NovikovSeries.one(policy) != NovikovSeries.monomial(policy, (1,), 3)
+    assert calls == []
+    twin = p1.model.policy(2, max_descendant=1)  # equal fields, a distinct object
+    assert twin is not policy
+    for left, right in zip(containers(policy), containers(twin)):
+        assert left == right
+    assert calls
