@@ -5,7 +5,6 @@ from .exact import (
     GwdescError,
     NovikovSeries,
     PolicyMismatchError,
-    Rational,
     TruncationPolicy,
     antiderivative_q,
     derivative_q,
@@ -14,12 +13,10 @@ from .exact import (
 )
 from .geometry import (
     CohClass,
-    DualBases,
     GeometryModel,
     ModelError,
     ValidationReport,
     load_geometry,
-    validate_model,
 )
 from .moduli import (
     TautTable,
@@ -57,7 +54,6 @@ __all__ = [
     "CohClass",
     "CorrelatorEngine",
     "CurveClass",
-    "DualBases",
     "FixtureModel",
     "GeometryModel",
     "GwdescError",
@@ -67,7 +63,6 @@ __all__ = [
     "PolicyMismatchError",
     "PotentialSeries",
     "PrimaryTable",
-    "Rational",
     "ReconstructionError",
     "TableFormatError",
     "TautTable",
@@ -95,5 +90,4 @@ __all__ = [
     "summed_two_point",
     "transform_identity_report",
     "two_point_from_primaries",
-    "validate_model",
 ]

@@ -133,13 +133,8 @@ def cmd_correlator(args) -> int:
     insertions = parse_insertions(args.ins)
     triples = [(d, e, model.class_from_map({label: 1})) for d, e, label in insertions]
     if args.beta is not None:
-        beta = parse_beta(args.beta)
-        if len(beta) != model.lattice_rank:
-            raise CliError(f"curve class needs rank {model.lattice_rank}")
-        print(format_rational(_evaluate_query(engine, args.genus, beta, triples)))
+        print(format_rational(_evaluate_query(engine, args.genus, parse_beta(args.beta), triples)))
         return 0
-    if args.qmax is None:
-        raise CliError("give either --beta or --qmax")
     if args.genus != 0:
         raise CliError("summed series are genus-0 only")
     print(summed(model.policy(args.qmax), lambda beta: _evaluate_query(engine, 0, beta, triples)))
@@ -260,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlator", help="evaluate one correlator or its summed series")
     add_model_flags(p)
-    p.add_argument("--beta", help="curve class, e.g. '2' or '1,0'")
-    p.add_argument("--qmax", type=int, help="sum the series up to this class degree instead")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--beta", help="curve class, e.g. '2' or '1,0'")
+    where.add_argument("--qmax", type=int, help="sum the series up to this class degree instead")
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--ins", required=True, help="insertions, e.g. 'tau(1):one,tau(0,2):h'")
     p.set_defaults(func=cmd_correlator)

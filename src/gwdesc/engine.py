@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, narrow, parse_rational
-from .geometry import CohClass, GeometryModel
+from .geometry import CohClass, GeometryModel, ModelError
 from .moduli import TautTable, constant_map_correlator
 
 
@@ -133,13 +133,6 @@ class PrimaryTable:
             return cls.from_records(model, json.load(handle))
 
 
-def _effective(beta: CurveClass) -> CurveClass:
-    beta = tuple(beta)
-    if any(b < 0 for b in beta):
-        raise ValueError("curve classes must be effective")
-    return beta
-
-
 class CorrelatorEngine:
     """Evaluates primary, descendant, generalized and modified correlators.
 
@@ -183,6 +176,14 @@ class CorrelatorEngine:
     def _deg(self, idx: int) -> int:
         return self.model.degrees[idx]
 
+    def _effective(self, beta: CurveClass) -> CurveClass:
+        beta = tuple(beta)
+        if len(beta) != self.model.lattice_rank:
+            raise ModelError(f"curve class {beta!r} has rank != {self.model.lattice_rank}")
+        if any(b < 0 for b in beta):
+            raise ValueError("curve classes must be effective")
+        return beta
+
     def _c1_beta(self, beta: CurveClass) -> int | Fraction:
         c1 = self._c1.get(beta)
         if c1 is None:
@@ -200,7 +201,7 @@ class CorrelatorEngine:
     @cached_property
     def _dual_parts(self) -> list[tuple[tuple[int | Fraction, int], ...]]:
         """The pairing-dual basis as parts, built on first use (it needs a nondegenerate pairing)."""
-        return [dual.parts for dual in self.model.dual_bases().delta_dual]
+        return [dual.parts for dual in self.model.dual_basis()]
 
     def _splittings(self, beta: CurveClass) -> tuple[tuple[CurveClass, CurveClass], ...]:
         """beta_splittings(beta), formed once per class; the first splitting is (0, beta)."""
@@ -208,10 +209,6 @@ class CorrelatorEngine:
         if splits is None:
             splits = self._splits[beta] = tuple(beta_splittings(beta))
         return splits
-
-    def _row_pairing(self, idx: int, beta: CurveClass) -> Fraction:
-        """Pairing of the degree-1 basis class idx with beta."""
-        return Fraction(sum(r * b for r, b in zip(self.model.pairing_row(idx), beta)))
 
     def _c1_needed(self, n: int, total: int) -> int:
         """The c1·beta at which n insertions of degree sum total pass dimension + c1·beta + n - 3 == total."""
@@ -474,7 +471,8 @@ class CorrelatorEngine:
         if 1 in degrees:
             slot = degrees.index(1)
             rest = classes[:slot] + classes[slot + 1 :]
-            return self._row_pairing(classes[slot], beta) * self._gen(beta, tuple((0, 0, a) for a in rest))
+            pairing = self.model.beta_pairing(self.model.basis_class(classes[slot]), beta)
+            return pairing * self._gen(beta, tuple((0, 0, a) for a in rest))
         target = classes[0]
         decomp = self.model.divisor_decomposition(target)
         if decomp is None:
@@ -487,7 +485,7 @@ class CorrelatorEngine:
         for coeff, d_idx, x_idx in decomp:
             with_divisor = self._gen(beta, tuple(sorted(((0, 0, d_idx), (1, 0, x_idx)) + rest)))
             without = self._gen(beta, tuple(sorted(((1, 0, x_idx),) + rest)))
-            total += coeff * (with_divisor - self._row_pairing(d_idx, beta) * without)
+            total += coeff * (with_divisor - self.model.beta_pairing(self.model.basis_class(d_idx), beta) * without)
         return total
 
     # ------------------------------------------------------------------
@@ -499,7 +497,7 @@ class CorrelatorEngine:
         This is the engine's one screen: every reduction step maps a dimension-valid node
         to dimension-valid nodes (lowering, the divisor, dilaton and detour steps and the
         shifted term keep the count, and every split node takes its class from ``_candidates``)."""
-        beta = _effective(beta)
+        beta = self._effective(beta)
         total = Fraction(0)
         for coeff, core in self._expand(triples):
             if self.check_dimension and not self._dimension_ok(beta, core):
@@ -514,7 +512,7 @@ class CorrelatorEngine:
 
     def descendant(self, g: int, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Conventional descendant correlator, dispatching on (g, beta, n)."""
-        beta = _effective(beta)
+        beta = self._effective(beta)
         if g < 0:
             raise ValueError("genus must be non-negative")
         if g >= 1 and any(beta):
@@ -572,9 +570,6 @@ class CorrelatorEngine:
 
     def two_point_general(self, d1: int, x: CohClass, d2: int, y: CohClass, beta: CurveClass) -> Fraction:
         return self._sum(beta, [(d1, 0, x), (d2, 0, y)], self._unstable)
-
-    def primary3(self, beta: CurveClass, x: CohClass, y: CohClass, z: CohClass) -> Fraction:
-        return self._sum(beta, [(0, 0, x), (0, 0, y), (0, 0, z)], self._three_desc)
 
     def primary(self, beta: CurveClass, classes: Sequence[CohClass]) -> Fraction:
         """Primary n-point correlator (n >= 3)."""

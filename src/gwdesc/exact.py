@@ -17,7 +17,6 @@ from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Mapping
 
-Rational = Fraction
 CurveClass = tuple[int, ...]
 
 
@@ -46,6 +45,14 @@ def json_int_list(value, what: str) -> list[int]:
     """A list of integers in an input file, by the rule of :func:`json_int`."""
     if not (isinstance(value, list) and all(type(v) is int for v in value)):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """An object field of an input file, by the rule of :func:`json_int`: a list or a
+    string is a ValueError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
     return value
 
 
@@ -118,21 +125,16 @@ class TruncationPolicy:
 
     @cached_property
     def degrees(self) -> dict[CurveClass, int]:
-        """The degree of each effective class of the window, formed once per policy
-        (cached_property writes past the frozen dataclass's ``__setattr__``)."""
-        return {beta: self.beta_degree(beta) for beta in self.iter_effective()}
+        """The degree of each effective class of the window, in degree order and then
+        lexicographically, formed once per policy (cached_property writes past the
+        frozen dataclass's ``__setattr__``)."""
+        ranges = (range(self.max_beta_degree // w + 1) for w in self.beta_weights)
+        found = sorted((self.beta_degree(beta), beta) for beta in _cartesian(*ranges))
+        return {beta: d for d, beta in found if d <= self.max_beta_degree}
 
     def iter_effective(self) -> Iterator[CurveClass]:
-        """All effective classes of degree <= max_beta_degree, degree order."""
-        found = []
-        ranges = (range(self.max_beta_degree // w + 1) for w in self.beta_weights)
-        for beta in _cartesian(*ranges):
-            d = self.beta_degree(beta)
-            if d <= self.max_beta_degree:
-                found.append((d, beta))
-        found.sort()
-        for _, beta in found:
-            yield beta
+        """All effective classes of degree <= max_beta_degree, in the order of :attr:`degrees`."""
+        return iter(self.degrees)
 
 
 class NovikovSeries:
@@ -190,9 +192,6 @@ class NovikovSeries:
     def coefficient(self, beta: CurveClass) -> Fraction:
         return self._terms.get(tuple(beta), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.coefficient(self.policy.zero_beta())
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -242,17 +241,6 @@ class NovikovSeries:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def shift(self, beta: CurveClass) -> NovikovSeries:
-        """Multiply by the monomial q^beta; the window rule of the constructor applies to beta."""
-        beta = tuple(beta)
-        deg = self.policy.degrees
-        if beta not in deg:
-            self.policy.reject_non_effective(beta)
-            return NovikovSeries.zero(self.policy)  # above the window
-        room = self.policy.max_beta_degree - deg[beta]
-        terms = {beta_add(b, beta): c for b, c in self._terms.items() if deg[b] <= room}
-        return NovikovSeries._trusted(self.policy, terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):

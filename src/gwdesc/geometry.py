@@ -25,6 +25,7 @@ from .exact import (
     invert_matrix,
     json_int,
     json_int_list,
+    json_object,
     narrow,
     parse_rational,
     solve_linear,
@@ -77,14 +78,6 @@ class CohClass:
         """The class as (coefficient, basis index) pairs over its support, an
         integral coefficient as an ``int`` (see :func:`gwdesc.exact.narrow`)."""
         return tuple((narrow(self.coeffs[i]), i) for i in self._support)
-
-
-@dataclass(frozen=True)
-class DualBases:
-    """Basis and its pairing-dual basis: eta(delta[a], dual[b]) = delta_ab."""
-
-    delta: tuple[CohClass, ...]
-    delta_dual: tuple[CohClass, ...]
 
 
 @dataclass
@@ -163,7 +156,7 @@ class GeometryModel:
         self.ample = self.class_from_map(ample)
         self.chern = tuple(self.class_from_map(c) for c in chern)
         self._cup_terms = self._build_cup_terms()
-        self._dual: DualBases | None = None
+        self._dual: tuple[CohClass, ...] | None = None
         self._decomp_cache: dict[int, list[tuple[Fraction, int, int]] | None] = {}
 
     # ------------------------------------------------------------------
@@ -266,28 +259,21 @@ class GeometryModel:
         basis = [self.basis_class(i) for i in range(self.rank)]
         return [[self.eta(a, b) for b in basis] for a in basis]
 
-    def dual_bases(self) -> DualBases:
-        """Pairing-dual basis, computed once by exact Gram inversion."""
+    def dual_basis(self) -> tuple[CohClass, ...]:
+        """The pairing-dual basis, eta(basis[a], dual[b]) = delta_ab, computed once by
+        exact Gram inversion."""
         if self._dual is None:
             inverse = invert_matrix(self.gram_matrix())
             if inverse is None:
                 raise ModelError("pairing is degenerate; no dual basis exists")
-            duals = tuple(
+            self._dual = tuple(
                 CohClass(tuple(inverse[j][a] for j in range(self.rank)))
                 for a in range(self.rank)
-            )
-            self._dual = DualBases(
-                delta=tuple(self.basis_class(i) for i in range(self.rank)),
-                delta_dual=duals,
             )
         return self._dual
 
     # ------------------------------------------------------------------
     # lattice
-
-    @property
-    def divisor_indices(self) -> list[int]:
-        return list(self.basis_of_degree(1))
 
     def pairing_row(self, i: int) -> tuple[int, ...]:
         label = self.labels[i]
@@ -307,13 +293,10 @@ class GeometryModel:
             total += gamma.coeffs[i] * sum(r * b for r, b in zip(row, beta))
         return total
 
-    def c1(self) -> CohClass:
-        return self.chern[1] if self.dimension >= 1 else self.zero_class()
-
     def c1_pairing(self, beta: CurveClass) -> Fraction:
         if self.dimension == 0:
             return Fraction(0)
-        return self.beta_pairing(self.c1(), beta)
+        return self.beta_pairing(self.chern[1], beta)
 
     def ample_weights(self) -> tuple[int, ...]:
         weights = []
@@ -469,9 +452,9 @@ class GeometryModel:
 
         dual_ok = False
         if nondeg:
-            duals = self.dual_bases()
+            duals = self.dual_basis()
             dual_ok = all(
-                self.eta(duals.delta[a], duals.delta_dual[b]) == Fraction(int(a == b))
+                self.eta(self.basis_class(a), duals[b]) == Fraction(int(a == b))
                 for a in range(self.rank)
                 for b in range(self.rank)
             )
@@ -506,7 +489,7 @@ class GeometryModel:
 
             rows_ok = all(
                 self.labels[i] in self._pairing_rows and len(self._pairing_rows[self.labels[i]]) == self.lattice_rank
-                for i in self.divisor_indices
+                for i in self.basis_of_degree(1)
             )
             checks.append(ValidationCheck("divisor-pairing-complete", rows_ok))
 
@@ -543,19 +526,23 @@ class GeometryModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> GeometryModel:
+        def rationals(value, what: str) -> dict[str, Fraction]:
+            return {l: parse_rational(v) for l, v in json_object(value, what).items()}
+
         try:
             labels = [entry["label"] for entry in data["basis"]]
+            for label in labels:
+                if not isinstance(label, str):
+                    raise ValueError(f"basis label {label!r} must be a string")
             degrees = [json_int(entry["degree"], f"degree of {entry['label']!r}") for entry in data["basis"]]
             cup_records = [
-                ((rec["a"], rec["b"]), {l: parse_rational(v) for l, v in rec["result"].items()})
+                ((rec["a"], rec["b"]), rationals(rec["result"], f"cup result of {rec['a']!r}∪{rec['b']!r}"))
                 for rec in data.get("cup", [])
             ]
-            integral = {l: parse_rational(v) for l, v in data.get("integral", {}).items()}
-            ample = {l: parse_rational(v) for l, v in data.get("ample", {}).items()}
-            chern = [
-                {l: parse_rational(v) for l, v in entry.items()}
-                for entry in data.get("chern", [])
-            ]
+            integral = rationals(data.get("integral", {}), "integral")
+            ample = rationals(data.get("ample", {}), "ample")
+            chern = [rationals(entry, f"chern entry {j}") for j, entry in enumerate(data.get("chern", []))]
+            pairing = json_object(data.get("divisor_pairing", {}), "divisor_pairing")
             return cls(
                 name=data.get("name", "unnamed"),
                 dimension=json_int(data["dimension"], "dimension"),
@@ -564,9 +551,7 @@ class GeometryModel:
                 cup_records=cup_records,
                 integral=integral,
                 lattice_rank=json_int(data["lattice_rank"], "lattice_rank"),
-                divisor_pairing={
-                    l: json_int_list(row, f"divisor_pairing row {l!r}") for l, row in data.get("divisor_pairing", {}).items()
-                },
+                divisor_pairing={l: json_int_list(row, f"divisor_pairing row {l!r}") for l, row in pairing.items()},
                 ample=ample,
                 chern=chern,
             )
@@ -583,10 +568,6 @@ def load_geometry(path: str | Path) -> GeometryModel:
         failed = ", ".join(c.name for c in report.failures())
         raise ModelError(f"geometry {model.name!r} failed validation: {failed}")
     return model
-
-
-def validate_model(model: GeometryModel) -> ValidationReport:
-    return model.validate()
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, format_rational, json_int, json_int_list, parse_rational
+from .exact import GwdescError, json_int, json_int_list, parse_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -113,12 +113,6 @@ class TautTable:
             )
         return self._table[key]
 
-    def records(self) -> list[TautRecord]:
-        return [
-            TautRecord(g, n, psi, lams, value)
-            for (g, n, psi, lams), value in sorted(self._table.items())
-        ]
-
     @classmethod
     def from_records(cls, rows: Sequence[dict]) -> TautTable:
         if not isinstance(rows, list):
@@ -145,18 +139,6 @@ class TautTable:
     def from_file(cls, path: str | Path) -> TautTable:
         with open(path, encoding="utf-8") as handle:
             return cls.from_records(json.load(handle))
-
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "g": rec.g,
-                "n": rec.n,
-                "psi": list(rec.psi),
-                "lambda": list(rec.lambdas),
-                "value": format_rational(rec.value),
-            }
-            for rec in self.records()
-        ]
 
 
 def constant_map_correlator(

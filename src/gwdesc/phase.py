@@ -111,7 +111,7 @@ def quantum_product(
     """
     return tuple(
         summed(policy, lambda beta: _primary3_multilinear(model, table, beta, dual, x, y))
-        for dual in model.dual_bases().delta_dual
+        for dual in model.dual_basis()
     )
 
 
@@ -327,13 +327,13 @@ def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> Phase
     constructor drops the zero ones.
     """
     model, rank, top = engine.model, engine.model.rank, policy.max_descendant
-    duals = model.dual_bases()
+    duals = model.dual_basis()
     one = NovikovSeries.one(policy)
     entries = {(idx, idx): one for idx in phase_indices(policy, rank)}
     for k in range(top):  # the gap d - c - 1
         for a in range(rank):
             for b in range(rank):
-                series = summed_two_point(engine, k, duals.delta[a], duals.delta_dual[b], policy)
+                series = summed_two_point(engine, k, model.basis_class(a), duals[b], policy)
                 for c in range(top - k):
                     entries[((c, b), (c + k + 1, a))] = series
     return PhaseTransform(policy, rank, entries)
@@ -378,12 +378,6 @@ class PotentialSeries:
             if not diff.is_zero():
                 out.append((key, diff))
         return out
-
-    def restricted_to_primary(self) -> PotentialSeries:
-        return PotentialSeries(
-            self.policy,
-            {key: s for key, s in self._coeffs.items() if all(d == 0 for d, _ in key)},
-        )
 
     def to_records(self, model: GeometryModel) -> list[dict]:
         out = []
@@ -564,19 +558,6 @@ class TransformIdentityReport:
     checked_keys: int = 0
     substitution_checked: int = 0
     transform: PhaseTransform | None = None  # the coordinate change both identities used
-
-    def __str__(self) -> str:
-        lines = [
-            f"potential identity: {'PASS' if not self.potential_mismatches else 'FAIL'} "
-            f"({self.checked_keys} coefficients compared)",
-            f"substitution identity: {'PASS' if not self.substitution_mismatches else 'FAIL'} "
-            f"({self.substitution_checked} correlators compared)",
-        ]
-        for key, diff in self.potential_mismatches[:5]:
-            lines.append(f"  mismatch at {key}: {diff}")
-        for key, lhs, rhs in self.substitution_mismatches[:5]:
-            lines.append(f"  substitution mismatch at {key}: {lhs} vs {rhs}")
-        return "\n".join(lines)
 
 
 def substitution_identity(

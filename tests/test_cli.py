@@ -403,6 +403,51 @@ def test_non_integer_geometry_field_is_an_input_error(tmp_path, capsys, edit, na
 
 
 @pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.update(integral=[]), "integral must be an object, got []"),
+        (lambda d: d.update(ample=["h"]), "ample must be an object, got ['h']"),
+        (lambda d: d.update(divisor_pairing=[]), "divisor_pairing must be an object, got []"),
+        (lambda d: d["chern"].__setitem__(0, ["one"]), "chern entry 0 must be an object, got ['one']"),
+        (lambda d: d["cup"][0].update(result=[]), "cup result of 'h'∪'h' must be an object, got []"),
+        (lambda d: d["basis"][0].update(label=0), "basis label 0 must be a string"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "correlator"])
+def test_malformed_geometry_object_is_an_input_error(tmp_path, capsys, edit, named, command):
+    # a list in place of an object ended in "AttributeError: 'list' object has no attribute
+    # 'items'" with exit 1, and the label 0 was reported as "unknown basis label 'one'"
+    from gwdesc import load_fixture
+
+    data = load_fixture("P1").model.to_dict()
+    edit(data)
+    geometry = tmp_path / "line.json"
+    geometry.write_text(json.dumps(data))
+    query = ["--beta", "1", "--ins", "tau(0):h,tau(0):h,tau(0):h"] if command == "correlator" else []
+    code, out, err = run(capsys, command, "--model", str(geometry), *query)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed geometry file:") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (["--beta", "1", "--qmax", "3"], "argument --qmax: not allowed with argument --beta"),
+        ([], "one of the arguments --beta --qmax is required"),
+    ],
+)
+def test_correlator_takes_exactly_one_of_beta_and_qmax(capsys, where, message):
+    # --beta 1 --qmax 3 printed the value at class 1 and silently ignored --qmax
+    with pytest.raises(SystemExit) as info:
+        main(["correlator", "--model", "P2", *where, "--ins", "tau(0):h2,tau(0):h2,tau(0):h"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err == f"gwdesc correlator: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["validate", "--model"],

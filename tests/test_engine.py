@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -13,6 +14,7 @@ from gwdesc.engine import (
     TableFormatError,
     UnsupportedQueryError,
 )
+from gwdesc.geometry import ModelError
 from gwdesc.moduli import constant_map_correlator, psi_boundary_partitions, psi_integral_genus0
 from gwdesc.phase import (
     build_transform,
@@ -91,9 +93,11 @@ def test_primary_table_symmetrizes(p2):
 
 def test_primary3_values(p1_engine, p1):
     m = p1.model
-    assert p1_engine.primary3((0,), m.unit, cls(m, "h"), m.unit) == 1
-    assert p1_engine.primary3((1,), cls(m, "h"), cls(m, "h"), cls(m, "h")) == 1
-    assert p1_engine.primary3((1,), m.unit, cls(m, "h"), cls(m, "h")) == 0
+    h = cls(m, "h")
+    assert p1_engine.three_point_descendant((0,), [(0, m.unit), (0, h), (0, m.unit)]) == 1
+    assert p1_engine.three_point_descendant((1,), [(0, h), (0, h), (0, h)]) == 1
+    assert p1_engine.three_point_descendant((1,), [(0, m.unit), (0, h), (0, h)]) == 0
+    assert p1_engine.primary((1,), [h, h, h]) == 1
 
 
 def test_two_point_values(p1_engine, p1):
@@ -251,7 +255,7 @@ def test_modified_matches_markwise_boundary_expansion(p2_engine, p2):
     """Grouped splitting against a literal mark-by-mark expansion."""
     m = p2.model
     engine = p2_engine
-    duals = m.dual_bases()
+    duals = m.dual_basis()
     pairs = [(1, cls(m, "h")), (0, cls(m, "h2")), (0, cls(m, "h")), (0, cls(m, "h"))]
     beta = (1,)
 
@@ -264,11 +268,11 @@ def test_modified_matches_markwise_boundary_expansion(p2_engine, p2):
                 beta1, beta2 = (b1,), (beta[0] - b1,)
                 for a in range(m.rank):
                     left_pairs = [(0, pairs[0][1])] + [pairs[p - 1] for p in sorted(side - {1})]
-                    left = engine.modified(beta1, left_pairs + [(0, duals.delta[a])])
+                    left = engine.modified(beta1, left_pairs + [(0, m.basis_class(a))])
                     if not left:
                         continue
                     right_pairs = [pairs[p - 1] for p in range(1, n + 1) if p not in side]
-                    right = engine.modified(beta2, right_pairs + [(0, duals.delta_dual[a])])
+                    right = engine.modified(beta2, right_pairs + [(0, duals[a])])
                     total += left * right
         return total
 
@@ -480,7 +484,7 @@ def test_dimension_invalid_queries_never_reach_the_table(p2):
         "generalized-reduce-at": lambda: engine.generalized(beta, [(1, 0, h2), (0, 0, h2), (0, 0, h2)], reduce_at=2),
         "modified-refs": lambda: engine.modified(beta, [(1, h2), (0, h2), (0, h2), (0, h2)], refs=(3, 0, 1)),
         "three_point_descendant": lambda: engine.three_point_descendant(beta, [(1, h2), (0, h2), (0, h2)]),
-        "primary3": lambda: engine.primary3(beta, h2, h2, h2),
+        "primary": lambda: engine.primary(beta, [h2, h2, h2]),
         "two_point_general": lambda: engine.two_point_general(1, h2, 0, h2, beta),
         "one_point-divisor": lambda: engine.one_point(2, h2, beta, "divisor"),
         "one_point-dilaton": lambda: engine.one_point(2, h2, beta, "dilaton"),
@@ -537,7 +541,7 @@ def test_public_values_are_fractions(request, name):
     values = []
     for beta in betas:
         for x, y, z in combinations_with_replacement(classes, 3):
-            values.append(engine.primary3(beta, x, y, z))
+            values.append(engine.three_point_descendant(beta, [(0, x), (0, y), (0, z)]))
             for d in range(3):
                 values.append(engine.descendant(0, beta, [(d, x), (0, y), (0, z)]))
                 values.append(engine.generalized(beta, [(d, 0, x), (0, d, y), (0, 0, z)]))
@@ -586,16 +590,16 @@ def test_effectivity_guard(p1_engine):
         "three_point_descendant",
         "two_point",
         "two_point_general",
-        "primary3",
         "primary",
         "one_point",
         "zero_point",
     ],
 )
 def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
+    # a class of the wrong rank used to give a value at some entries (1 from
+    # descendant(0, (0, 0), [(0, h), (0, one), (0, one)])) and an error at others
     h = cls(p1.model, "h")
-    beta = (-1,)
-    calls = {
+    calls = lambda beta: {  # noqa: E731
         "descendant": lambda: p1_engine.descendant(0, beta, [(1, h), (0, h), (0, h)]),
         "generalized": lambda: p1_engine.generalized(beta, [(0, 1, h), (0, 0, h), (0, 0, h)]),
         "generalized-reduce-at": lambda: p1_engine.generalized(
@@ -606,13 +610,15 @@ def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
         "three_point_descendant": lambda: p1_engine.three_point_descendant(beta, [(1, h), (0, h), (0, h)]),
         "two_point": lambda: p1_engine.two_point(1, h, h, beta),
         "two_point_general": lambda: p1_engine.two_point_general(1, h, 0, h, beta),
-        "primary3": lambda: p1_engine.primary3(beta, h, h, h),
         "primary": lambda: p1_engine.primary(beta, [h, h, h, h]),
         "one_point": lambda: p1_engine.one_point(0, h, beta),
         "zero_point": lambda: p1_engine.zero_point(beta),
     }
     with pytest.raises(ValueError, match="curve classes must be effective"):
-        calls[entry]()
+        calls((-1,))[entry]()
+    for beta in ((0, 0), (1, 0), ()):
+        with pytest.raises(ModelError, match=rf"curve class {re.escape(str(beta))} has rank != 1"):
+            calls(beta)[entry]()
 
 
 @pytest.mark.parametrize("beta", [(0,), (1,)])

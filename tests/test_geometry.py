@@ -16,7 +16,6 @@ from gwdesc.geometry import (
     ModelError,
     load_geometry,
     monomial_to_elementary,
-    validate_model,
 )
 from gwdesc.verify import _p3_like_model
 from test_quadric import quadric_model
@@ -39,35 +38,35 @@ def test_integrate(p2):
 
 
 def test_dual_bases(p1, p2):
-    d1 = p1.model.dual_bases()
-    assert d1.delta_dual[0] == p1.model.class_from_map({"h": 1})
-    assert d1.delta_dual[1] == p1.model.unit
-    d2 = p2.model.dual_bases()
-    assert d2.delta_dual[0] == p2.model.class_from_map({"h2": 1})
-    assert d2.delta_dual[1] == p2.model.class_from_map({"h": 1})
-    assert d2.delta_dual[2] == p2.model.unit
+    d1 = p1.model.dual_basis()
+    assert d1[0] == p1.model.class_from_map({"h": 1})
+    assert d1[1] == p1.model.unit
+    d2 = p2.model.dual_basis()
+    assert d2[0] == p2.model.class_from_map({"h2": 1})
+    assert d2[1] == p2.model.class_from_map({"h": 1})
+    assert d2[2] == p2.model.unit
 
 
 def test_duality_identity_random(p2):
     m = p2.model
-    duals = m.dual_bases()
+    duals = m.dual_basis()
     rng = random.Random(3)
     for _ in range(20):
         x = CohClass(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rank)))
         recovered = m.zero_class()
         for a in range(m.rank):
-            recovered = recovered + m.eta(duals.delta_dual[a], x) * duals.delta[a]
+            recovered = recovered + m.eta(duals[a], x) * m.basis_class(a)
         assert recovered == x
 
 
 def test_dual_of_dual_round_trip(p2):
     m = p2.model
-    duals = m.dual_bases()
+    duals = m.dual_basis()
     for a in range(m.rank):
         back = m.zero_class()
         for b in range(m.rank):
-            back = back + m.eta(duals.delta[b], duals.delta[a]) * duals.delta_dual[b]
-        assert back == duals.delta[a]
+            back = back + m.eta(m.basis_class(b), m.basis_class(a)) * duals[b]
+        assert back == m.basis_class(a)
 
 
 def test_beta_pairing(p1, p2):
@@ -231,7 +230,7 @@ def _base_p1_dict(p1):
 
 def test_fixture_validation_passes(p1, p2, point):
     for fx in (p1, p2, point):
-        assert validate_model(fx.model).ok
+        assert fx.model.validate().ok
 
 
 def test_degenerate_pairing_flagged(p1):

@@ -284,7 +284,7 @@ def test_primary_potential_is_restriction(p2_engine, p2):
     policy = m.policy(2, max_x_degree=3, max_descendant=1)
     standard = potential_standard(p2_engine, policy)
     primary = potential_primary(p2_engine, policy)
-    assert primary == standard.restricted_to_primary()
+    assert primary == PotentialSeries(policy, {key: s for key, s in standard.items() if all(d == 0 for d, _ in key)})
     # classical cubic block: the pairing of two hyperplanes against the unit
     classical = primary.coefficient(((0, 0), (0, 1), (0, 1)))
     assert classical == Fraction(1, 2) * NovikovSeries.one(policy)
