@@ -147,10 +147,19 @@ class GeometryModel:
         self._cup_records: dict[tuple[str, str], dict[str, Fraction]] = {}
         self._cup_conflicts: set[tuple[str, str]] = set()
         for pair, result in cup_records.items() if isinstance(cup_records, dict) else cup_records:
+            # a file's `a` and `b` may be any JSON value, a list too, so they are
+            # looked up in the label tuple, which needs no hash
+            for label in pair:
+                if label not in self.labels:
+                    raise ModelError(f"cup record {pair[0]!r}∪{pair[1]!r}: unknown basis label {label!r}")
             key = tuple(sorted(pair))
             if key in self._cup_records and self.class_from_map(result) != self.class_from_map(self._cup_records[key]):
                 self._cup_conflicts.add(key)
             self._cup_records[key] = dict(result)
+        for field, by_label in (("integral", integral), ("divisor_pairing", divisor_pairing)):
+            for label in by_label:
+                if label not in self._index:
+                    raise ModelError(f"{field}: unknown basis label {label!r}")
         self._integral = tuple(Fraction(integral.get(label, 0)) for label in labels)
         self._pairing_rows = {label: tuple(row) for label, row in divisor_pairing.items()}
         self.ample = self.class_from_map(ample)

@@ -156,19 +156,35 @@ def constant_map_correlator(
     full Chern-root expansion with tautological integrals from the injected
     table.  Queries outside the dimension constraints return exactly zero.
 
-    Once every insertion is homogeneous, the dimension constraints are
-    screened on the integer degrees before any cup product is formed.  The
-    screen gives the same value as cupping first on any model that passes
-    ``validate()``: by ``cup-graded`` the product of the insertions is zero
-    or homogeneous of the summed degree, by ``degrees-in-range`` it is zero
-    when that degree exceeds the dimension, and by ``integral-top-degree``
-    it integrates to zero off the top degree.
+    The dimension constraints are screened in two halves before any cup
+    product is formed.  The exponent half runs first and reads no class: it
+    returns zero when the descendant exponents alone rule the pattern out,
+    whatever the classes' degrees (which are >= 0).  The degree half runs
+    once the multilinearity split has made every insertion homogeneous, on
+    the integer degrees.  The screen gives the same value as cupping first on
+    any model that passes ``validate()``: by ``cup-graded`` the product of
+    the insertions is zero or homogeneous of the summed degree, by
+    ``degrees-in-range`` it is zero when that degree exceeds the dimension,
+    and by ``integral-top-degree`` it integrates to zero off the top degree.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
     exponents = [d for d, _ in insertions]
     if any(d < 0 for d in exponents):
         raise ValueError("descendant exponents must be non-negative")
+
+    # exponent half of the screen: no choice of classes meets these counts
+    n = len(insertions)
+    delta = model.dimension
+    exponent_sum = sum(exponents)
+    if g == 0:
+        if n < 3 or exponent_sum != n - 3:
+            return Fraction(0)
+    elif g == 1:
+        if n < 1 or exponent_sum not in (n, n - 1):
+            return Fraction(0)
+    elif delta >= 4 or exponent_sum > (g - 1) * (3 - delta) + n:
+        return Fraction(0)
 
     # multilinearity: split any mixed-degree insertion into its homogeneous
     # components, one per degree, so that terms of one degree still cancel
@@ -189,15 +205,14 @@ def constant_map_correlator(
             return total
         degrees.append(degree)
 
-    n = len(insertions)
-    delta = model.dimension
+    # degree half of the screen
     if g == 0:
-        if n < 3 or sum(exponents) != n - 3 or sum(degrees) != delta:
+        if sum(degrees) != delta:
             return Fraction(0)
         return _constant_maps_genus0(insertions, model)
     if g == 1:
         return _constant_maps_genus1(insertions, degrees, model, table)
-    if delta >= 4 or sum(degrees) > delta or sum(exponents) + sum(degrees) != (g - 1) * (3 - delta) + n:
+    if sum(degrees) > delta or exponent_sum + sum(degrees) != (g - 1) * (3 - delta) + n:
         return Fraction(0)
     return _constant_maps_higher(g, insertions, model, table)
 
@@ -219,8 +234,6 @@ def _constant_maps_genus0(insertions, model: GeometryModel) -> Fraction:
 
 def _constant_maps_genus1(insertions, degrees: list[int], model: GeometryModel, table: TautTable | None) -> Fraction:
     n = len(insertions)
-    if n < 1:
-        return Fraction(0)
     delta = model.dimension
     exponents = [d for d, _ in insertions]
     unit_idx = model.unit_index

@@ -411,9 +411,9 @@ def suite_point_vanishing(models: list[GeometryModel] | None = None) -> SuiteRes
     for model in models:
         delta = model.dimension
         basis = [model.basis_class(i) for i in range(model.rank)]
+        slots = [(d, a) for d in range(0, 4) for a in range(model.rank)]
         for g in range(0, 3):
             for n in range(0, 6):
-                slots = [(d, a) for d in range(0, 4) for a in range(model.rank)]
                 for key in combinations_with_replacement(slots, n):
                     exps = [d for d, _ in key]
                     degs = [model.degrees[a] for _, a in key]

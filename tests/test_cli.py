@@ -411,12 +411,18 @@ def test_non_integer_geometry_field_is_an_input_error(tmp_path, capsys, edit, na
         (lambda d: d["chern"].__setitem__(0, ["one"]), "chern entry 0 must be an object, got ['one']"),
         (lambda d: d["cup"][0].update(result=[]), "cup result of 'h'∪'h' must be an object, got []"),
         (lambda d: d["basis"][0].update(label=0), "basis label 0 must be a string"),
+        (lambda d: d.update(integral={"h": "1", "hh": "5"}), "integral: unknown basis label 'hh'"),
+        (lambda d: d.update(divisor_pairing={"h": [1], "zz": [3]}), "divisor_pairing: unknown basis label 'zz'"),
+        (lambda d: d["cup"][0].update(a="x"), "cup record 'x'∪'h': unknown basis label 'x'"),
+        (lambda d: d["cup"][0].update(a=0), "cup record 0∪'h': unknown basis label 0"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "correlator"])
 def test_malformed_geometry_object_is_an_input_error(tmp_path, capsys, edit, named, command):
     # a list in place of an object ended in "AttributeError: 'list' object has no attribute
-    # 'items'" with exit 1, and the label 0 was reported as "unknown basis label 'one'"
+    # 'items'" with exit 1, and the label 0 was reported as "unknown basis label 'one'";
+    # an unknown label under integral or divisor_pairing passed validation, and a cup
+    # record's bad label was reported as the bare 'x' or as "'<' not supported ..."
     from gwdesc import load_fixture
 
     data = load_fixture("P1").model.to_dict()

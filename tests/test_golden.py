@@ -65,6 +65,11 @@ GOLDEN = [
         "4d54c69c59908cf4ebfd6150e08029ba10cf28ef72fea368f7cfbe4d370d24c7",
         id="verify-two-point-paths",
     ),
+    pytest.param(
+        "verify --model P2 --suite point-vanishing",
+        "b4b9759729f3b7a74e832457b97238ddf2dc5859dc3371abe6f5e14e247c58aa",
+        id="verify-point-vanishing",
+    ),
 ]
 
 

@@ -156,6 +156,33 @@ def test_constant_maps_mixed_class_multilinearity(p2):
     assert direct == split
 
 
+def test_exponent_screen_reads_no_class(p2, monkeypatch):
+    from gwdesc.geometry import GeometryModel
+
+    def unread(*_):
+        raise AssertionError("the exponent screen read a class")
+
+    monkeypatch.setattr(GeometryModel, "degree_of", unread)
+    monkeypatch.setattr(GeometryModel, "cup", unread)
+    m = p2.model
+    h, one = m.class_from_map({"h": 1}), m.unit
+    mixed = one + 2 * h
+    ruled_out = [
+        (0, [(0, h), (0, h)]),  # n < 3
+        (0, [(1, h), (0, h), (0, one)]),  # exponents sum to 1, not n - 3 = 0
+        (0, [(2, mixed), (0, h), (0, h), (0, one)]),  # 2, not n - 3 = 1
+        (1, []),  # n < 1
+        (1, [(3, h), (0, mixed)]),  # 3 is neither n = 2 nor n - 1 = 1
+        (2, [(6, h)]),  # 6 > (g - 1)(3 - dimension) + n = 2
+        (2, [(3, mixed), (1, one)]),  # 4 > 3
+    ]
+    for g, insertions in ruled_out:
+        value = constant_map_correlator(g, insertions, m, None)
+        assert (type(value), value) == (Fraction, 0), (g, insertions)
+    with pytest.raises(ValueError, match="non-negative"):
+        constant_map_correlator(0, [(-1, h), (2, h), (0, h)], m, None)
+
+
 # ----------------------------------------------------------------------
 # the integer degree screen against cup-first evaluation
 
@@ -284,3 +311,32 @@ def test_degree_screen_matches_cup_first_evaluation(p1, p2, point):
                         nonzero += not isinstance(want, tuple) and want != 0
     # counts measured with the cup-first code; a screen that zeroes too much cannot match them
     assert (compared, nonzero, raised) == (7875, 349, 555)
+
+
+def test_degree_screen_matches_cup_first_evaluation_in_the_scan_window(p2):
+    # the point-vanishing scan runs n <= 5 at levels <= 3; the case above stops
+    # at n <= 3 and levels <= 2.  Every basis-class pattern with n = 4 or 5 is
+    # compared, and the mixed class fills one slot at n = 4 on P2 (the mixed
+    # split multiplies the reference's cost by the rank, so it is not run on
+    # the whole window)
+    from gwdesc.fixtures import genus1_taut_table
+    from gwdesc.verify import _p3_like_model
+
+    tables = {0: None, 1: genus1_taut_table()}
+    compared = nonzero = raised = 0
+    for model in (p2.model, _p3_like_model()):
+        slots = [(d, model.basis_class(i)) for d in range(4) for i in range(model.rank)]
+        patterns = [key for n in (4, 5) for key in combinations_with_replacement(slots, n)]
+        if model is p2.model:
+            mixed = CohClass(tuple(Fraction((-1) ** i * (i + 1), i + 2) for i in range(model.rank)))
+            patterns += [key + ((d, mixed),) for d in range(4) for key in combinations_with_replacement(slots, 3)]
+        for g, table in tables.items():
+            for insertions in patterns:
+                want = _outcome(lambda: _cup_first_reference(g, insertions, model, table))
+                got = _outcome(lambda: constant_map_correlator(g, insertions, model, table))
+                assert got == want, (model.name, g, insertions)
+                compared += 1
+                raised += isinstance(want, tuple)
+                nonzero += not isinstance(want, tuple) and want != 0
+    # counts measured with the cup-first code
+    assert (compared, nonzero, raised) == (53138, 47, 81)
