@@ -259,10 +259,14 @@ class GeometryModel:
 
     def degree_of(self, x: CohClass) -> int | None:
         """Degree of a homogeneous class; None for zero or mixed classes."""
-        degs = {self.degrees[i] for i in x.support()}
-        if len(degs) != 1:
+        support = x.support()
+        if not support:
             return None
-        return degs.pop()
+        degree = self.degrees[support[0]]
+        for i in support[1:]:
+            if self.degrees[i] != degree:
+                return None
+        return degree
 
     def gram_matrix(self) -> list[list[Fraction]]:
         basis = [self.basis_class(i) for i in range(self.rank)]

@@ -412,18 +412,23 @@ def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], 
 
 
 def _admissible_keys(
-    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex]
+    engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
 ) -> list[tuple[PhaseIndex, ...]]:
     """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the
     window some dimension-admissible class (all of them with ``check_dimension`` off): a
-    filtered ``combinations_with_replacement``, in its order."""
-    weights = [d + engine.model.degrees[a] for d, a in indices]
+    filtered ``combinations_with_replacement``, in its order.
+
+    With ``modified`` the levels are pulled-back powers from M̄_{0,n}, of dimension n - 3,
+    so only the monomials whose levels sum to at most n - 3 are kept: every other modified
+    correlator vanishes."""
     keys: list[tuple[PhaseIndex, ...]] = []
     for n in range(3, policy.max_x_degree + 1):
+        pool = [(d, a) for d, a in indices if d <= n - 3] if modified else indices
+        weights = [d + engine.model.degrees[a] for d, a in pool]
         totals = list(map(sum, combinations_with_replacement(weights, n)))
         wanted = {t for t in set(totals) if engine.admissible_classes(policy, n, t)}
-        for key, total in zip(combinations_with_replacement(indices, n), totals):
-            if total in wanted:
+        for key, total in zip(combinations_with_replacement(pool, n), totals):
+            if total in wanted and (not modified or sum(d for d, _ in key) <= n - 3):
                 keys.append(key)
     return keys
 
@@ -433,7 +438,8 @@ def _potential(
 ) -> PotentialSeries:
     """Potential whose key coefficient sums the key's descendant correlator (pulled-back
     powers if ``modified``) over the classes where the key's dimension count can hold;
-    keys with no such class are never formed.
+    keys with no such class are never formed, nor, if ``modified``, keys whose levels sum
+    past n - 3 (the dimension of M̄_{0,n}, so their correlators vanish).
 
     Keys are assembled in increasing number of marks.  A descendant key of four or more
     marks with a string, dilaton or divisor insertion takes its series from the keys of
@@ -457,7 +463,7 @@ def _potential(
         return series
 
     # _assemble asks for the keys in their order, so the keys of n - 1 marks are built first
-    return _assemble(policy, _admissible_keys(engine, policy, indices), correlator)
+    return _assemble(policy, _admissible_keys(engine, policy, indices, modified), correlator)
 
 
 def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
@@ -515,7 +521,9 @@ def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> Po
 
 
 def potential_modified(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:
-    """Same assembly with every cotangent power replaced by a pulled-back one."""
+    """Same assembly with every cotangent power replaced by a pulled-back one; only the
+    monomials of n marks whose levels sum to at most n - 3 are formed, since a pulled-back
+    power from M̄_{0,n} of higher degree vanishes."""
     return _potential(engine, policy, phase_indices(policy, engine.model.rank), modified=True)
 
 
@@ -604,7 +612,8 @@ def transform_identity_report(
     modified = potential_modified(engine, policy)
     transform = build_transform(engine, policy)
     composed = compose_with_transform(modified, transform)
-    mismatches = standard.difference(composed)
+    # equality is one dict comparison; difference subtracts and sorts every key
+    mismatches = [] if standard == composed else standard.difference(composed)
     checked = len({k for k, _ in standard.items()} | {k for k, _ in composed.items()})
 
     if substitution_keys is None:

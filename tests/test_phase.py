@@ -329,25 +329,65 @@ def test_dimension_skip_matches_the_full_window(p2, name, window, standard_keys,
 @pytest.mark.parametrize(
     "name, window, level0, counts",
     [
-        ("P2", (3, 5, 3), False, (1564, 6097)),
-        ("P2", (3, 5, 3), True, (13, 46)),
-        ("P1", (3, 6, 4), False, (926, 7942)),
-        ("point", (0, 7, 4), False, (12, 771)),
+        ("P2", (3, 5, 3), False, (1564, 6097, 72, 226)),
+        ("P2", (3, 5, 3), True, (13, 46, 13, 46)),
+        ("P1", (3, 6, 4), False, (926, 7942, 67, 149)),
+        ("point", (0, 7, 4), False, (12, 771, 12, 26)),
     ],
 )
 def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
-    """Pinned key counts, checked and unchecked engine.  A spare zero-valued key
-    would leave every coefficient unchanged, so only the counts catch it."""
+    """Pinned key counts, checked and unchecked engine, without and with the modified
+    screen (levels summing to at most n - 3).  A spare zero-valued key would leave
+    every coefficient unchanged, so only the counts catch it."""
     fixture = {"P1": p1, "P2": p2, "point": point}[name]
-    model = fixture.model
+    model, table = fixture.model, fixture.primary
     policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
     indices = [(0, a) for a in range(model.rank)] if level0 else phase_indices(policy, model.rank)
-    checked = phase._admissible_keys(CorrelatorEngine(model, fixture.primary), policy, indices)
-    unchecked = phase._admissible_keys(CorrelatorEngine(model, fixture.primary, check_dimension=False), policy, indices)
-    assert (len(checked), len(unchecked)) == counts
-    # the checked list is the unchecked one with keys dropped, order kept
-    remaining = iter(unchecked)
-    assert all(key in remaining for key in checked)
+    lists = [
+        phase._admissible_keys(CorrelatorEngine(model, table, check_dimension=check), policy, indices, modified)
+        for modified in (False, True)
+        for check in (True, False)
+    ]
+    assert tuple(map(len, lists)) == counts
+    # each screened list is the unchecked standard one with keys dropped, order kept
+    for keys in (lists[0], lists[2], lists[3]):
+        remaining = iter(lists[1])
+        assert all(key in remaining for key in keys)
+    for keys in lists[2:]:
+        assert all(sum(d for d, _ in key) <= len(key) - 3 for key in keys)
+
+
+@pytest.mark.parametrize(
+    "name, window, dropped", [("P1", (3, 6, 4), 859), ("P2", (3, 5, 3), 1492), ("quadric", (2, 4, 2), 398)]
+)
+def test_modified_key_screen_drops_only_zero_keys(p1, p2, name, window, dropped):
+    """Every key the modified screen drops has a zero summed pulled-back correlator on a
+    fresh engine, and the screened potential equals the assembly over every standard key,
+    coefficient for coefficient."""
+    if name == "quadric":
+        model = quadric_model()
+        table = quadric_table(model)
+    else:
+        fixture = p1 if name == "P1" else p2
+        model, table = fixture.model, fixture.primary
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    indices = phase_indices(policy, model.rank)
+    engine = CorrelatorEngine(model, table)
+    every_key = phase._admissible_keys(engine, policy, indices)
+    screened = set(phase._admissible_keys(engine, policy, indices, modified=True))
+    reference = CorrelatorEngine(model, table)
+
+    def correlator(key):
+        triples = [(0, d, model.basis_class(a)) for d, a in key]
+        return phase.summed(policy, lambda beta: reference.generalized(beta, triples))
+
+    assert len(every_key) - len(screened) == dropped
+    for key in every_key:
+        if key not in screened:
+            assert correlator(key).is_zero(), key
+    modified = potential_modified(engine, policy)
+    assert not modified.is_zero()
+    assert modified == phase._assemble(policy, every_key, correlator)
 
 
 @pytest.mark.parametrize(
@@ -442,6 +482,36 @@ def test_transform_identity_small(p1_engine, p1):
     report = transform_identity_report(p1_engine, policy)
     assert report.ok, str(report)
     assert report.transform == build_transform(p1_engine, policy)
+
+
+def test_transform_identity_tests_equality_before_diffing(p1, monkeypatch):
+    """Equal potentials give no mismatch without ``difference`` being called; with one
+    transform entry perturbed, the report's mismatches are exactly the difference."""
+    model = p1.model
+    policy = model.policy(3, max_x_degree=5, max_descendant=3)
+
+    def refuse(self, other):
+        raise AssertionError("difference called on equal potentials")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(PotentialSeries, "difference", refuse)
+        report = transform_identity_report(CorrelatorEngine(model, p1.primary), policy)
+    assert report.ok and report.potential_mismatches == []
+    assert report.checked_keys == 270  # recorded before the equality test was added
+
+    def perturbed(engine, policy):
+        # doubling this entry keeps the composed potential's 270 keys and changes 57 of them
+        entries = dict(build_transform(engine, policy).items())
+        entries[((1, 0), (2, 1))] = 2 * entries[((1, 0), (2, 1))]
+        return PhaseTransform(policy, model.rank, entries)
+
+    monkeypatch.setattr(phase, "build_transform", perturbed)
+    engine = CorrelatorEngine(model, p1.primary)
+    report = transform_identity_report(engine, policy)
+    standard = potential_standard(engine, policy)
+    composed = compose_with_transform(potential_modified(engine, policy), perturbed(engine, policy))
+    assert len(composed.items()) == len(standard.items()) and len(report.potential_mismatches) == 57
+    assert report.potential_mismatches == standard.difference(composed)
 
 
 def test_transform_identity_trivial_descendants(p2_engine, p2):
