@@ -132,6 +132,16 @@ class TruncationPolicy:
         found = sorted((self.beta_degree(beta), beta) for beta in _cartesian(*ranges))
         return {beta: d for d, beta in found if d <= self.max_beta_degree}
 
+    @cached_property
+    def sums(self) -> dict[CurveClass, dict[CurveClass, CurveClass]]:
+        """For each class b1 of the window, the map b2 -> b1 + b2 over the classes b2 whose
+        sum with b1 stays within the degree bound, formed once per policy like :attr:`degrees`."""
+        bound = self.max_beta_degree
+        return {
+            b1: {b2: beta_add(b1, b2) for b2, d2 in self.degrees.items() if d1 + d2 <= bound}
+            for b1, d1 in self.degrees.items()
+        }
+
     def iter_effective(self) -> Iterator[CurveClass]:
         """All effective classes of degree <= max_beta_degree, in the order of :attr:`degrees`."""
         return iter(self.degrees)
@@ -208,8 +218,7 @@ class NovikovSeries:
             return NotImplemented
         self._check_policy(other)
         acc = dict(self._terms)
-        for beta, coeff in other._terms.items():
-            acc[beta] = acc[beta] + coeff if beta in acc else coeff
+        _accumulate(acc, other._terms)
         return NovikovSeries._trusted(self.policy, acc)
 
     def __neg__(self) -> NovikovSeries:
@@ -221,24 +230,16 @@ class NovikovSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        acc: dict[CurveClass, Fraction] = {}
         if isinstance(other, NovikovSeries):
             self._check_policy(other)
-            bound = self.policy.max_beta_degree
-            deg = self.policy.degrees  # every term lies inside the window
-            right = [(b2, c2, deg[b2]) for b2, c2 in other._terms.items()]
-            acc: dict[CurveClass, Fraction] = {}
-            for b1, c1 in self._terms.items():
-                room = bound - deg[b1]
-                for b2, c2, d2 in right:
-                    if d2 > room:
-                        continue
-                    b = beta_add(b1, b2)
-                    acc[b] = acc[b] + c1 * c2 if b in acc else c1 * c2
-            return NovikovSeries._trusted(self.policy, acc)
-        if isinstance(other, (int, Fraction)):
+            _accumulate_product(acc, self.policy.sums, self._terms, other._terms)
+        elif isinstance(other, (int, Fraction)):
             # a Fraction times an int is a Fraction, so only the zero terms need dropping
-            return NovikovSeries._trusted(self.policy, {b: c * other for b, c in self._terms.items()})
-        return NotImplemented
+            _accumulate(acc, self._terms, other)
+        else:
+            return NotImplemented
+        return NovikovSeries._trusted(self.policy, acc)
 
     __rmul__ = __mul__
 
@@ -261,6 +262,37 @@ class NovikovSeries:
 
     def __repr__(self) -> str:
         return f"NovikovSeries({self})"
+
+
+def _accumulate(acc: dict[CurveClass, Fraction], terms: Mapping[CurveClass, Fraction], scale=1) -> None:
+    """Add ``scale`` times ``terms`` into the raw dict ``acc``, in place; a zero sum stays
+    stored until the caller wraps ``acc`` (see :meth:`NovikovSeries._trusted`).  ``acc``
+    must be the caller's own dict, never the terms of a series."""
+    if scale == 1:
+        for beta, coeff in terms.items():
+            acc[beta] = acc[beta] + coeff if beta in acc else coeff
+    else:
+        for beta, coeff in terms.items():
+            coeff = coeff * scale
+            acc[beta] = acc[beta] + coeff if beta in acc else coeff
+
+
+def _accumulate_product(
+    acc: dict[CurveClass, Fraction],
+    sums: dict[CurveClass, dict[CurveClass, CurveClass]],
+    left: Mapping[CurveClass, Fraction],
+    right: Mapping[CurveClass, Fraction],
+) -> None:
+    """Add the product ``left`` * ``right``, truncated through the policy's table
+    :attr:`TruncationPolicy.sums`, into the raw dict ``acc``, in place, by the rule of
+    :func:`_accumulate`; both factors must lie inside the window."""
+    for b1, c1 in left.items():
+        row = sums[b1]
+        for b2, c2 in right.items():
+            beta = row.get(b2)
+            if beta is not None:
+                coeff = c1 * c2
+                acc[beta] = acc[beta] + coeff if beta in acc else coeff
 
 
 def derivative_q(series: NovikovSeries, pairing) -> NovikovSeries:

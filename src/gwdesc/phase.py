@@ -10,20 +10,20 @@ series.  Every object here is exact and truncated by one shared policy.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
 from typing import Callable, Sequence
 
 from .exact import (
     CurveClass,
     NovikovSeries,
+    PolicyMismatchError,
     TruncationPolicy,
+    _accumulate,
+    _accumulate_product,
     antiderivative_q,
     beta_is_zero,
-    derivative_q,
     format_rational,
 )
 from .engine import CorrelatorEngine, PrimaryTable
@@ -394,9 +394,12 @@ class PotentialSeries:
 
 
 def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
-    factor = 1
-    for count in Counter(key).values():
-        factor *= factorial(count)
+    """The product of the factorials of the multiplicities of the sorted ``key``: along a
+    run of equal indices the k-th one multiplies by k."""
+    factor = run = 1
+    for prev, idx in zip(key, key[1:]):
+        run = run + 1 if idx == prev else 1
+        factor *= run
     return factor
 
 
@@ -407,7 +410,8 @@ def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], 
         series = correlator(key)
         if series.is_zero():
             continue
-        coeffs[key] = series * Fraction(1, _multiplicity_factor(key))
+        factor = _multiplicity_factor(key)
+        coeffs[key] = series if factor == 1 else series * Fraction(1, factor)
     return PotentialSeries(policy, coeffs)
 
 
@@ -494,7 +498,6 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
         a_s: {beta: model.beta_pairing(model.basis_class(a_s), beta) for beta in policy.degrees} for a_s in divisors
     }
     axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
-    zero = NovikovSeries.zero(policy)
 
     def reduce(key, built):
         slot = next((p for p, idx in enumerate(key) if idx in axiom_indices), None) if len(key) >= 4 else None
@@ -502,15 +505,22 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
             return None
         d_s, a_s = key[slot]
         rest = key[:slot] + key[slot + 1 :]
+        # the terms are summed into one raw dict of our own, never into a series in built
+        acc: dict[CurveClass, Fraction] = {}
         if d_s == 1:
-            return (len(rest) - 2) * built.get(rest, zero)
-        total = zero if a_s in units else derivative_q(built.get(rest, zero), pairings[a_s].__getitem__)
+            if rest in built:
+                _accumulate(acc, built[rest]._terms, len(rest) - 2)
+            return NovikovSeries._trusted(policy, acc)
+        if a_s not in units and rest in built:
+            pairing = pairings[a_s]
+            acc = {beta: c * pairing[beta] for beta, c in built[rest]._terms.items()}
         for i, (d, a) in enumerate(rest):
             if d >= 1:
                 for c, idx in lowerings[a_s][a]:
-                    term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])), zero)
-                    total = total + (term if c == 1 else c * term)
-        return total
+                    term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])))
+                    if term is not None:
+                        _accumulate(acc, term._terms, c)
+        return NovikovSeries._trusted(policy, acc)
 
     return reduce
 
@@ -534,24 +544,46 @@ def potential_primary(engine: CorrelatorEngine, policy: TruncationPolicy) -> Pot
 
 def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform) -> PotentialSeries:
     """Substitute the coordinate change into a potential, exactly: each key's
-    expansion starts from its coefficient and takes one transform row per index."""
-    out: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    one = NovikovSeries.one(potential.policy)
+    expansion starts from its coefficient and takes one transform row per index.
+
+    Raises PolicyMismatchError when a row the potential uses holds an entry built over
+    another truncation policy."""
+    policy = potential.policy
+    sums = policy.sums
+    one = NovikovSeries.one(policy)
+    rows: dict[PhaseIndex, list[tuple[PhaseIndex, dict | None]]] = {}
+
+    def row(idx):
+        """T's row at ``idx`` as (input, entry terms), with None for a unit entry; formed
+        and policy-checked once per row."""
+        if idx not in rows:
+            rows[idx] = []
+            for inp, entry in transform._rows.get(idx, {}).items():
+                if entry.policy is not policy and entry.policy != policy:
+                    raise PolicyMismatchError("transform built over a different truncation policy")
+                rows[idx].append((inp, None if entry == one else entry._terms))
+        return rows[idx]
+
+    # every dict written below is created here: a coefficient's or an entry's terms are only read
+    out: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
     for key, coeff in potential.items():
-        expansions: dict[tuple[PhaseIndex, ...], NovikovSeries] = {(): coeff}
+        expansions = {(): coeff._terms}
         for idx in key:
-            new: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-            for xs, series in expansions.items():
-                for inp, entry in transform._rows.get(idx, {}).items():
-                    prod = series if entry == one else series * entry
-                    if prod.is_zero():
-                        continue
+            new: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
+            for xs, terms in expansions.items():
+                for inp, entry in row(idx):
                     nk = tuple(sorted(xs + (inp,)))
-                    new[nk] = new[nk] + prod if nk in new else prod
+                    acc = new.get(nk, {})
+                    if entry is None:
+                        _accumulate(acc, terms)
+                    else:
+                        _accumulate_product(acc, sums, terms, entry)
+                    if acc:
+                        new[nk] = acc
             expansions = new
-        for xkey, term in expansions.items():
-            out[xkey] = out[xkey] + term if xkey in out else term
-    return PotentialSeries(potential.policy, out)
+        for xkey, terms in expansions.items():
+            _accumulate(out.setdefault(xkey, {}), terms)
+    return PotentialSeries(policy, {xkey: NovikovSeries._trusted(policy, terms) for xkey, terms in out.items()})
 
 
 # ----------------------------------------------------------------------
@@ -614,7 +646,7 @@ def transform_identity_report(
     composed = compose_with_transform(modified, transform)
     # equality is one dict comparison; difference subtracts and sorts every key
     mismatches = [] if standard == composed else standard.difference(composed)
-    checked = len({k for k, _ in standard.items()} | {k for k, _ in composed.items()})
+    checked = len(standard._coeffs.keys() | composed._coeffs.keys())
 
     if substitution_keys is None:
         substitution_keys = [

@@ -10,6 +10,7 @@ from gwdesc.exact import (
     PolicyMismatchError,
     TruncationPolicy,
     antiderivative_q,
+    beta_add,
     beta_splittings,
     derivative_q,
     format_rational,
@@ -134,6 +135,21 @@ def test_policy_mismatch_raises():
         _ = a * b
     equal = NovikovSeries(TruncationPolicy(beta_weights=(1,), max_beta_degree=4), {(1,): 1})
     assert equal.policy is not a.policy and a + equal == series({(1,): 2})
+
+
+@pytest.mark.parametrize("name", ["weights (2, 3)", "P2"])
+def test_sum_table_holds_exactly_the_pairs_within_the_bound(p2, name):
+    policy = TruncationPolicy(beta_weights=(2, 3), max_beta_degree=9) if name != "P2" else p2.model.policy(4)
+    degrees, bound = policy.degrees, policy.max_beta_degree
+    table = policy.sums
+    assert list(table) == list(degrees)
+    pairs = {(b1, b2) for b1 in table for b2 in table[b1]}
+    assert pairs == {(b1, b2) for b1 in degrees for b2 in degrees if degrees[b1] + degrees[b2] <= bound}
+    assert all(total == beta_add(b1, b2) and total in degrees for b1 in table for b2, total in table[b1].items())
+    # degrees 0,2,3,4,5,6,6,7,8,8,9,9 give 1+2+2+3+4+7+6+11+12 = 48 ordered pairs of sum
+    # 0..9 over weights (2, 3); P2's degrees 0..4 give 5+4+3+2+1 = 15
+    assert len(pairs) == {"P2": 15}.get(name, 48)
+    assert policy.sums is table  # formed once per policy
 
 
 def test_antiderivative():

@@ -7,7 +7,7 @@ import pytest
 from test_quadric import quadric_model, quadric_table
 
 from gwdesc import CorrelatorEngine
-from gwdesc.exact import NovikovSeries, TruncationPolicy
+from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy
 from gwdesc import phase
 from gwdesc.phase import (
     PhaseTransform,
@@ -462,6 +462,71 @@ def test_compose_matches_multiplying_every_entry(p1_engine, p1):
     composed = compose_with_transform(modified, transform)
     assert composed == _compose_multiplying_every_entry(modified, transform)
     assert composed != compose_with_transform(modified, build_transform(p1_engine, policy))
+
+
+@pytest.mark.parametrize("window", [(2, 4, 2), (3, 0, 2), (3, 4, 1)])
+def test_compose_refuses_a_transform_over_another_window(p1_engine, p1, window):
+    m = p1.model
+    modified = potential_modified(p1_engine, m.policy(3, max_x_degree=4, max_descendant=2))
+    qmax, xdeg, dmax = window
+    transform = build_transform(p1_engine, m.policy(qmax, max_x_degree=xdeg, max_descendant=dmax))
+    with pytest.raises(PolicyMismatchError):
+        compose_with_transform(modified, transform)
+
+
+def test_compose_and_the_axiom_reduction_write_into_no_stored_series(p1):
+    """The sums accumulate in place into dicts of their own: composing twice leaves the
+    potential and the transform as they were, and a second build of the standard
+    potential on a warm engine equals the build on a fresh one."""
+    model = p1.model
+    policy = model.policy(3, max_x_degree=5, max_descendant=3)
+    engine = CorrelatorEngine(model, p1.primary)
+    standard = potential_standard(engine, policy)
+    modified = potential_modified(engine, policy)
+    transform = build_transform(engine, policy)
+    modified_before = [(key, series.items()) for key, series in modified.items()]
+    transform_before = [(idx, series.items()) for idx, series in transform.items()]
+    first = compose_with_transform(modified, transform)
+    second = compose_with_transform(modified, transform)
+    assert first == second == standard
+    assert [(key, series.items()) for key, series in modified.items()] == modified_before
+    assert [(idx, series.items()) for idx, series in transform.items()] == transform_before
+    assert potential_standard(engine, policy) == potential_standard(CorrelatorEngine(model, p1.primary), policy)
+
+
+def test_compose_stores_no_term_that_cancels():
+    """Two expansion paths of one key cancel at one output key, and two keys cancel the
+    q^(0,1) term at another: the cancelled key and the zero term are not stored."""
+    model = quadric_model()
+    policy = model.policy(2, max_x_degree=3, max_descendant=1)
+    one = NovikovSeries.one(policy)
+    q = {beta: NovikovSeries.monomial(policy, beta) for beta in [(1, 0), (0, 1)]}
+    entries = {(idx, idx): one for idx in phase_indices(policy, model.rank)}
+    # rows (0,1) and (0,2) swap a and b, one way with +1 (a unit off the diagonal), back with -1
+    entries[((0, 1), (0, 2))] = one
+    entries[((0, 2), (0, 1))] = -one
+    entries[((0, 0), (1, 0))] = q[(0, 1)]
+    transform = PhaseTransform(policy, model.rank, entries)
+    potential = PotentialSeries(
+        policy,
+        {
+            ((0, 1), (0, 2), (0, 3)): one + q[(1, 0)],
+            ((0, 0), (0, 0), (1, 3)): one,
+            ((0, 0), (1, 0), (1, 3)): -2 * q[(0, 1)] + q[(1, 0)],
+        },
+    )
+    composed = compose_with_transform(potential, transform)
+    assert composed == _compose_multiplying_every_entry(potential, transform)
+    assert ((0, 1), (0, 2), (0, 3)) not in composed._coeffs  # 1·1 + 1·(-1) on both orders
+    assert composed.coefficient(((0, 0), (1, 0), (1, 3))) == q[(1, 0)]  # 2q^(0,1) - 2q^(0,1) + q^(1,0)
+    assert all(series._terms and all(series._terms.values()) for series in composed._coeffs.values())
+
+
+def test_multiplicity_factor_is_the_product_of_run_factorials():
+    assert [
+        phase._multiplicity_factor(key)
+        for key in [(), ((0, 1),), ((0, 1), (0, 1), (0, 1)), ((0, 0), (0, 0), (0, 1), (1, 1), (1, 1), (1, 1))]
+    ] == [1, 1, 6, 12]
 
 
 def test_summed_builds_fraction_series_equal_to_the_public_constructor(p2_engine, p2):
