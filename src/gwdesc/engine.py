@@ -410,16 +410,12 @@ class CorrelatorEngine:
         refs: tuple[int, int, int] | None = None,
     ) -> Fraction:
         n = len(ins)
-        if n == 3:
-            # the curve moduli with three marks is a point, so any pulled-back
-            # power kills the correlator
-            return Fraction(0)
         if refs is None:
             i = next(p for p, (_, e, _) in enumerate(ins) if e >= 1)
             j, k = [p for p in range(n) if p != i][:2]
         else:
             i, j, k = refs
-            if len({i, j, k}) != 3 or ins[i][1] < 1:
+            if len({i, j, k}) != 3 or not {i, j, k} <= set(range(n)) or ins[i][1] < 1:
                 raise ValueError("refs must be three distinct positions, the first carrying a power")
         _, e_i, a_i = ins[i]
         rest_positions = [p for p in range(n) if p not in (i, j, k)]

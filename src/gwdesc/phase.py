@@ -126,13 +126,12 @@ def two_point_from_primaries(
 ) -> NovikovSeries:
     """Two-point descendant series built from primary three-point data only.
 
-    Alternating closed form: iterating the divisor relation trades the
-    cotangent power for divisor cup powers on the descendant slot, leaving
-    triple correlators that the product-compatibility identity converts
-    into lower two-point series; each step ends with one formal
-    antiderivative per division by the divisor pairing.  This is a second,
-    engine-independent route to the same series.  Each call builds a fresh
-    :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
+    Alternating closed form: iterating the divisor relation trades the cotangent power for
+    divisor cup powers on the descendant slot, leaving triple correlators that the
+    product-compatibility identity converts into lower two-point series; each step ends with
+    one formal antiderivative per division by the divisor pairing.  This route, which never
+    consults the engine, builds T and checks the engine's two-point values.  Each call builds
+    a fresh :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
     """
     return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
 
@@ -185,17 +184,18 @@ class _PrimaryTwoPoint:
 
     def _compute(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
         model, policy, gamma0 = self.model, self.policy, self.gamma0
-        total = NovikovSeries.zero(policy)
+        total: dict[CurveClass, Fraction] = {}
         for j in range(1, d + 2):
-            sign = Fraction((-1) ** (j + 1))
             shifted_x = model.cup(self._power(j - 1), x)
             if shifted_x.is_zero():
                 continue
             if j <= d:
-                bracket = NovikovSeries.zero(policy)
+                acc: dict[CurveClass, Fraction] = {}
                 for a, coeff in enumerate(self._product(y)):
                     if not coeff.is_zero():
-                        bracket = bracket + coeff * self.series(d - j, shifted_x, model.basis_class(a))
+                        lower = self.series(d - j, shifted_x, model.basis_class(a))
+                        _accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
+                bracket = NovikovSeries._trusted(policy, acc)
             else:  # the antiderivatives below need the bracket without its zero-class term
                 bracket = summed(
                     policy,
@@ -204,8 +204,8 @@ class _PrimaryTwoPoint:
                 )
             for _ in range(j):
                 bracket = antiderivative_q(bracket, self._pairing)
-            total = total + sign * bracket
-        return total
+            _accumulate(total, bracket._terms, (-1) ** (j + 1))
+        return NovikovSeries._trusted(policy, total)
 
 
 # ----------------------------------------------------------------------
@@ -293,6 +293,14 @@ class PhaseTransform:
         entries = {(o, i): s for o, row in rows.items() for i, s in row.items()}
         return PhaseTransform(self.policy, self.basis_rank, entries)
 
+    def checked_inverse(self) -> PhaseTransform | None:
+        """The inverse if it exists and composes with the transform to the identity, else None."""
+        try:
+            inverse = self.inverse()
+        except ValueError:  # no unit diagonal or not strictly raising
+            return None
+        return inverse if self.compose(inverse).is_identity() else None
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseTransform):
             return NotImplemented
@@ -323,17 +331,21 @@ def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> Phase
     The (c,b) output coordinate picks up, from each input x_{d,a} with
     d >= c+1, the two-point series of level d-c-1 pairing the a-th basis
     class against the b-th dual class.  An entry depends on the levels only
-    through the gap d-c, so each gap's series are summed once; the
-    constructor drops the zero ones.
+    through the gap d-c, so each gap's series is formed once; the
+    constructor drops the zero ones.  Every series comes from the primary-only
+    route (:class:`_PrimaryTwoPoint`) at the engine's table and gamma0: T is
+    determined by the three-point primaries and the cup product, and building
+    it evaluates no engine correlator.
     """
     model, rank, top = engine.model, engine.model.rank, policy.max_descendant
+    route = _PrimaryTwoPoint(model, engine.primary_table, policy, engine.gamma0)
     duals = model.dual_basis()
     one = NovikovSeries.one(policy)
     entries = {(idx, idx): one for idx in phase_indices(policy, rank)}
     for k in range(top):  # the gap d - c - 1
         for a in range(rank):
             for b in range(rank):
-                series = summed_two_point(engine, k, model.basis_class(a), duals[b], policy)
+                series = route.series(k, model.basis_class(a), duals[b])
                 for c in range(top - k):
                     entries[((c, b), (c + k + 1, a))] = series
     return PhaseTransform(policy, rank, entries)

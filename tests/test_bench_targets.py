@@ -35,7 +35,7 @@ def test_every_per_layer_metric_has_a_live_target():
     try:
         model = fixture.model
         engine = CorrelatorEngine(model, fixture.primary)
-        report = phase.transform_identity_report(engine, model.policy(1, max_x_degree=4, max_descendant=1))
+        report = phase.transform_identity_report(engine, model.policy(1, max_x_degree=4, max_descendant=2))
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
@@ -44,3 +44,5 @@ def test_every_per_layer_metric_has_a_live_target():
     assert [name for name in listed if name in metrics and metrics[name] is None] == []
     # the assembly wrapper calls _assemble positionally and counted the keys
     assert metrics["phase.assemble.keys"] > 0 and metrics["engine.generalized.calls"] > 0
+    # T is built by the primary-only route, whose quantum products the tracer sees
+    assert metrics["phase.quantum_product.calls"] > 0

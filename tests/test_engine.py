@@ -197,6 +197,21 @@ def test_modified_reference_choice_is_free(point_engine, point, p2_engine, p2):
         assert p2_engine.modified((1,), pairs2, refs=refs) == base
 
 
+def test_modified_refs_are_three_distinct_marks_of_the_query(p2_engine, p2):
+    """refs are three distinct positions of the sorted expansion at every number of marks:
+    a negative position would split a mark twice (0 for the true 1), one past the end would
+    index outside the query, and three marks are screened like four."""
+    m = p2.model
+    h, h2 = cls(m, "h"), cls(m, "h2")
+    pairs = [(1, h2), (0, h2), (0, h), (0, m.unit)]  # the power carrier sorts last
+    assert p2_engine.modified((1,), pairs) == p2_engine.modified((1,), pairs, refs=(3, 0, 1)) == 1
+    three = [(1, h), (0, h), (0, h2)]
+    assert p2_engine.modified((1,), three, refs=(2, 0, 1)) == 0
+    for query, refs in [(pairs, (-1, 0, 1)), (pairs, (3, 0, 9)), (pairs, (0, 1, 2)), (three, (0, 1, 2))]:
+        with pytest.raises(ValueError, match="refs must be three distinct positions"):
+            p2_engine.modified((1,), query, refs=refs)
+
+
 @pytest.mark.parametrize("name", ["P1", "P2", "quadric"])
 def test_pulled_back_powers_past_the_moduli_dimension_vanish(p1, p2, name):
     """``_gen`` returns 0 unevaluated when the pulled-back powers sum past n - 3.

@@ -184,6 +184,42 @@ def test_build_transform_trivial_truncation(p1_engine, p1):
     assert transform.is_identity()
 
 
+def engine_summed_transform(engine, policy):
+    """The reference T: every off-diagonal entry summed from the engine's own two-point
+    values, the construction the primary-only route must reproduce."""
+    model, rank, top = engine.model, engine.model.rank, policy.max_descendant
+    duals = model.dual_basis()
+    entries = {(idx, idx): NovikovSeries.one(policy) for idx in phase_indices(policy, rank)}
+    for k in range(top):
+        for a in range(rank):
+            for b in range(rank):
+                series = summed_two_point(engine, k, model.basis_class(a), duals[b], policy)
+                for c in range(top - k):
+                    entries[((c, b), (c + k + 1, a))] = series
+    return PhaseTransform(policy, rank, entries)
+
+
+@pytest.mark.parametrize("name, qmax, dmax", [("P1", 3, 3), ("P2", 3, 3), ("quadric", 2, 2), ("P2-scaled", 3, 3)])
+def test_build_transform_equals_the_engine_summed_reference(p1, p2, name, qmax, dmax):
+    """T is built from the primaries alone: a fresh engine's memo stays empty, and T equals
+    the engine-summed construction, also with the rescaled divisor 3·ample."""
+    if name == "quadric":
+        model = quadric_model()
+        engine = CorrelatorEngine(model, quadric_table(model))
+    else:
+        fixture = p1 if name == "P1" else p2
+        model = fixture.model
+        gamma0 = 3 * model.ample if name == "P2-scaled" else None
+        engine = CorrelatorEngine(model, fixture.primary, gamma0=gamma0)
+    policy = model.policy(qmax, max_descendant=dmax)
+    transform = build_transform(engine, policy)
+    assert engine._memo == {}
+    reference = engine_summed_transform(engine, policy)
+    assert engine._memo  # the reference did consult the engine
+    assert transform == reference
+    assert not transform.is_identity()
+
+
 def test_build_transform_entries(p1_engine, p1):
     m = p1.model
     policy = m.policy(1, max_descendant=2)
