@@ -4,13 +4,15 @@ Subcommands: ``correlator`` (one exact value or a summed series),
 ``intersect`` (genus-0 cotangent integrals), ``transform`` (dump the
 coordinate change and its inverse), ``potential`` (dump a generating
 potential), ``validate`` (model diagnostics) and ``verify`` (identity
-suites).  Exit codes: 0 success, 1 identity failure, 2 input error.
+suites).  Exit codes: 0 success, 1 identity failure, 2 input error, 141 stdout
+closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -302,7 +304,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): no input error, so no message; the
+        # rest of the output goes to devnull, where the interpreter's final flush succeeds
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a descriptor (an in-process capture)
+            pass
+        return 141  # 128 + SIGPIPE, the code of a shell pipeline stage killed by a closed pipe
     except (GwdescError, ValueError, OSError) as exc:
         # plain ValueErrors (the engine's class and genus checks among them) are input errors too
         print(f"error: {exc}", file=sys.stderr)

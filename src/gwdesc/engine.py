@@ -20,7 +20,8 @@ Evaluation strategy, in reduction order:
   value for fewer; for fewer than two marks the dilaton relation gives an
   independent route to the same value.
 
-The dimension count is screened once per query, at the entry.  Everything
+The dimension count is screened once per query, at the entry (``core``, which
+takes one basis core, leaves it to its caller, the potential assembly).  Everything
 is memoized on canonically sorted keys, so values are independent of
 insertion order and of evaluation interleaving.  The pairings c1·beta and
 gamma0·beta and the basis coefficients of a class are held as ints where
@@ -485,7 +486,7 @@ class CorrelatorEngine:
         return total
 
     # ------------------------------------------------------------------
-    # the one multilinear entry: every public correlator sums over the basis here
+    # the one multilinear entry: every class-valued public correlator sums over the basis here
 
     def _sum(self, beta: CurveClass, triples: Sequence[tuple[int, int, CohClass]], value, *args) -> Fraction:
         """Sum ``value(beta, core, *args)`` over the basis expansion of the insertions,
@@ -518,6 +519,24 @@ class CorrelatorEngine:
         value = self._gen if len(pairs) >= 3 else self._unstable
         return self._sum(beta, [(d, 0, cls) for d, cls in pairs], value)
 
+    def core(self, beta: CurveClass, ins: Sequence[Insertion]) -> Fraction:
+        """Genus-zero correlator of one basis-index core ``ins``, (d, e, a) per mark, n >= 3.
+
+        This is one term of the multilinear sum :meth:`_sum` forms, evaluated by the same
+        per-core function (``_gen``), so ``ins`` is sorted into the canonical order of the
+        memo keys.  At the zero class a core with a cotangent power and no pulled-back one
+        goes to :meth:`descendant`, which dispatches it to the constant-map closed form; a
+        primary core there goes to ``_gen``, as in :meth:`generalized`, for the same value.
+        The dimension screen of ``_sum`` is left to the caller, who passes the classes of
+        :meth:`admissible_classes`; any other class gives the same value (zero), only later."""
+        beta = self._effective(beta)
+        ins = tuple(sorted(ins))
+        if len(ins) < 3:
+            raise UnsupportedQueryError("a core needs the stable range (n >= 3)")
+        if not any(beta) and any(d for d, _, _ in ins) and not any(e for _, e, _ in ins):
+            return self.descendant(0, beta, [(d, self.model.basis_class(a)) for d, _, a in ins])
+        return self._gen(beta, ins)
+
     def generalized(
         self,
         beta: CurveClass,
@@ -546,7 +565,14 @@ class CorrelatorEngine:
         pairs: Sequence[tuple[int, CohClass]],
         refs: tuple[int, int, int] | None = None,
     ) -> Fraction:
-        """Correlator with pulled-back powers only (the modified kind)."""
+        """Correlator with pulled-back powers only (the modified kind).
+
+        ``refs`` fixes the three marks (i, j, k) of the first boundary splitting, i carrying
+        a power.  They are positions in the canonically sorted expansion of each basis core
+        (by power, then basis index), not in the caller's ``pairs``: for P2 and
+        ``pairs = [(1, h2), (0, h2), (0, h), (0, one)]`` the power carrier is position 3.
+        The result must not depend on them, which the identity suites verify.
+        """
         if len(pairs) < 3:
             raise UnsupportedQueryError("modified correlators need at least three marks")
         triples = [(0, e, cls) for e, cls in pairs]

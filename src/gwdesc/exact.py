@@ -28,9 +28,16 @@ class PolicyMismatchError(GwdescError, ValueError):
     """Combining series that were built over different truncation policies."""
 
 
+class RationalFormatError(GwdescError, ValueError):
+    """An input text is not a rational "p/q" (or "p") with q nonzero."""
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational."""
-    return Fraction(str(text).strip())
+    """Parse "p/q" (or "p") into an exact rational; a zero q is a RationalFormatError."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise RationalFormatError(f"rational {text!r} has a zero denominator") from None
 
 
 def json_int(value, what: str) -> int:

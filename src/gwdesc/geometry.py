@@ -73,6 +73,14 @@ class CohClass:
         # a frozen dataclass allows, and equality and hashing read only coeffs
         return tuple(i for i, a in enumerate(self.coeffs) if a)
 
+    def __hash__(self) -> int:
+        # the dataclass hash, formed once: a Fraction re-derives its hash on every call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coeffs,))
+
     @cached_property
     def parts(self) -> tuple[tuple[int | Fraction, int], ...]:
         """The class as (coefficient, basis index) pairs over its support, an

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Callable, Sequence
 
 from .exact import (
@@ -25,6 +26,7 @@ from .exact import (
     antiderivative_q,
     beta_is_zero,
     format_rational,
+    narrow,
 )
 from .engine import CorrelatorEngine, PrimaryTable
 from .geometry import CohClass, GeometryModel
@@ -461,21 +463,19 @@ def _potential(
     marks with a string, dilaton or divisor insertion takes its series from the keys of
     one fewer mark by that genus-zero equation (see :func:`_axiom_reduction`); every
     other key is summed from the engine."""
-    model = engine.model
-    reduce = None if modified else _axiom_reduction(model, policy)
-    built: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}  # the raw series of every key so far
+    degrees = engine.model.degrees
+    reduce = None if modified else _axiom_reduction(engine.model, policy)
+    built: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}  # the nonzero raw series of the keys so far
 
     def correlator(key):
         series = None if reduce is None else reduce(key, built)
         if series is None:
-            classes = engine.admissible_classes(policy, len(key), sum(d + model.degrees[a] for d, a in key))
-            if modified:
-                triples = [(0, d, model.basis_class(a)) for d, a in key]
-                series = summed(policy, lambda beta: engine.generalized(beta, triples), classes)
-            else:
-                pairs = [(d, model.basis_class(a)) for d, a in key]
-                series = summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
-        built[key] = series
+            # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
+            core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
+            classes = engine.admissible_classes(policy, len(key), sum(d + degrees[a] for d, a in key))
+            series = summed(policy, lambda beta: engine.core(beta, core), classes)
+        if not series.is_zero():
+            built[key] = series
         return series
 
     # _assemble asks for the keys in their order, so the keys of n - 1 marks are built first
@@ -494,20 +494,22 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
     * divisor: <τ_0(D) X>_β = (D·β) <X>_β + Σ_i <X with slot i lowered to τ_{d_i-1}(a_i ∪ D)>_β.
 
-    X has at least three marks, so it is stable at every class.  A key missing from
-    ``built`` has no admissible class and reads as zero.  ``reduce`` returns None when
+    X has at least three marks, so it is stable at every class.  ``built`` holds only
+    nonzero series, so a key missing from it reads as zero.  ``reduce`` returns None when
     the key has three marks or none of these insertions: the engine evaluates it."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
     # per insertion class: the parts of it cup each basis element (the unit's lowering keeps
-    # the class), and for a divisor D its pairing D·β on the window
+    # the class), and for a divisor D its pairing D·β on the window (an int where integral,
+    # as in the engine's caches)
     lowerings = {
         a_s: [model.cup(model.basis_class(a_s), model.basis_class(a)).parts for a in range(model.rank)]
         for a_s in units + divisors
     }
     pairings = {
-        a_s: {beta: model.beta_pairing(model.basis_class(a_s), beta) for beta in policy.degrees} for a_s in divisors
+        a_s: {beta: narrow(model.beta_pairing(model.basis_class(a_s), beta)) for beta in policy.degrees}
+        for a_s in divisors
     }
     axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
 
@@ -525,13 +527,17 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
             return NovikovSeries._trusted(policy, acc)
         if a_s not in units and rest in built:
             pairing = pairings[a_s]
-            acc = {beta: c * pairing[beta] for beta, c in built[rest]._terms.items()}
+            acc = {beta: c * p for beta, c in built[rest]._terms.items() if (p := pairing[beta])}
         for i, (d, a) in enumerate(rest):
-            if d >= 1:
+            # equal slots sit together in the sorted rest: a run of m of them lowers to one key, m times
+            if d >= 1 and (i == 0 or rest[i - 1] != rest[i]):
+                m = 1
+                while i + m < len(rest) and rest[i + m] == rest[i]:
+                    m += 1
                 for c, idx in lowerings[a_s][a]:
                     term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])))
                     if term is not None:
-                        _accumulate(acc, term._terms, c)
+                        _accumulate(acc, term._terms, c * m)
         return NovikovSeries._trusted(policy, acc)
 
     return reduce
@@ -558,44 +564,60 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     """Substitute the coordinate change into a potential, exactly: each key's
     expansion starts from its coefficient and takes one transform row per index.
 
+    The expansion runs over integer numerators: the rows the potential uses are put
+    over their common denominator DT (a unit entry is the numerator DT) and each
+    coefficient over its own lcm Dc.  The expansions of the keys of n indices with one
+    Dc are summed as ints, and each of their output terms is divided by Dc·DT^n once.
+
     Raises PolicyMismatchError when a row the potential uses holds an entry built over
     another truncation policy."""
     policy = potential.policy
     sums = policy.sums
     one = NovikovSeries.one(policy)
-    rows: dict[PhaseIndex, list[tuple[PhaseIndex, dict | None]]] = {}
+    used = {idx: transform._rows.get(idx, {}) for key in potential._coeffs for idx in key}
+    for row in used.values():
+        if any(entry.policy is not policy and entry.policy != policy for entry in row.values()):
+            raise PolicyMismatchError("transform built over a different truncation policy")
+    dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
+    # T's row at each index used, as (input, entry numerators over dt), with None for a unit entry
+    rows = {
+        idx: [(inp, None if entry == one else _numerators(entry, dt)) for inp, entry in row.items()]
+        for idx, row in used.items()
+    }
 
-    def row(idx):
-        """T's row at ``idx`` as (input, entry terms), with None for a unit entry; formed
-        and policy-checked once per row."""
-        if idx not in rows:
-            rows[idx] = []
-            for inp, entry in transform._rows.get(idx, {}).items():
-                if entry.policy is not policy and entry.policy != policy:
-                    raise PolicyMismatchError("transform built over a different truncation policy")
-                rows[idx].append((inp, None if entry == one else entry._terms))
-        return rows[idx]
-
-    # every dict written below is created here: a coefficient's or an entry's terms are only read
-    out: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
-    for key, coeff in potential.items():
-        expansions = {(): coeff._terms}
-        for idx in key:
-            new: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
+    # every dict written below is created here: a coefficient's or an entry's terms are only read;
+    # the keys whose expansions share one denominator Dc·DT^n add their numerators as ints
+    numerators: dict[int, dict[tuple[PhaseIndex, ...], dict[CurveClass, int]]] = {}
+    for key, coeff in potential._coeffs.items():
+        dc = lcm(*(c.denominator for c in coeff._terms.values()))
+        shared = numerators.setdefault(dc * dt ** len(key), {})
+        expansions = {(): _numerators(coeff, dc)}
+        for step, idx in enumerate(key, 1):
+            # the last index adds its full expansions straight into the shared sums
+            new: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = shared if step == len(key) else {}
             for xs, terms in expansions.items():
-                for inp, entry in row(idx):
+                for inp, entry in rows[idx]:
                     nk = tuple(sorted(xs + (inp,)))
                     acc = new.get(nk, {})
                     if entry is None:
-                        _accumulate(acc, terms)
+                        _accumulate(acc, terms, dt)
                     else:
                         _accumulate_product(acc, sums, terms, entry)
                     if acc:
                         new[nk] = acc
             expansions = new
-        for xkey, terms in expansions.items():
-            _accumulate(out.setdefault(xkey, {}), terms)
+        if not key:  # a constant term takes no row
+            shared[()] = expansions[()]
+    out: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
+    for denominator, expanded in numerators.items():
+        for xkey, terms in expanded.items():
+            _accumulate(out.setdefault(xkey, {}), {beta: Fraction(v, denominator) for beta, v in terms.items() if v})
     return PotentialSeries(policy, {xkey: NovikovSeries._trusted(policy, terms) for xkey, terms in out.items()})
+
+
+def _numerators(series: NovikovSeries, denominator: int) -> dict[CurveClass, int]:
+    """The terms of ``series`` times ``denominator``, a multiple of every term's denominator, as ints."""
+    return {beta: c.numerator * (denominator // c.denominator) for beta, c in series._terms.items()}
 
 
 # ----------------------------------------------------------------------

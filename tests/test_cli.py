@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from gwdesc import (
     GwdescError,
     ModelError,
     PolicyMismatchError,
+    RationalFormatError,
     ReconstructionError,
     TableFormatError,
     TautTableError,
@@ -80,6 +85,7 @@ def test_correlator_negative_genus_at_nonzero_class(capsys):
     [
         (ModelError, ValueError),
         (PolicyMismatchError, ValueError),
+        (RationalFormatError, ValueError),
         (TableFormatError, ValueError),
         (UnsupportedQueryError, ValueError),
         (ReconstructionError, RuntimeError),
@@ -548,3 +554,44 @@ def test_conflicting_cup_records_are_an_input_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "cup-commutative" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "correlator"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, command):
+    # "1/0" raised ZeroDivisionError: a traceback and exit 1, from the geometry file's
+    # integral (validate) and from a primary record's value (correlator)
+    from gwdesc import load_fixture
+
+    fixture = load_fixture("P1")
+    data, records = fixture.model.to_dict(), fixture.primary.records()
+    if command == "validate":
+        data["integral"] = {"h": "1/0"}
+    else:
+        records[0]["value"] = "1/0"
+    geometry, table = tmp_path / "line.json", tmp_path / "primary.json"
+    geometry.write_text(json.dumps(data))
+    table.write_text(json.dumps(records))
+    query = ["--primary", str(table), "--beta", "1", "--ins", "tau(0):h,tau(0):h,tau(0):h"]
+    code, out, err = run(capsys, command, "--model", str(geometry), *(query if command == "correlator" else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "rational '1/0' has a zero denominator" in err and err.count("\n") == 1
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    """A reader that closes the pipe early (``| head``, ``| true``) is not an input error:
+    the command exits 141 (128 + SIGPIPE) and writes nothing to stderr, not even the
+    interpreter's "Exception ignored" note at exit.  It printed ``error: [Errno 32]
+    Broken pipe`` and exited 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gwdesc.cli", "potential", "--model", "P1", "--which", "standard"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

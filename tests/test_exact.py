@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from gwdesc.exact import (
+    GwdescError,
     NovikovSeries,
     PolicyMismatchError,
+    RationalFormatError,
     TruncationPolicy,
     antiderivative_q,
     beta_add,
@@ -38,6 +40,10 @@ def random_series(rng, policy=POLICY):
 def test_parse_and_format_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-5") == Fraction(-5)
+    # a zero denominator raised ZeroDivisionError, which no input-error handler catches
+    with pytest.raises(RationalFormatError, match="rational '1/0' has a zero denominator"):
+        parse_rational("1/0")
+    assert issubclass(RationalFormatError, GwdescError) and issubclass(RationalFormatError, ValueError)
     assert format_rational(Fraction(7, 2)) == "7/2"
     assert format_rational(Fraction(-3)) == "-3"
 

@@ -149,6 +149,19 @@ def test_cached_support_keeps_value_semantics(p2):
         read.coeffs = coeffs
 
 
+def test_hash_is_the_dataclass_hash_formed_once(monkeypatch):
+    """A class hashes as the generated dataclass hash of its fields did, and its
+    Fraction coefficients are hashed on the first call only."""
+    read = CohClass((Fraction(0), Fraction(-3, 2), Fraction(5)))
+    calls = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: calls.append(self) or fraction_hash(self))
+    assert hash(read) == hash(((Fraction(0), Fraction(-3, 2), Fraction(5)),))
+    calls.clear()
+    assert hash(read) == hash(read)
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # symmetric functions
 

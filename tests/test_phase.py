@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from test_quadric import quadric_model, quadric_table
 
-from gwdesc import CorrelatorEngine
+from gwdesc import CorrelatorEngine, UnsupportedQueryError
 from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy
 from gwdesc import phase
 from gwdesc.phase import (
@@ -455,6 +456,64 @@ def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
             assert standard.coefficient(key) == want, key
 
 
+def _model_and_table(p1, p2, name):
+    if name == "quadric":
+        model = quadric_model()
+        return model, quadric_table(model)
+    fixture = p1 if name == "P1" else p2
+    return fixture.model, fixture.primary
+
+
+@pytest.mark.parametrize("name, window", [("P1", (2, 4, 2)), ("P2", (2, 4, 2)), ("quadric", (1, 4, 1))])
+@pytest.mark.parametrize("check_dimension, use_cache", [(True, True), (False, True), (True, False)])
+def test_core_assembly_matches_the_class_valued_entries(p1, p2, name, window, check_dimension, use_cache):
+    """Both potentials, assembled on basis-index cores, equal coefficient for coefficient the
+    class-valued ``descendant`` and ``generalized`` values summed over the whole window and
+    divided by the multiplicity factor, at every key of the index window, formed or not."""
+    model, table = _model_and_table(p1, p2, name)
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    engine = CorrelatorEngine(model, table, check_dimension=check_dimension, use_cache=use_cache)
+    standard, modified = potential_standard(engine, policy), potential_modified(engine, policy)
+    reference = CorrelatorEngine(model, table)
+    indices = phase_indices(policy, model.rank)
+    nonzero = [0, 0]
+    for n in range(3, policy.max_x_degree + 1):
+        for key in combinations_with_replacement(indices, n):
+            scale = Fraction(1, phase._multiplicity_factor(key))
+            pairs = [(d, model.basis_class(a)) for d, a in key]
+            triples = [(0, d, model.basis_class(a)) for d, a in key]
+            want_standard = phase.summed(policy, lambda beta: reference.descendant(0, beta, pairs)) * scale
+            want_modified = phase.summed(policy, lambda beta: reference.generalized(beta, triples)) * scale
+            assert standard.coefficient(key) == want_standard, key
+            assert modified.coefficient(key) == want_modified, key
+            nonzero[0] += not want_standard.is_zero()
+            nonzero[1] += not want_modified.is_zero()
+    assert nonzero == [len(standard.items()), len(modified.items())] and min(nonzero) > 0
+
+
+def test_engine_core_is_the_per_core_term_of_the_class_valued_entries(p2_engine, p2):
+    """``core`` sorts its marks, takes the constant-map closed form at the zero class for a
+    descendant core and ``_gen`` otherwise, and agrees with the class-valued entries."""
+    model = p2.model
+    one, h, pt = (model.label_index(label) for label in ("one", "h", "h2"))
+    descendant_core = ((0, 0, h), (1, 0, pt), (0, 0, h), (0, 0, one))
+    pairs = [(d, model.basis_class(a)) for d, _, a in descendant_core]
+    for beta in [(0,), (1,), (2,)]:
+        assert p2_engine.core(beta, descendant_core) == p2_engine.descendant(0, beta, pairs), beta
+    modified_core = ((1, 0, one), (0, 0, h), (0, 1, pt), (0, 0, pt))
+    triples = [(d, e, model.basis_class(a)) for d, e, a in modified_core]
+    for beta in [(0,), (1,), (2,)]:
+        assert p2_engine.core(beta, modified_core) == p2_engine.generalized(beta, triples), beta
+    primary_core = ((0, 0, h), (0, 0, one), (0, 0, h))
+    primary_pairs = [(0, model.basis_class(a)) for *_, a in primary_core]
+    assert p2_engine.core((0,), primary_core) == 1 == p2_engine.descendant(0, (0,), primary_pairs)
+    assert type(p2_engine.core((1,), primary_core)) is Fraction
+    with pytest.raises(UnsupportedQueryError):
+        p2_engine.core((1,), ((0, 0, pt), (0, 0, pt)))
+    with pytest.raises(ValueError, match="effective"):
+        p2_engine.core((-1,), primary_core)
+
+
 def test_potential_keys_are_order_free(p1_engine, p1):
     m = p1.model
     policy = m.policy(2, max_x_degree=3, max_descendant=2)
@@ -471,7 +530,8 @@ def test_compose_with_identity(p1_engine, p1):
 
 
 def _compose_multiplying_every_entry(potential, transform):
-    """Reference substitution: every transform entry is multiplied in, the unit diagonal included."""
+    """Reference substitution over Fraction series: every transform entry is multiplied in,
+    the unit diagonal included."""
     out = {}
     for key, coeff in potential.items():
         expansions = {(): coeff}
@@ -498,6 +558,41 @@ def test_compose_matches_multiplying_every_entry(p1_engine, p1):
     composed = compose_with_transform(modified, transform)
     assert composed == _compose_multiplying_every_entry(modified, transform)
     assert composed != compose_with_transform(modified, build_transform(p1_engine, policy))
+
+
+@pytest.mark.parametrize(
+    "name, window", [("P1", (3, 5, 3)), ("P2", (3, 5, 4)), ("P2-half", (3, 5, 4)), ("quadric", (2, 4, 2))]
+)
+def test_integer_compose_matches_the_fraction_reference(p1, p2, name, window):
+    """The compose over integer numerators equals the Fraction expansion, and the standard
+    potential.  On P1 and P2 these windows give T entries that are not integral, so the
+    common denominator DT is not 1; T does not depend on the divisor, which on P2-half is
+    ½·ample, a class with a coefficient that is not integral."""
+    model, table = _model_and_table(p1, p2, name)
+    gamma0 = Fraction(1, 2) * model.ample if name == "P2-half" else None
+    engine = CorrelatorEngine(model, table, gamma0=gamma0)
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    modified = potential_modified(engine, policy)
+    transform = build_transform(engine, policy)
+    denominators = {c.denominator for _, entry in transform.items() for _, c in entry.items()}
+    if name != "quadric":
+        assert max(denominators) > 1
+    composed = compose_with_transform(modified, transform)
+    assert composed == _compose_multiplying_every_entry(modified, transform) == potential_standard(engine, policy)
+    assert all(type(c) is Fraction for series in composed._coeffs.values() for c in series._terms.values())
+
+
+def test_compose_keeps_keys_of_fewer_than_three_indices(p1_engine, p1):
+    """A potential is any multiset-keyed polynomial: a constant term takes no row of T and
+    a one-index key takes one, as in the Fraction reference."""
+    m = p1.model
+    policy = m.policy(2, max_x_degree=4, max_descendant=2)
+    half = NovikovSeries(policy, {(0,): Fraction(1, 2), (1,): Fraction(-1, 3)})
+    potential = PotentialSeries(policy, {(): half, ((0, 1),): half, ((1, 0),): 3 * half})
+    transform = build_transform(p1_engine, policy)
+    composed = compose_with_transform(potential, transform)
+    assert composed == _compose_multiplying_every_entry(potential, transform)
+    assert composed.coefficient(()) == half and len(composed.items()) > 3
 
 
 @pytest.mark.parametrize("window", [(2, 4, 2), (3, 0, 2), (3, 4, 1)])
