@@ -213,8 +213,10 @@ class NovikovSeries:
         return not self._terms
 
     def items(self) -> list[tuple[CurveClass, Fraction]]:
-        """Terms in canonical order: by degree, then lexicographically."""
-        return sorted(self._terms.items(), key=lambda kv: (self.policy.beta_degree(kv[0]), kv[0]))
+        """Terms in canonical order: by degree, then lexicographically, which is the
+        order of the window :attr:`TruncationPolicy.degrees` that holds every term."""
+        terms = self._terms
+        return [(beta, terms[beta]) for beta in self.policy.degrees if beta in terms]
 
     def _check_policy(self, other: NovikovSeries) -> None:
         if self.policy is not other.policy and self.policy != other.policy:

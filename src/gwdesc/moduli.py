@@ -20,6 +20,11 @@ from .exact import GwdescError, json_int, json_int_list, parse_rational
 from .geometry import CohClass, GeometryModel
 
 
+# the value of every query the dimension screen rules out; a Fraction is immutable,
+# so callers share it
+_ZERO = Fraction(0)
+
+
 class TautTableError(GwdescError, KeyError):
     """A tautological integral needed for a non-vanishing term is missing."""
 
@@ -170,7 +175,7 @@ def constant_map_correlator(
     if g < 0:
         raise ValueError("genus must be non-negative")
     exponents = [d for d, _ in insertions]
-    if any(d < 0 for d in exponents):
+    if exponents and min(exponents) < 0:
         raise ValueError("descendant exponents must be non-negative")
 
     # exponent half of the screen: no choice of classes meets these counts
@@ -179,19 +184,19 @@ def constant_map_correlator(
     exponent_sum = sum(exponents)
     if g == 0:
         if n < 3 or exponent_sum != n - 3:
-            return Fraction(0)
+            return _ZERO
     elif g == 1:
         if n < 1 or exponent_sum not in (n, n - 1):
-            return Fraction(0)
+            return _ZERO
     elif delta >= 4 or exponent_sum > (g - 1) * (3 - delta) + n:
-        return Fraction(0)
+        return _ZERO
 
     # multilinearity: split any mixed-degree insertion into its homogeneous
     # components, one per degree, so that terms of one degree still cancel
     degrees: list[int] = []
     for slot, (d, cls) in enumerate(insertions):
         if cls.is_zero():
-            return Fraction(0)
+            return _ZERO
         degree = model.degree_of(cls)
         if degree is None:
             total = Fraction(0)
@@ -208,12 +213,12 @@ def constant_map_correlator(
     # degree half of the screen
     if g == 0:
         if sum(degrees) != delta:
-            return Fraction(0)
+            return _ZERO
         return _constant_maps_genus0(insertions, model)
     if g == 1:
         return _constant_maps_genus1(insertions, degrees, model, table)
     if sum(degrees) > delta or exponent_sum + sum(degrees) != (g - 1) * (3 - delta) + n:
-        return Fraction(0)
+        return _ZERO
     return _constant_maps_higher(g, insertions, model, table)
 
 

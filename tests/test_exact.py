@@ -71,6 +71,11 @@ def test_window_order_is_pinned():
     assert list(policy.iter_effective()) == expected
     assert list(policy.degrees) == expected
     assert list(policy.degrees.values()) == [0, 1, 2, 2, 3, 3, 4, 4, 4]
+    # a series lists its terms in the window's order, whatever order they were given in
+    full = series({beta: i + 1 for i, beta in enumerate(reversed(expected))}, policy)
+    assert [beta for beta, _ in full.items()] == expected
+    sparse = series({(4, 0): 1, (0, 2): 2, (1, 0): 3, (2, 0): 4}, policy)
+    assert sparse.items() == [((1, 0), 3), ((2, 0), 4), ((0, 2), 2), ((4, 0), 1)]
 
 
 def test_addition_cases():

@@ -179,8 +179,17 @@ def test_exponent_screen_reads_no_class(p2, monkeypatch):
     for g, insertions in ruled_out:
         value = constant_map_correlator(g, insertions, m, None)
         assert (type(value), value) == (Fraction, 0), (g, insertions)
-    with pytest.raises(ValueError, match="non-negative"):
-        constant_map_correlator(0, [(-1, h), (2, h), (0, h)], m, None)
+    # a negative exponent is refused before the screen, though each of these
+    # exponent sums alone would screen the pattern out
+    negative = [
+        (0, [(-1, h), (2, h), (0, h)]),
+        (0, [(3, h), (0, h), (-1, h)]),
+        (1, [(4, h), (-1, h)]),
+        (2, [(5, h), (-1, one)]),
+    ]
+    for g, insertions in negative:
+        with pytest.raises(ValueError, match="non-negative"):
+            constant_map_correlator(g, insertions, m, None)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from gwdesc import verify
+from gwdesc.moduli import TautTableError
 from gwdesc.verify import (
     SUITE_NAMES,
     run_suite,
@@ -49,6 +54,61 @@ def test_determinism_suite(p1):
 def test_point_vanishing_suite():
     result = suite_point_vanishing()
     assert result.ok, result.render()
+
+
+def _pattern(insertions):
+    """The scan's (exponent, basis index) key of basis-class insertions."""
+    return tuple((d, cls.support()[0]) for d, cls in insertions)
+
+
+def test_point_vanishing_lists_failures_genus_by_genus(p2, monkeypatch):
+    # the g = 2 pattern comes first in the scan's pattern order and the g = 0 one
+    # last, so the report's genus order is not the order the patterns are met in
+    wrong = {
+        (0, ((0, 1), (1, 2), (2, 0), (2, 2), (3, 1))): "nonzero",
+        (1, ((1, 0), (1, 0), (2, 1))): "table",
+        (2, ((0, 0),)): "nonzero",
+    }
+    correlator = verify.constant_map_correlator
+
+    def misbehaving(g, insertions, model, table):
+        fault = wrong.get((g, _pattern(insertions)))
+        if fault == "table":
+            raise TautTableError("table incomplete")
+        if fault == "nonzero":
+            return Fraction(1)
+        return correlator(g, insertions, model, table)
+
+    monkeypatch.setattr(verify, "constant_map_correlator", misbehaving)
+    result = suite_point_vanishing(models=[p2.model])
+    assert not result.ok
+    assert result.lines[2:] == [
+        "P2 g=0 pattern ((0, 1), (1, 2), (2, 0), (2, 2), (3, 1)): nonzero 1",
+        "P2 g=1 pattern ((1, 0), (1, 0), (2, 1)): table requested outside the admissible cases",
+        "P2 g=2 pattern ((0, 0),): nonzero 1",
+    ]
+
+
+def test_point_vanishing_evaluates_every_non_admissible_pattern(monkeypatch):
+    calls = Counter()
+    correlator = verify.constant_map_correlator
+
+    def counted(g, insertions, model, table):
+        calls[model.name, g] += 1
+        return correlator(g, insertions, model, table)
+
+    monkeypatch.setattr(verify, "constant_map_correlator", counted)
+    result = suite_point_vanishing()
+    assert result.ok, result.render()
+    assert sum(calls.values()) == 83_400
+    # admissible = patterns of at most five insertions from 4 * rank slots, less calls
+    ranks = {"point": 1, "P1": 2, "P2": 3, "P3": 4}
+    admissible = {
+        name: tuple(sum(comb(4 * rank + n - 1, n) for n in range(6)) - calls[name, g] for g in range(3))
+        for name, rank in ranks.items()
+    }
+    assert admissible == {"point": (4, 15, 14), "P1": (7, 39, 56), "P2": (15, 39, 99), "P3": (26, 39, 97)}
+    assert result.lines[1] == "admissible patterns skipped: 450"
 
 
 def test_degree_zero_collapse_suite(p1):
