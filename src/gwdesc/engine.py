@@ -59,6 +59,14 @@ class TableFormatError(GwdescError, ValueError):
 Insertion = tuple[int, int, int]  # (d, e, basis index)
 
 
+def _check_levels(marks: Sequence[tuple[int, int, object]]) -> None:
+    """Raise ValueError unless every mark's cotangent power d and pulled-back power e,
+    (d, e, class) per mark, is non-negative: a negative level is an input error, never 0."""
+    for d, e, _ in marks:
+        if d < 0 or e < 0:
+            raise ValueError("descendant exponents must be non-negative")
+
+
 class PrimaryTable:
     """Three-point primary values at nonzero curve classes.
 
@@ -493,8 +501,10 @@ class CorrelatorEngine:
         skipping, with ``check_dimension`` on, each core that fails the dimension count.
         This is the engine's one screen: every reduction step maps a dimension-valid node
         to dimension-valid nodes (lowering, the divisor, dilaton and detour steps and the
-        shifted term keep the count, and every split node takes its class from ``_candidates``)."""
+        shifted term keep the count, and every split node takes its class from ``_candidates``).
+        A negative level raises ValueError, at every class."""
         beta = self._effective(beta)
+        _check_levels(triples)
         total = Fraction(0)
         for coeff, core in self._expand(triples):
             if self.check_dimension and not self._dimension_ok(beta, core):
@@ -530,6 +540,7 @@ class CorrelatorEngine:
         The dimension screen of ``_sum`` is left to the caller, who passes the classes of
         :meth:`admissible_classes`; any other class gives the same value (zero), only later."""
         beta = self._effective(beta)
+        _check_levels(ins)
         ins = tuple(sorted(ins))
         if len(ins) < 3:
             raise UnsupportedQueryError("a core needs the stable range (n >= 3)")

@@ -28,7 +28,7 @@ from .exact import (
     format_rational,
     narrow,
 )
-from .engine import CorrelatorEngine, PrimaryTable
+from .engine import CorrelatorEngine, PrimaryTable, UnsupportedQueryError, _check_levels
 from .geometry import CohClass, GeometryModel
 
 PhaseIndex = tuple[int, int]  # (descendant level, basis index)
@@ -53,13 +53,28 @@ def summed(
     return NovikovSeries._trusted(policy, {beta: value(beta) for beta in betas})
 
 
+def _engine_classes(
+    engine: CorrelatorEngine, policy: TruncationPolicy, triples: Sequence[tuple[int, int, CohClass]]
+) -> Sequence[CurveClass] | None:
+    """The classes to sum an engine series of the marks ``triples``, (d, e, class) per mark,
+    over: ``engine.admissible_classes`` at their degree sum, the only ones ``_sum``'s screen
+    lets a core through at; None (the whole window) when a class is zero or mixed-degree.
+    A negative level raises ValueError here, before the screen could skip every class."""
+    _check_levels(triples)
+    degrees = [engine.model.degree_of(cls) for _, _, cls in triples]
+    if None in degrees:
+        return None
+    return engine.admissible_classes(policy, len(triples), sum(d + e for d, e, _ in triples) + sum(degrees))
+
+
 def summed_correlator(
     engine: CorrelatorEngine,
     pairs: Sequence[tuple[int, CohClass]],
     policy: TruncationPolicy,
 ) -> NovikovSeries:
-    """Genus-zero descendant correlator summed over effective classes."""
-    return summed(policy, lambda beta: engine.descendant(0, beta, pairs))
+    """Genus-zero descendant correlator summed over the classes of :func:`_engine_classes`."""
+    classes = _engine_classes(engine, policy, [(d, 0, cls) for d, cls in pairs])
+    return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
 
 
 def summed_two_point(
@@ -69,8 +84,11 @@ def summed_two_point(
     y: CohClass,
     policy: TruncationPolicy,
 ) -> NovikovSeries:
-    """Two-point descendant series (the zero class never contributes)."""
-    return summed(policy, lambda beta: engine.two_point(d, x, y, beta))
+    """Two-point descendant series ⟨τ_d(x) y⟩ from the engine, summed only over the classes
+    of :func:`_engine_classes`, where the dimension count can hold (the zero class never
+    contributes); a negative level raises ValueError."""
+    classes = _engine_classes(engine, policy, [(d, 0, x), (0, 0, y)])
+    return summed(policy, lambda beta: engine.two_point(d, x, y, beta), classes)
 
 
 # ----------------------------------------------------------------------
@@ -130,10 +148,11 @@ def two_point_from_primaries(
 
     Alternating closed form: iterating the divisor relation trades the cotangent power for
     divisor cup powers on the descendant slot, leaving triple correlators that the
-    product-compatibility identity converts into lower two-point series; each step ends with
-    one formal antiderivative per division by the divisor pairing.  This route, which never
-    consults the engine, builds T and checks the engine's two-point values.  Each call builds
-    a fresh :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
+    product-compatibility identity converts into lower two-point series; the j-th step ends
+    with j formal antiderivatives, taken as one division by the j-th power of the divisor
+    pairing.  This route, which never consults the engine, builds T and checks the engine's
+    two-point values.  Each call builds a fresh :class:`_PrimaryTwoPoint`, so nothing is
+    remembered between calls.
     """
     return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
 
@@ -141,9 +160,12 @@ def two_point_from_primaries(
 class _PrimaryTwoPoint:
     """The primary-only two-point route at one (table, policy, gamma0).
 
-    The recursion asks for the same lower series and the same quantum
-    product ``gamma0 * y`` many times over; both are memoized here, and the
-    cup powers of gamma0 are formed once.  Table, policy and divisor are
+    The recursion asks for the same lower series, the same quantum product
+    ``gamma0 * y`` and the same shifted class gamma0^{j-1} ∪ x many times
+    over; all three are memoized here, so each shifted class is formed once
+    per route, and the pairing gamma0·beta is formed once per class.  The
+    j-th bracket takes its j antiderivatives as one division by
+    (gamma0·beta)^j, the same exact value.  Table, policy and divisor are
     fixed for the life of the object, so a memo never crosses divisors: a
     divisor-independence check must compare two separate routes.  The
     route never consults the correlator engine.
@@ -161,17 +183,29 @@ class _PrimaryTwoPoint:
         self.policy = policy
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         self._powers = [model.unit]  # _powers[k] == model.cup_power(gamma0, k)
+        self._shifts: dict[tuple[int, CohClass], CohClass] = {}  # (j, x) -> gamma0^{j-1} ∪ x
+        self._pairings: dict[CurveClass, int | Fraction] = {}
         self._products: dict[CohClass, tuple[NovikovSeries, ...]] = {}
         self._series: dict[tuple[int, CohClass, CohClass], NovikovSeries] = {}
         self._nonzero = [beta for beta in policy.degrees if not beta_is_zero(beta)]
 
-    def _pairing(self, beta: CurveClass) -> Fraction:
-        return self.model.beta_pairing(self.gamma0, beta)
+    def _pairing(self, beta: CurveClass) -> int | Fraction:
+        pairing = self._pairings.get(beta)
+        if pairing is None:
+            pairing = self._pairings[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
+        return pairing
 
     def _power(self, k: int) -> CohClass:
         while len(self._powers) <= k:
             self._powers.append(self.model.cup(self._powers[-1], self.gamma0))
         return self._powers[k]
+
+    def _shifted(self, j: int, x: CohClass) -> CohClass:
+        key = (j, x)
+        shifted = self._shifts.get(key)
+        if shifted is None:
+            shifted = self._shifts[key] = self.model.cup(self._power(j - 1), x)
+        return shifted
 
     def _product(self, y: CohClass) -> tuple[NovikovSeries, ...]:
         if y not in self._products:
@@ -181,14 +215,16 @@ class _PrimaryTwoPoint:
     def series(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
         key = (d, x, y)
         if key not in self._series:
+            if d < 0:
+                raise ValueError("descendant exponents must be non-negative")
             self._series[key] = self._compute(d, x, y)
         return self._series[key]
 
     def _compute(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
-        model, policy, gamma0 = self.model, self.policy, self.gamma0
+        model, policy, gamma0, pairing = self.model, self.policy, self.gamma0, self._pairing
         total: dict[CurveClass, Fraction] = {}
         for j in range(1, d + 2):
-            shifted_x = model.cup(self._power(j - 1), x)
+            shifted_x = self._shifted(j, x)
             if shifted_x.is_zero():
                 continue
             if j <= d:
@@ -198,14 +234,13 @@ class _PrimaryTwoPoint:
                         lower = self.series(d - j, shifted_x, model.basis_class(a))
                         _accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
                 bracket = NovikovSeries._trusted(policy, acc)
-            else:  # the antiderivatives below need the bracket without its zero-class term
+            else:  # the antiderivative below needs the bracket without its zero-class term
                 bracket = summed(
                     policy,
                     lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y),
                     self._nonzero,
                 )
-            for _ in range(j):
-                bracket = antiderivative_q(bracket, self._pairing)
+            bracket = antiderivative_q(bracket, lambda beta: pairing(beta) ** j)
             _accumulate(total, bracket._terms, (-1) ** (j + 1))
         return NovikovSeries._trusted(policy, total)
 
@@ -646,7 +681,9 @@ def substitution_identity(
     correlator with the pulled-back τ_{0,j}(δ_b) in that slot, the remaining
     slots staying conventional.  Series are truncated by the transform's
     policy.  Raises ValueError when no slot has a positive level, or when d
-    lies above the transform's window, where it has no column.
+    lies above the transform's window, where it has no column, and
+    UnsupportedQueryError for fewer than three marks, where the right side's
+    correlators are not defined.
     """
     model, policy = engine.model, transform.policy
     slot = next((p for p, (d, _) in enumerate(key) if d >= 1), None)
@@ -655,6 +692,8 @@ def substitution_identity(
     d_slot, a_slot = key[slot]
     if d_slot > policy.max_descendant:
         raise ValueError(f"level {d_slot} of key {key} lies above the transform's window ({policy.max_descendant})")
+    if len(key) < 3:  # raised here, since the class screen may leave the engine nothing to ask
+        raise UnsupportedQueryError("generalized correlators need the stable range (n >= 3)")
     lhs = summed_correlator(engine, [(d, model.basis_class(a)) for d, a in key], policy)
     rest = [(d, 0, model.basis_class(a)) for p, (d, a) in enumerate(key) if p != slot]
     rhs = NovikovSeries.zero(policy)
@@ -662,7 +701,8 @@ def substitution_identity(
         entry = transform.entry((j, b), (d_slot, a_slot))
         if not entry.is_zero():
             triples = [(0, j, model.basis_class(b))] + rest
-            rhs = rhs + entry * summed(policy, lambda beta: engine.generalized(beta, triples))
+            classes = _engine_classes(engine, policy, triples)
+            rhs = rhs + entry * summed(policy, lambda beta: engine.generalized(beta, triples), classes)
     return lhs, rhs
 
 
@@ -718,7 +758,9 @@ def divisor_product_identity(
         raise ValueError("need a positive level on the descendant slot")
     model = engine.model
     gamma0 = engine.gamma0
-    lhs = summed(policy, lambda beta: engine.three_point_descendant(beta, [(0, gamma0), (d, x), (0, y)]))
+    pairs = [(0, gamma0), (d, x), (0, y)]
+    classes = _engine_classes(engine, policy, [(level, 0, cls) for level, cls in pairs])
+    lhs = summed(policy, lambda beta: engine.three_point_descendant(beta, pairs), classes)
     rhs = NovikovSeries.zero(policy)
     for a, coeff in enumerate(quantum_product(model, engine.primary_table, policy, gamma0, y)):
         if not coeff.is_zero():

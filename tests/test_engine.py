@@ -643,6 +643,50 @@ def test_negative_genus_is_rejected_at_every_class(p1_engine, p1, beta):
         p1_engine.descendant(-1, beta, [(1, p1.model.unit), (0, h)])
 
 
+@pytest.mark.parametrize("beta", [(0,), (1,)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "descendant",
+        "generalized-cotangent",
+        "generalized-pulled-back",
+        "generalized-reduce-at",
+        "modified",
+        "modified-refs",
+        "three_point_descendant",
+        "two_point",
+        "two_point_general",
+        "one_point",
+        "core-cotangent",
+        "core-pulled-back",
+    ],
+)
+def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
+    # a negative level used to be a silent 0 at every entry but the zero-class
+    # descendant: two_point(-1, h2, h2, (1,)) returned 0
+    m = p2.model
+    h, h2 = cls(m, "h"), cls(m, "h2")
+    a, a2 = m.label_index("h"), m.label_index("h2")
+    calls = {
+        "descendant": lambda: p2_engine.descendant(0, beta, [(-1, h2), (0, h2), (0, h)]),
+        "generalized-cotangent": lambda: p2_engine.generalized(beta, [(-1, 0, h2), (0, 0, h2), (0, 0, h)]),
+        "generalized-pulled-back": lambda: p2_engine.generalized(beta, [(0, -1, h2), (0, 0, h2), (0, 0, h)]),
+        "generalized-reduce-at": lambda: p2_engine.generalized(
+            beta, [(1, 0, h2), (-1, 0, h2), (0, 0, h)], reduce_at=2
+        ),
+        "modified": lambda: p2_engine.modified(beta, [(-1, h2), (0, h2), (0, h)]),
+        "modified-refs": lambda: p2_engine.modified(beta, [(1, h), (-1, h2), (0, h2), (0, h)], refs=(0, 1, 2)),
+        "three_point_descendant": lambda: p2_engine.three_point_descendant(beta, [(-1, h2), (0, h2), (0, h)]),
+        "two_point": lambda: p2_engine.two_point(-1, h2, h2, beta),
+        "two_point_general": lambda: p2_engine.two_point_general(0, h2, -1, h2, beta),
+        "one_point": lambda: p2_engine.one_point(-1, h2, beta),
+        "core-cotangent": lambda: p2_engine.core(beta, [(-1, 0, a2), (0, 0, a2), (0, 0, a)]),
+        "core-pulled-back": lambda: p2_engine.core(beta, [(0, -1, a2), (0, 0, a2), (0, 0, a)]),
+    }
+    with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
+        calls[entry]()
+
+
 def test_gamma0_must_be_a_divisor(p1):
     with pytest.raises(ValueError, match="degree-1"):
         CorrelatorEngine(p1.model, p1.primary, gamma0=p1.model.unit)

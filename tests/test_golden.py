@@ -65,6 +65,12 @@ GOLDEN = [
         "4d54c69c59908cf4ebfd6150e08029ba10cf28ef72fea368f7cfbe4d370d24c7",
         id="verify-two-point-paths",
     ),
+    # the one report that runs the primary-only route with a rescaled divisor
+    pytest.param(
+        "verify --model P2 --suite divisor-independence",
+        "e19b8da06b9a2f83a2d3df3d8508a81ac9363f10ed03d010349a5606bc485e4e",
+        id="verify-divisor-independence",
+    ),
     pytest.param(
         "verify --model P2 --suite point-vanishing",
         "b4b9759729f3b7a74e832457b97238ddf2dc5859dc3371abe6f5e14e247c58aa",

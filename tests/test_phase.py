@@ -161,6 +161,137 @@ def test_shared_primary_route_matches_fresh_calls(p1, p2):
                         assert route.series(d, x, y) == fresh
 
 
+def full_window_two_point(engine, d, x, y, policy):
+    """The reference two-point series: the engine asked at every class of the window."""
+    return phase.summed(policy, lambda beta: engine.two_point(d, x, y, beta))
+
+
+def full_window_correlator(engine, pairs, policy):
+    """The reference summed correlator: the engine asked at every class of the window."""
+    return phase.summed(policy, lambda beta: engine.descendant(0, beta, pairs))
+
+
+def screen_cases(p1, p2):
+    """(engine, policy, classes, top level) on P1, P2 and the quadric: the basis plus the
+    mixed class unit + 2·ample, the default engine, one without the dimension check and
+    one reducing by gamma0 = 2·ample (the quadric gets the default engine only)."""
+    quadric = quadric_model()
+    cases = []
+    for fx in (p1, p2):
+        m = fx.model
+        classes = [m.basis_class(i) for i in range(m.rank)] + [m.unit + 2 * m.ample]
+        for options in ({}, {"check_dimension": False}, {"gamma0": 2 * m.ample}):
+            cases.append((CorrelatorEngine(m, fx.primary, **options), m.policy(3), classes, 4))
+    classes = [quadric.basis_class(i) for i in range(quadric.rank)] + [quadric.unit + 2 * quadric.ample]
+    cases.append((CorrelatorEngine(quadric, quadric_table(quadric)), quadric.policy(2), classes, 2))
+    return cases
+
+
+def test_screened_sums_equal_full_window_sums(p1, p2):
+    for engine, policy, classes, top in screen_cases(p1, p2):
+        for d in range(top + 1):
+            for x in classes:
+                for y in classes:
+                    assert summed_two_point(engine, d, x, y, policy) == full_window_two_point(engine, d, x, y, policy)
+        for n in (2, 3, 4):
+            for chosen in combinations_with_replacement(classes, n):
+                for levels in ((0,) * n, (1,) + (0,) * (n - 1), (2, 1) + (0,) * (n - 2)):
+                    pairs = list(zip(levels, chosen))
+                    assert summed_correlator(engine, pairs, policy) == full_window_correlator(engine, pairs, policy)
+
+
+def test_two_point_paths_ask_the_engine_only_at_admissible_classes(p2, monkeypatch):
+    # 3·beta == d + deg x + deg y - 1 on P2: 39 of the 117 series have one admissible
+    # class among the 7 of the window and the rest have none (819 calls unscreened); the
+    # skipped classes never reached the engine's memo either
+    from gwdesc.verify import suite_two_point_paths
+
+    engines = []
+    calls = []
+    original = CorrelatorEngine.two_point
+
+    def counting(self, d, x, y, beta):
+        if self not in engines:
+            engines.append(self)
+        calls.append(beta)
+        return original(self, d, x, y, beta)
+
+    monkeypatch.setattr(CorrelatorEngine, "two_point", counting)
+    assert suite_two_point_paths(p2.model, p2.primary, qmax=6, dmax=12).ok
+    monkeypatch.undo()
+    assert len(calls) == 39 and len(engines) == 1
+
+    m = p2.model
+    policy = m.policy(6)
+    reference = CorrelatorEngine(m, p2.primary)
+    basis = [m.basis_class(i) for i in range(m.rank)]
+    for d in range(13):
+        for x in basis:
+            for y in basis:
+                full_window_two_point(reference, d, x, y, policy)
+    assert set(engines[0]._memo) == set(reference._memo)
+
+
+class JFoldRoute(phase._PrimaryTwoPoint):
+    """The reference route: each shifted class cupped afresh on every call, and the j-th
+    bracket divided by the divisor pairing j times over."""
+
+    def _compute(self, d, x, y):
+        model, policy, gamma0 = self.model, self.policy, self.gamma0
+        total = {}
+        for j in range(1, d + 2):
+            shifted_x = model.cup(self._power(j - 1), x)
+            if shifted_x.is_zero():
+                continue
+            if j <= d:
+                acc = {}
+                for a, coeff in enumerate(self._product(y)):
+                    if not coeff.is_zero():
+                        lower = self.series(d - j, shifted_x, model.basis_class(a))
+                        phase._accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
+                bracket = NovikovSeries._trusted(policy, acc)
+            else:
+                bracket = phase.summed(
+                    policy,
+                    lambda beta: phase._primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y),
+                    self._nonzero,
+                )
+            for _ in range(j):
+                bracket = phase.antiderivative_q(bracket, lambda beta: model.beta_pairing(gamma0, beta))
+            phase._accumulate(total, bracket._terms, (-1) ** (j + 1))
+        return NovikovSeries._trusted(policy, total)
+
+
+def test_one_division_route_equals_the_j_fold_route(p1, p2):
+    quadric = quadric_model()
+    cases = [(fx.model, fx.primary, 3, g) for fx in (p1, p2) for g in (1, Fraction(1, 2), 3)]
+    cases.append((quadric, quadric_table(quadric), 2, 1))
+    for m, table, qmax, scale in cases:
+        policy = m.policy(qmax)
+        gamma0 = scale * m.ample
+        route = phase._PrimaryTwoPoint(m, table, policy, gamma0)
+        reference = JFoldRoute(m, table, policy, gamma0)
+        basis = [m.basis_class(i) for i in range(m.rank)]
+        for d in range(7):
+            for x in basis:
+                for y in basis:
+                    assert route.series(d, x, y) == reference.series(d, x, y)
+
+
+def test_series_entries_reject_a_negative_level(p2, p2_engine):
+    m = p2.model
+    policy = m.policy(2)
+    h, h2 = cls(m, "h"), cls(m, "h2")
+    with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
+        summed_two_point(p2_engine, -1, h2, h2, policy)
+    with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
+        summed_correlator(p2_engine, [(-1, h2), (0, h2), (0, h)], policy)
+    with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
+        two_point_from_primaries(m, p2.primary, policy, -1, h2, h2)
+    with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
+        phase._PrimaryTwoPoint(m, p2.primary, policy).series(-1, h, h2)
+
+
 def test_divisor_independence_evaluates_both_divisor_routes(p2, monkeypatch):
     # a memo shared across divisors would compare the ample route with itself
     m = p2.model
@@ -728,10 +859,34 @@ def test_substitution_identity_example(p1_engine, p1):
     assert lhs == NovikovSeries.monomial(policy, (1,))
 
 
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_substitution_identity_with_pulled_back_powers(request, name):
+    # keys of four or more marks, so the right side's pulled-back power e = j reaches
+    # classes where it is nonzero: summing it at classes that drop e from the degree
+    # count would lose those terms
+    fx = request.getfixturevalue(name.lower())
+    engine = CorrelatorEngine(fx.model, fx.primary)
+    policy = fx.model.policy(3, max_x_degree=5, max_descendant=3)
+    transform = build_transform(engine, policy)
+    keys = [key for key, _ in potential_standard(engine, policy).items() if len(key) >= 4 and key[-1][0] >= 1]
+    assert len(keys) > 100
+    for key in keys:
+        lhs, rhs = substitution_identity(engine, transform, key)
+        assert lhs == rhs, key
+
+
 def test_substitution_identity_rejects_a_key_without_positive_level(p1_engine, p1):
     transform = build_transform(p1_engine, p1.model.policy(2, max_x_degree=3, max_descendant=2))
     with pytest.raises(ValueError, match="no positive level"):
         substitution_identity(p1_engine, transform, ((0, 1), (0, 1), (0, 0)))
+
+
+def test_substitution_identity_rejects_a_key_of_two_marks(p1_engine, p1):
+    # the right side's classes may all be screened out, which must not turn the error into 0
+    transform = build_transform(p1_engine, p1.model.policy(2, max_x_degree=3, max_descendant=2))
+    for key in (((1, 1), (0, 1)), ((1, 0), (0, 0)), ((2, 1), (0, 1))):
+        with pytest.raises(UnsupportedQueryError, match="stable range"):
+            substitution_identity(p1_engine, transform, key)
 
 
 def test_substitution_identity_rejects_a_level_above_the_transform(p1_engine, p1):
