@@ -582,7 +582,9 @@ class CorrelatorEngine:
         a power.  They are positions in the canonically sorted expansion of each basis core
         (by power, then basis index), not in the caller's ``pairs``: for P2 and
         ``pairs = [(1, h2), (0, h2), (0, h), (0, one)]`` the power carrier is position 3.
-        The result must not depend on them, which the identity suites verify.
+        The result must not depend on them.  No ``gwdesc verify`` suite passes ``refs``; the
+        check lives in ``tests/test_engine.py`` (``test_modified_reference_choice_is_free``
+        and the other ``refs=`` cases there).
         """
         if len(pairs) < 3:
             raise UnsupportedQueryError("modified correlators need at least three marks")

@@ -146,13 +146,13 @@ def two_point_from_primaries(
 ) -> NovikovSeries:
     """Two-point descendant series built from primary three-point data only.
 
-    Alternating closed form: iterating the divisor relation trades the cotangent power for
-    divisor cup powers on the descendant slot, leaving triple correlators that the
-    product-compatibility identity converts into lower two-point series; the j-th step ends
-    with j formal antiderivatives, taken as one division by the j-th power of the divisor
-    pairing.  This route, which never consults the engine, builds T and checks the engine's
-    two-point values.  Each call builds a fresh :class:`_PrimaryTwoPoint`, so nothing is
-    remembered between calls.
+    One step of the divisor relation lowers the cotangent power by one:
+    (gamma0·beta) ⟨τ_d(x) y⟩_beta = [Σ_a (gamma0 * y)_a ⟨τ_{d-1}(x) basis[a]⟩]_beta
+    − ⟨τ_{d-1}(gamma0 ∪ x) y⟩_beta, where the product-compatibility identity has turned the
+    triple correlator into lower two-point series; at level 0 the series is the three-point
+    primary ⟨gamma0 x y⟩_beta divided by gamma0·beta.  This route, which never consults the
+    engine, builds T and checks the engine's two-point values.  Each call builds a fresh
+    :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
     """
     return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
 
@@ -160,15 +160,15 @@ def two_point_from_primaries(
 class _PrimaryTwoPoint:
     """The primary-only two-point route at one (table, policy, gamma0).
 
-    The recursion asks for the same lower series, the same quantum product
-    ``gamma0 * y`` and the same shifted class gamma0^{j-1} ∪ x many times
-    over; all three are memoized here, so each shifted class is formed once
-    per route, and the pairing gamma0·beta is formed once per class.  The
-    j-th bracket takes its j antiderivatives as one division by
-    (gamma0·beta)^j, the same exact value.  Table, policy and divisor are
+    Each series solves the divisor relation one level at a time:
+    (gamma0·beta) ⟨τ_d(x) y⟩_beta is the q^beta coefficient of
+    Σ_a (gamma0 * y)_a ⟨τ_{d-1}(x) basis[a]⟩ − ⟨τ_{d-1}(gamma0 ∪ x) y⟩, and
+    ⟨τ_0(x) y⟩_beta is ⟨gamma0 x y⟩_beta / (gamma0·beta); each series divides
+    one bracket once.  The lower series, the quantum product ``gamma0 * y``
+    and the pairing gamma0·beta are memoized.  Table, policy and divisor are
     fixed for the life of the object, so a memo never crosses divisors: a
-    divisor-independence check must compare two separate routes.  The
-    route never consults the correlator engine.
+    divisor-independence check must compare two separate routes.  The route
+    never consults the correlator engine.
     """
 
     def __init__(
@@ -182,8 +182,6 @@ class _PrimaryTwoPoint:
         self.table = table
         self.policy = policy
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
-        self._powers = [model.unit]  # _powers[k] == model.cup_power(gamma0, k)
-        self._shifts: dict[tuple[int, CohClass], CohClass] = {}  # (j, x) -> gamma0^{j-1} ∪ x
         self._pairings: dict[CurveClass, int | Fraction] = {}
         self._products: dict[CohClass, tuple[NovikovSeries, ...]] = {}
         self._series: dict[tuple[int, CohClass, CohClass], NovikovSeries] = {}
@@ -194,18 +192,6 @@ class _PrimaryTwoPoint:
         if pairing is None:
             pairing = self._pairings[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
         return pairing
-
-    def _power(self, k: int) -> CohClass:
-        while len(self._powers) <= k:
-            self._powers.append(self.model.cup(self._powers[-1], self.gamma0))
-        return self._powers[k]
-
-    def _shifted(self, j: int, x: CohClass) -> CohClass:
-        key = (j, x)
-        shifted = self._shifts.get(key)
-        if shifted is None:
-            shifted = self._shifts[key] = self.model.cup(self._power(j - 1), x)
-        return shifted
 
     def _product(self, y: CohClass) -> tuple[NovikovSeries, ...]:
         if y not in self._products:
@@ -221,28 +207,22 @@ class _PrimaryTwoPoint:
         return self._series[key]
 
     def _compute(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
-        model, policy, gamma0, pairing = self.model, self.policy, self.gamma0, self._pairing
-        total: dict[CurveClass, Fraction] = {}
-        for j in range(1, d + 2):
-            shifted_x = self._shifted(j, x)
-            if shifted_x.is_zero():
-                continue
-            if j <= d:
-                acc: dict[CurveClass, Fraction] = {}
-                for a, coeff in enumerate(self._product(y)):
-                    if not coeff.is_zero():
-                        lower = self.series(d - j, shifted_x, model.basis_class(a))
-                        _accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
-                bracket = NovikovSeries._trusted(policy, acc)
-            else:  # the antiderivative below needs the bracket without its zero-class term
-                bracket = summed(
-                    policy,
-                    lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y),
-                    self._nonzero,
-                )
-            bracket = antiderivative_q(bracket, lambda beta: pairing(beta) ** j)
-            _accumulate(total, bracket._terms, (-1) ** (j + 1))
-        return NovikovSeries._trusted(policy, total)
+        model, policy, gamma0 = self.model, self.policy, self.gamma0
+        if d == 0:  # the antiderivative below needs the bracket without its zero-class term
+            bracket = summed(
+                policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, x, y), self._nonzero
+            )
+        else:
+            acc: dict[CurveClass, Fraction] = {}
+            for a, coeff in enumerate(self._product(y)):
+                if not coeff.is_zero():
+                    lower = self.series(d - 1, x, model.basis_class(a))
+                    _accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
+            shifted_x = model.cup(gamma0, x)
+            if not shifted_x.is_zero():
+                _accumulate(acc, self.series(d - 1, shifted_x, y)._terms, -1)
+            bracket = NovikovSeries._trusted(policy, acc)
+        return antiderivative_q(bracket, self._pairing)
 
 
 # ----------------------------------------------------------------------

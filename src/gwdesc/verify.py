@@ -138,7 +138,8 @@ def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4
 def suite_divisor_independence(
     model: GeometryModel, primary: PrimaryTable, qmax: int = 3, dmax: int = 3
 ) -> SuiteResult:
-    """Reductions with the ample divisor against a rescaled one."""
+    """Reductions with the ample divisor against a rescaled one, and the dilaton route of the
+    one- and zero-point values against the divisor route."""
     base = CorrelatorEngine(model, primary)
     scaled = CorrelatorEngine(model, primary, gamma0=3 * model.ample)
     policy = model.policy(qmax)
@@ -159,12 +160,20 @@ def suite_divisor_independence(
                             failures.append(f"two-point {beta} {d1} {d2}: {v1} vs {v2}")
         for d in range(dmax + 1):
             for x in basis:
-                checked += 1
-                if base.one_point(d, x, beta) != scaled.one_point(d, x, beta):
+                checked += 2
+                v1 = base.one_point(d, x, beta)
+                if v1 != scaled.one_point(d, x, beta):
                     failures.append(f"one-point {beta} {d}")
-        checked += 1
-        if base.zero_point(beta) != scaled.zero_point(beta):
+                v2 = base.one_point(d, x, beta, route="dilaton")
+                if v1 != v2:
+                    failures.append(f"one-point {beta} {d}: divisor {v1} vs dilaton {v2}")
+        checked += 2
+        v1 = base.zero_point(beta)
+        if v1 != scaled.zero_point(beta):
             failures.append(f"zero-point {beta}")
+        v2 = base.zero_point(beta, route="dilaton")
+        if v1 != v2:
+            failures.append(f"zero-point {beta}: divisor {v1} vs dilaton {v2}")
     # the primary-only route must not depend on the divisor choice either;
     # each divisor gets its own route, so no memo is shared between them
     ample_route = _PrimaryTwoPoint(model, primary, policy)
@@ -177,7 +186,7 @@ def suite_divisor_independence(
                 with_scaled = scaled_route.series(d, x, y)
                 if with_ample != with_scaled:
                     failures.append(f"primary-route series d={d}: divisor choice leaked")
-    head = [f"checked {checked} reductions with both divisors"]
+    head = [f"checked {checked} reductions with both divisors and both unstable routes"]
     return _verdict("divisor-independence", head, failures, checked)
 
 

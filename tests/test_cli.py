@@ -71,6 +71,20 @@ def test_correlator_out_of_scope(capsys):
     assert "out of scope" in err
 
 
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        (["--beta", "1", "--ins", "tau(0,1):h,tau(0):h,tau(0):one"], "insertions with pulled-back powers are genus-0 only"),
+        (["--qmax", "1", "--ins", "tau(1):one"], "summed series are genus-0 only"),
+    ],
+)
+def test_correlator_higher_genus_outside_the_constant_maps(capsys, where, message):
+    code, out, err = run(capsys, "correlator", "--model", "P1", "--genus", "1", *where)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_correlator_negative_genus_at_nonzero_class(capsys):
     code, out, err = run(
         capsys, "correlator", "--model", "P1", "--beta", "1", "--genus", "-1", "--ins", "tau(1):one,tau(0):h"

@@ -212,6 +212,43 @@ def test_modified_refs_are_three_distinct_marks_of_the_query(p2_engine, p2):
             p2_engine.modified((1,), query, refs=refs)
 
 
+@pytest.mark.parametrize(
+    "query, error, match",
+    [
+        (
+            lambda e, h, h2: e.generalized((1,), [(1, 0, h2), (0, 0, h2), (0, 0, h)], reduce_at=0),
+            ValueError,
+            "reduce_at must point at a slot with a positive cotangent power",
+        ),
+        (
+            lambda e, h, h2: e.modified((1,), [(0, h2), (0, h2)]),
+            UnsupportedQueryError,
+            "modified correlators need at least three marks",
+        ),
+        (
+            lambda e, h, h2: e.three_point_descendant((1,), [(0, h2), (0, h2)]),
+            ValueError,
+            "exactly three insertions required",
+        ),
+        (lambda e, h, h2: e.one_point(0, h2, (1,), route="x"), ValueError, "route must be 'divisor' or 'dilaton'"),
+        (lambda e, h, h2: e.zero_point((1,), route="x"), ValueError, "route must be 'divisor' or 'dilaton'"),
+    ],
+    ids=["reduce-at-level-0", "modified-two-marks", "three-point-two-marks", "one-point-route", "zero-point-route"],
+)
+def test_malformed_engine_queries_raise(p2_engine, p2, query, error, match):
+    m = p2.model
+    with pytest.raises(error, match=match):
+        query(p2_engine, cls(m, "h"), cls(m, "h2"))
+
+
+def test_reduction_divisor_that_misses_a_class_raises():
+    # the ruling a pairs to zero with the class (1, 0) of the other ruling
+    model = quadric_model()
+    engine = CorrelatorEngine(model, quadric_table(model), gamma0=cls(model, "a"))
+    with pytest.raises(ValueError, match=re.escape("reduction divisor pairs to zero with (1, 0)")):
+        engine.two_point(0, cls(model, "ab"), cls(model, "a"), (1, 0))
+
+
 @pytest.mark.parametrize("name", ["P1", "P2", "quadric"])
 def test_pulled_back_powers_past_the_moduli_dimension_vanish(p1, p2, name):
     """``_gen`` returns 0 unevaluated when the pulled-back powers sum past n - 3.

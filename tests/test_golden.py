@@ -65,10 +65,11 @@ GOLDEN = [
         "4d54c69c59908cf4ebfd6150e08029ba10cf28ef72fea368f7cfbe4d370d24c7",
         id="verify-two-point-paths",
     ),
-    # the one report that runs the primary-only route with a rescaled divisor
+    # the one report that runs the primary-only route with a rescaled divisor and
+    # the dilaton route of the one- and zero-point values
     pytest.param(
         "verify --model P2 --suite divisor-independence",
-        "e19b8da06b9a2f83a2d3df3d8508a81ac9363f10ed03d010349a5606bc485e4e",
+        "d87109a60255102c5a438d97f9e2ca2a99eb1d83233e911a720559636b56c2a3",
         id="verify-divisor-independence",
     ),
     pytest.param(

@@ -240,7 +240,7 @@ class JFoldRoute(phase._PrimaryTwoPoint):
         model, policy, gamma0 = self.model, self.policy, self.gamma0
         total = {}
         for j in range(1, d + 2):
-            shifted_x = model.cup(self._power(j - 1), x)
+            shifted_x = model.cup(model.cup_power(gamma0, j - 1), x)
             if shifted_x.is_zero():
                 continue
             if j <= d:
@@ -272,9 +272,11 @@ def test_one_division_route_equals_the_j_fold_route(p1, p2):
         route = phase._PrimaryTwoPoint(m, table, policy, gamma0)
         reference = JFoldRoute(m, table, policy, gamma0)
         basis = [m.basis_class(i) for i in range(m.rank)]
+        # a mixed x and the dual classes as y reach the rolled chains <tau_k(gamma0^m ∪ x) y>
+        # with y outside the basis
         for d in range(7):
-            for x in basis:
-                for y in basis:
+            for x in basis + [m.unit + 2 * m.ample]:
+                for y in basis + list(m.dual_basis()):
                     assert route.series(d, x, y) == reference.series(d, x, y)
 
 

@@ -61,6 +61,24 @@ def _pattern(insertions):
     return tuple((d, cls.support()[0]) for d, cls in insertions)
 
 
+def test_divisor_independence_compares_the_dilaton_route(p1, monkeypatch):
+    # the only suite that runs the dilaton route, so the only one a wrong dilaton factor fails
+    from gwdesc.engine import CorrelatorEngine
+
+    assert suite_divisor_independence(p1.model, p1.primary, qmax=1, dmax=1).ok
+    unstable = CorrelatorEngine._unstable
+
+    def off_by_one(self, beta, ins, route="divisor"):
+        value = unstable(self, beta, ins, route)
+        return value + 1 if route == "dilaton" and len(ins) < 2 else value
+
+    monkeypatch.setattr(CorrelatorEngine, "_unstable", off_by_one)
+    result = suite_divisor_independence(p1.model, p1.primary, qmax=1, dmax=1)
+    assert not result.ok
+    dilaton = [line for line in result.lines if "vs dilaton" in line]
+    assert dilaton and dilaton[-1].startswith("zero-point (1,): divisor")
+
+
 def test_point_vanishing_lists_failures_genus_by_genus(p2, monkeypatch):
     # the g = 2 pattern comes first in the scan's pattern order and the g = 0 one
     # last, so the report's genus order is not the order the patterns are met in
