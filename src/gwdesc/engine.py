@@ -15,10 +15,10 @@ Evaluation strategy, in reduction order:
   whose dimension is n - 3;
 * base cases: the three-point table and constant-map closed forms;
 * the unstable range (two-, one- and zero-point at nonzero class) is one
-  divisor-relation step with the ample divisor: the value with the divisor
-  added is a three-point descendant for two marks and again an unstable
-  value for fewer; for fewer than two marks the dilaton relation gives an
-  independent route to the same value.
+  divisor-relation step with the ample divisor.  For two marks the value
+  with the divisor added is one step of the first reduction above (its
+  pulled-back term vanishes at three marks) or a table value; for fewer it
+  is again unstable, and the dilaton relation gives an independent route.
 
 The dimension count is screened once per query, at the entry (``core``, which
 takes one basis core, leaves it to its caller, the potential assembly).  Everything
@@ -285,40 +285,6 @@ class CorrelatorEngine:
         return self.primary_table.value(beta, *triple)
 
     # ------------------------------------------------------------------
-    # three-point descendants (dedicated contraction route)
-
-    def _three_desc(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
-        """Three-point correlator with descendants via dual-basis contraction."""
-        if not any(beta):
-            return constant_map_correlator(
-                0, [(d, self.model.basis_class(a)) for d, _, a in ins], self.model, self.taut
-            )
-        if all(d == 0 for d, _, _ in ins):
-            return self._primary3(beta, tuple(a for _, _, a in ins))
-        key = ("3", beta, ins)
-        cached = self._memo_get(key)
-        if cached is not None:
-            return cached
-        j = next(p for p, (d, _, _) in enumerate(ins) if d >= 1)
-        d_j, _, a_j = ins[j]
-        others = sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
-        total = Fraction(0)
-        for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
-            for a in self._candidates(beta2, len(ins), others):
-                tp = Fraction(0)
-                for c, b in self._dual_parts[a]:
-                    value = self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
-                    tp += value if c == 1 else c * value
-                if not tp:
-                    continue
-                replaced = list(ins)
-                replaced[j] = (0, 0, a)
-                rest = self._three_desc(beta2, tuple(sorted(replaced)))
-                if rest:
-                    total += tp * rest
-        return self._memo_put(key, total)
-
-    # ------------------------------------------------------------------
     # unstable range at nonzero class: one divisor-relation step
 
     def _unstable(self, beta: CurveClass, ins: tuple[Insertion, ...], route: str = "divisor") -> Fraction:
@@ -326,8 +292,9 @@ class CorrelatorEngine:
 
         The divisor route solves the divisor relation with gamma0,
         <gamma0·ins> = (gamma0·beta)<ins> + sum_i <ins, slot i lowered to tau_{d_i-1}(gamma0 ∪ a_i)>,
-        for <ins>; the gamma0 side has three marks for two-point values and
-        is unstable again for fewer.  Below two marks the dilaton route
+        for <ins>.  For two-point values the gamma0 side is a three-mark lowering step,
+        ``_gen_apply_relation`` called directly (two frames per level of the chain);
+        for fewer marks it is unstable again.  Below two marks the dilaton route
         divides <tau_1(1)·ins> by the dilaton factor 2g-2+n = n-2 instead.
         """
         if not any(beta):
@@ -346,7 +313,11 @@ class CorrelatorEngine:
         for c, gi in self._gamma0_parts:
             with_divisor = tuple(sorted(ins + ((0, 0, gi),)))
             if n == 2:
-                value = self._three_desc(beta, with_divisor)
+                j = next((p for p, (d, _, _) in enumerate(with_divisor) if d >= 1), None)
+                if j is None:
+                    value = self._primary3(beta, tuple(a for _, _, a in with_divisor))
+                else:
+                    value = self._gen_apply_relation(beta, with_divisor, j)
             else:
                 value = self._unstable(beta, with_divisor, route)
             total += value if c == 1 else c * value
@@ -388,7 +359,8 @@ class CorrelatorEngine:
         return self._memo_put(key, value)
 
     def _gen_apply_relation(self, beta: CurveClass, ins: tuple[Insertion, ...], j: int) -> Fraction:
-        """One application of the descendant-lowering relation at slot j."""
+        """One application of the descendant-lowering relation at slot j; also the unstable
+        range's three-mark step, where ``_gen`` screens the shifted term (e = 1 > n - 3) to zero."""
         d_j, e_j, a_j = ins[j]
         shifted = list(ins)
         shifted[j] = (d_j - 1, e_j + 1, a_j)
@@ -592,12 +564,6 @@ class CorrelatorEngine:
         if refs is None or not any(e for e, _ in pairs):
             return self._sum(beta, triples, self._gen)
         return self._sum(beta, triples, self._modified_core, refs)
-
-    def three_point_descendant(self, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
-        """Three-point descendant correlator by the contraction recursion."""
-        if len(pairs) != 3:
-            raise ValueError("exactly three insertions required")
-        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], self._three_desc)
 
     def two_point(self, d: int, x: CohClass, y: CohClass, beta: CurveClass) -> Fraction:
         """Two-point correlator with the cotangent power on the first slot."""

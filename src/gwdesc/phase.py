@@ -740,7 +740,7 @@ def divisor_product_identity(
     gamma0 = engine.gamma0
     pairs = [(0, gamma0), (d, x), (0, y)]
     classes = _engine_classes(engine, policy, [(level, 0, cls) for level, cls in pairs])
-    lhs = summed(policy, lambda beta: engine.three_point_descendant(beta, pairs), classes)
+    lhs = summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
     rhs = NovikovSeries.zero(policy)
     for a, coeff in enumerate(quantum_product(model, engine.primary_table, policy, gamma0, y)):
         if not coeff.is_zero():

@@ -124,7 +124,8 @@ def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4
         lines.append("ran on the built-in plane fixture")
     engine = CorrelatorEngine(model, primary)
     oracle = plane_curve_counts(dmax) if dmax >= 1 else {}  # below degree 1 no check runs
-    point = next(model.basis_class(i) for i, d in enumerate(model.degrees) if d == 2)
+    top = next(model.basis_class(i) for i, d in enumerate(model.degrees) if d == 2)
+    point = top * (1 / model.integrate(top))  # the point class, of integral 1
     failures = []
     for d in range(1, dmax + 1):
         got = engine.primary((d,), [point] * (3 * d - 1))
@@ -230,8 +231,7 @@ def suite_identities(
 
     Per query: the divisor relation, the dilaton relation, permutation
     invariance, dimension vanishing against the unchecked recursion, the
-    reduction-slot independence of the descendant relation, the three-point
-    contraction route against the general recursion, and the summed
+    reduction-slot independence of the descendant relation, and the summed
     product-compatibility identity.
     """
     engine = CorrelatorEngine(model, primary)
@@ -244,7 +244,6 @@ def suite_identities(
         "permutation": 0,
         "dimension-vanishing": 0,
         "slot-independence": 0,
-        "three-point-agreement": 0,
         "product-compatibility": 0,
     }
     failures: list[str] = []
@@ -289,15 +288,6 @@ def suite_identities(
             counters["slot-independence"] += 1
             if len(values) != 1:
                 failures.append(f"slot choice changed the value {beta} {raw}: {values}")
-
-        if any(beta) and len(raw) >= 3:
-            triple = sorted(raw)[:3]
-            tri_pairs = [(d, basis[a]) for d, a in triple]
-            counters["three-point-agreement"] += 1
-            v1 = engine.three_point_descendant(beta, tri_pairs)
-            v2 = engine.generalized(beta, [(d, 0, cls) for d, cls in tri_pairs])
-            if v1 != v2:
-                failures.append(f"three-point routes disagree {beta} {triple}: {v1} vs {v2}")
 
         if case % 10 == 0 and model.lattice_rank:
             d = rng.randint(1, 3)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -94,9 +95,9 @@ def test_primary_table_symmetrizes(p2):
 def test_primary3_values(p1_engine, p1):
     m = p1.model
     h = cls(m, "h")
-    assert p1_engine.three_point_descendant((0,), [(0, m.unit), (0, h), (0, m.unit)]) == 1
-    assert p1_engine.three_point_descendant((1,), [(0, h), (0, h), (0, h)]) == 1
-    assert p1_engine.three_point_descendant((1,), [(0, m.unit), (0, h), (0, h)]) == 0
+    assert p1_engine.descendant(0, (0,), [(0, m.unit), (0, h), (0, m.unit)]) == 1
+    assert p1_engine.descendant(0, (1,), [(0, h), (0, h), (0, h)]) == 1
+    assert p1_engine.descendant(0, (1,), [(0, m.unit), (0, h), (0, h)]) == 0
     assert p1_engine.primary((1,), [h, h, h]) == 1
 
 
@@ -113,10 +114,10 @@ def test_two_point_values(p1_engine, p1):
 def test_three_point_descendant(p1_engine, p1):
     m = p1.model
     h = cls(m, "h")
-    assert p1_engine.three_point_descendant((1,), [(1, h), (0, h), (0, m.unit)]) == 1
-    assert p1_engine.three_point_descendant((1,), [(0, h), (0, h), (0, h)]) == 1
-    assert p1_engine.three_point_descendant((1,), [(3, h), (0, h), (0, h)]) == 0
-    assert p1_engine.three_point_descendant((1,), [(1, m.unit), (0, h), (0, h)]) == 0
+    assert p1_engine.descendant(0, (1,), [(1, h), (0, h), (0, m.unit)]) == 1
+    assert p1_engine.descendant(0, (1,), [(0, h), (0, h), (0, h)]) == 1
+    assert p1_engine.descendant(0, (1,), [(3, h), (0, h), (0, h)]) == 0
+    assert p1_engine.descendant(0, (1,), [(1, m.unit), (0, h), (0, h)]) == 0
 
 
 def test_unstable_range(p1_engine, p1):
@@ -145,6 +146,19 @@ def test_line_one_point_descendants_closed_form(p1_engine, p1):
         assert p1_engine.one_point(2 * d - 2, h, (d,), route="dilaton") == Fraction(
             1, factorial(d) ** 2
         )
+
+
+@pytest.mark.parametrize("beta", [200, 220])
+def test_deep_two_point_at_the_default_recursion_limit(p1, beta):
+    """<tau_{2b-2}(h) h>_b on the line is b/(b!)^2.  Each level of the unstable chain
+    costs two frames (``_unstable`` and ``_gen_apply_relation``); a step that went
+    through ``_gen`` as well would cost three and stop near b = 165 at this limit."""
+    from math import factorial
+
+    assert sys.getrecursionlimit() == 1000
+    engine = CorrelatorEngine(p1.model, p1.primary)
+    h = cls(p1.model, "h")
+    assert engine.two_point(2 * beta - 2, h, h, (beta,)) == Fraction(beta, factorial(beta) ** 2)
 
 
 def test_descendant_dispatch(p1_engine, p2_engine, p1, p2):
@@ -225,15 +239,10 @@ def test_modified_refs_are_three_distinct_marks_of_the_query(p2_engine, p2):
             UnsupportedQueryError,
             "modified correlators need at least three marks",
         ),
-        (
-            lambda e, h, h2: e.three_point_descendant((1,), [(0, h2), (0, h2)]),
-            ValueError,
-            "exactly three insertions required",
-        ),
         (lambda e, h, h2: e.one_point(0, h2, (1,), route="x"), ValueError, "route must be 'divisor' or 'dilaton'"),
         (lambda e, h, h2: e.zero_point((1,), route="x"), ValueError, "route must be 'divisor' or 'dilaton'"),
     ],
-    ids=["reduce-at-level-0", "modified-two-marks", "three-point-two-marks", "one-point-route", "zero-point-route"],
+    ids=["reduce-at-level-0", "modified-two-marks", "one-point-route", "zero-point-route"],
 )
 def test_malformed_engine_queries_raise(p2_engine, p2, query, error, match):
     m = p2.model
@@ -351,7 +360,7 @@ def test_generalized_reproduces_three_point(p1_engine, p1):
     h = cls(m, "h")
     one = m.unit
     v1 = p1_engine.generalized((1,), [(1, 0, h), (0, 0, h), (0, 0, one)])
-    v2 = p1_engine.three_point_descendant((1,), [(1, h), (0, h), (0, one)])
+    v2 = p1_engine.descendant(0, (1,), [(1, h), (0, h), (0, one)])
     assert v1 == v2 == 1
 
 
@@ -535,7 +544,7 @@ def test_dimension_invalid_queries_never_reach_the_table(p2):
         "descendant": lambda: engine.descendant(0, beta, [(0, h2), (0, h2), (0, h2)]),
         "generalized-reduce-at": lambda: engine.generalized(beta, [(1, 0, h2), (0, 0, h2), (0, 0, h2)], reduce_at=2),
         "modified-refs": lambda: engine.modified(beta, [(1, h2), (0, h2), (0, h2), (0, h2)], refs=(3, 0, 1)),
-        "three_point_descendant": lambda: engine.three_point_descendant(beta, [(1, h2), (0, h2), (0, h2)]),
+        "descendant-cotangent": lambda: engine.descendant(0, beta, [(1, h2), (0, h2), (0, h2)]),
         "primary": lambda: engine.primary(beta, [h2, h2, h2]),
         "two_point_general": lambda: engine.two_point_general(1, h2, 0, h2, beta),
         "one_point-divisor": lambda: engine.one_point(2, h2, beta, "divisor"),
@@ -593,7 +602,6 @@ def test_public_values_are_fractions(request, name):
     values = []
     for beta in betas:
         for x, y, z in combinations_with_replacement(classes, 3):
-            values.append(engine.three_point_descendant(beta, [(0, x), (0, y), (0, z)]))
             for d in range(3):
                 values.append(engine.descendant(0, beta, [(d, x), (0, y), (0, z)]))
                 values.append(engine.generalized(beta, [(d, 0, x), (0, d, y), (0, 0, z)]))
@@ -639,7 +647,6 @@ def test_effectivity_guard(p1_engine):
         "generalized-reduce-at",
         "modified",
         "modified-refs",
-        "three_point_descendant",
         "two_point",
         "two_point_general",
         "primary",
@@ -659,7 +666,6 @@ def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
         ),
         "modified": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)]),
         "modified-refs": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)], refs=(0, 1, 2)),
-        "three_point_descendant": lambda: p1_engine.three_point_descendant(beta, [(1, h), (0, h), (0, h)]),
         "two_point": lambda: p1_engine.two_point(1, h, h, beta),
         "two_point_general": lambda: p1_engine.two_point_general(1, h, 0, h, beta),
         "primary": lambda: p1_engine.primary(beta, [h, h, h, h]),
@@ -690,7 +696,6 @@ def test_negative_genus_is_rejected_at_every_class(p1_engine, p1, beta):
         "generalized-reduce-at",
         "modified",
         "modified-refs",
-        "three_point_descendant",
         "two_point",
         "two_point_general",
         "one_point",
@@ -713,7 +718,6 @@ def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
         ),
         "modified": lambda: p2_engine.modified(beta, [(-1, h2), (0, h2), (0, h)]),
         "modified-refs": lambda: p2_engine.modified(beta, [(1, h), (-1, h2), (0, h2), (0, h)], refs=(0, 1, 2)),
-        "three_point_descendant": lambda: p2_engine.three_point_descendant(beta, [(-1, h2), (0, h2), (0, h)]),
         "two_point": lambda: p2_engine.two_point(-1, h2, h2, beta),
         "two_point_general": lambda: p2_engine.two_point_general(0, h2, -1, h2, beta),
         "one_point": lambda: p2_engine.one_point(-1, h2, beta),

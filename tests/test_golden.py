@@ -52,7 +52,7 @@ GOLDEN = [
     ),
     pytest.param(
         "verify --model P2 --suite identities --qmax 2 --count 80",
-        "6759d7b063beb966d02d14a9b3d51b71df657464032c2556ba0a23e243273739",
+        "d36f4db7ab12a13f214a1d7ff4bddcc101fe335b2f966281ecccfc9a92b7e1ed",
         id="verify-identities",
     ),
     pytest.param(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,9 @@ from pathlib import Path
 import pytest
 
 from gwdesc import verify
+from gwdesc.cli import main
+from gwdesc.engine import PrimaryTable
+from gwdesc.geometry import GeometryModel
 from gwdesc.moduli import TautTableError
 from gwdesc.verify import (
     SUITE_NAMES,
@@ -167,3 +171,73 @@ def test_readme_lists_every_suite_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Verification suites", 1)[1].split("\n#", 1)[0]
     assert tuple(re.findall(r"^\| `([a-z0-9-]+)` \|", table, flags=re.MULTILINE)) == SUITE_NAMES
+
+
+# The plane with its point class rescaled, p = 2·pt: h∪h = p/2 and ∫p = 2, so the
+# pairing-dual basis is one^∨ = p/2, h^∨ = h, p^∨ = one/2.  On P1, P2 and the quadric
+# every dual coefficient is 1, so only here do the engine's dual-coefficient factors act.
+RESCALED_PLANE = {
+    "name": "P2-rescaled",
+    "dimension": 2,
+    "basis": [{"label": "one", "degree": 0}, {"label": "h", "degree": 1}, {"label": "p", "degree": 2}],
+    "cup": [
+        {"a": "h", "b": "h", "result": {"p": "1/2"}},
+        {"a": "h", "b": "p", "result": {}},
+        {"a": "p", "b": "p", "result": {}},
+    ],
+    "integral": {"p": "2"},
+    "lattice_rank": 1,
+    "divisor_pairing": {"h": [1]},
+    "ample": {"h": "1"},
+    "chern": [{"one": "1"}, {"h": "3"}, {"p": "3/2"}],
+}
+
+
+def _rescaled_table(value):
+    """The rescaled plane's one table entry <h p p>_1; 4 is the line count <h pt pt>_1 = 1."""
+    return [{"beta": [1], "classes": ["h", "p", "p"], "value": value}]
+
+
+@pytest.fixture(scope="module")
+def rescaled_plane():
+    model = GeometryModel.from_dict(RESCALED_PLANE)
+    assert model.validate().ok
+    return model, PrimaryTable.from_records(model, _rescaled_table("4"))
+
+
+def test_rescaled_plane_has_dual_coefficients_other_than_one(rescaled_plane):
+    model, _ = rescaled_plane
+    coefficients = sorted(c for dual in model.dual_basis() for c, _ in dual.parts)
+    assert coefficients == [Fraction(1, 2), Fraction(1, 2), 1]
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [
+        ("transform", {"qmax": 2, "xdeg": 4, "dmax": 2}),
+        ("two-point-paths", {"qmax": 3, "dmax": 3}),
+        ("divisor-independence", {"qmax": 2, "dmax": 2}),
+        ("identities", {"qmax": 2, "count": 60}),
+        ("enumerative", {}),
+    ],
+    ids=["transform", "two-point-paths", "divisor-independence", "identities", "enumerative"],
+)
+def test_rescaled_plane_passes_the_two_route_suites(rescaled_plane, name, window):
+    result = run_suite(name, *rescaled_plane, **window)
+    assert result.ok, result.render()
+
+
+@pytest.mark.parametrize("value, code", [("4", 0), ("8", 1)])
+def test_enumerative_reads_the_point_class_at_integral_one(tmp_path, capsys, value, code):
+    # the suite used to insert the degree-2 basis class p = 2·pt as the point, so the
+    # correct table printed "degree 4: engine 1269760, oracle 620" and exited 1
+    geometry, table = tmp_path / "plane.json", tmp_path / "table.json"
+    geometry.write_text(json.dumps(RESCALED_PLANE))
+    table.write_text(json.dumps(_rescaled_table(value)))
+    argv = ["verify", "--model", str(geometry), "--primary", str(table), "--suite", "enumerative"]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if code == 0:
+        assert "degree 4: engine 620, oracle 620" in out
+    else:
+        assert "degree 1: engine 2, oracle 1" in out
