@@ -23,7 +23,6 @@ from .moduli import (
     TautTable,
     TautTableError,
     constant_map_correlator,
-    psi_boundary_partitions,
     psi_integral_genus0,
 )
 from .engine import (
@@ -44,7 +43,6 @@ from .phase import (
     potential_standard,
     quantum_product,
     summed_correlator,
-    summed_two_point,
     transform_identity_report,
     two_point_from_primaries,
 )
@@ -85,11 +83,9 @@ __all__ = [
     "potential_modified",
     "potential_primary",
     "potential_standard",
-    "psi_boundary_partitions",
     "psi_integral_genus0",
     "quantum_product",
     "summed_correlator",
-    "summed_two_point",
     "transform_identity_report",
     "two_point_from_primaries",
 ]

@@ -39,7 +39,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, narrow, parse_rational
+from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, json_rational, narrow
 from .geometry import CohClass, GeometryModel, ModelError
 from .moduli import TautTable, constant_map_correlator
 
@@ -133,7 +133,7 @@ class PrimaryTable:
             if len(classes) != 3:
                 raise TableFormatError(f"record {row}: a three-point record needs 3 classes, got {len(classes)}")
             triple = tuple(model.label_index(str(label)) for label in classes)
-            records.append((tuple(beta), triple, parse_rational(row["value"])))
+            records.append((tuple(beta), triple, json_rational(row["value"], f"record {row}: value")))
         return cls(model, records)
 
     @classmethod

@@ -48,6 +48,16 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_rational(value, what: str) -> Fraction:
+    """A rational field of an input file: a string "p/q" (or "p") or a JSON integer, so a
+    float or a bool is a ValueError naming ``what``, never the rational of its decimal repr."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a rational string \"p/q\" or an integer, got {value!r}")
+    return parse_rational(value)
+
+
 def json_int_list(value, what: str) -> list[int]:
     """A list of integers in an input file, by the rule of :func:`json_int`."""
     if not (isinstance(value, list) and all(type(v) is int for v in value)):

@@ -77,19 +77,3 @@ def plane_curve_counts(dmax: int) -> dict[int, Fraction]:
         counts[d] = total
     return counts
 
-
-def p2_primary_records() -> list[dict]:
-    """Regenerate the plane's primary table from the oracle seed.
-
-    Only the line class admits a dimension-consistent three-point entry; its
-    value is the degree-1 count.  The drift test compares this against the
-    shipped data file.
-    """
-    counts = plane_curve_counts(1)
-    return [
-        {"beta": [1], "classes": ["h", "h2", "h2"], "value": str(counts[1])}
-    ]
-
-
-def shipped_p2_primary_records() -> list[dict]:
-    return json.loads(_data_text("p2.primary.json"))

@@ -26,6 +26,7 @@ from .exact import (
     json_int,
     json_int_list,
     json_object,
+    json_rational,
     narrow,
     parse_rational,
     solve_linear,
@@ -548,7 +549,7 @@ class GeometryModel:
     @classmethod
     def from_dict(cls, data: dict) -> GeometryModel:
         def rationals(value, what: str) -> dict[str, Fraction]:
-            return {l: parse_rational(v) for l, v in json_object(value, what).items()}
+            return {l: json_rational(v, f"{what}[{l!r}]") for l, v in json_object(value, what).items()}
 
         try:
             labels = [entry["label"] for entry in data["basis"]]

@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, json_int, json_int_list, parse_rational
+from .exact import GwdescError, json_int, json_int_list, json_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -51,27 +51,6 @@ def psi_integral_genus0(exponents: Sequence[int]) -> Fraction:
     for d in exponents:
         value //= factorial(d)
     return Fraction(value)
-
-
-def psi_boundary_partitions(i: int, j: int, k: int, n: int) -> list[tuple[int, ...]]:
-    """Mark subsets S expanding the i-th cotangent class into boundary divisors.
-
-    On the genus-0 moduli with marks 1..n, the cotangent class at mark i is
-    the sum of the boundary divisors separating i from two chosen reference
-    marks j and k; the admissible subsets contain i, avoid j and k, and have
-    between 2 and n-2 elements so both sides stay stable.
-    """
-    if len({i, j, k}) != 3:
-        raise ValueError("marks i, j, k must be distinct")
-    marks = range(1, n + 1)
-    if not {i, j, k} <= set(marks):
-        raise ValueError("marks must lie in 1..n")
-    rest = [m for m in marks if m not in (i, j, k)]
-    subsets = [
-        tuple(sorted((i,) + chosen)) for r in range(1, n - 2) for chosen in combinations(rest, r)
-    ]
-    subsets.sort(key=lambda s: (len(s), s))
-    return subsets
 
 
 @dataclass(frozen=True)
@@ -133,7 +112,7 @@ class TautTable:
                         n=json_int(row["n"], "n"),
                         psi=tuple(json_int_list(row["psi"], "psi")),
                         lambdas=tuple(json_int_list(row["lambda"], "lambda")),
-                        value=parse_rational(row["value"]),
+                        value=json_rational(row["value"], "value"),
                     )
                 )
             except (TypeError, ValueError) as exc:

@@ -72,23 +72,10 @@ def summed_correlator(
     pairs: Sequence[tuple[int, CohClass]],
     policy: TruncationPolicy,
 ) -> NovikovSeries:
-    """Genus-zero descendant correlator summed over the classes of :func:`_engine_classes`."""
+    """Genus-zero descendant correlator of any number of marks (two for the engine's
+    two-point series) summed over the classes of :func:`_engine_classes`."""
     classes = _engine_classes(engine, policy, [(d, 0, cls) for d, cls in pairs])
     return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
-
-
-def summed_two_point(
-    engine: CorrelatorEngine,
-    d: int,
-    x: CohClass,
-    y: CohClass,
-    policy: TruncationPolicy,
-) -> NovikovSeries:
-    """Two-point descendant series ⟨τ_d(x) y⟩ from the engine, summed only over the classes
-    of :func:`_engine_classes`, where the dimension count can hold (the zero class never
-    contributes); a negative level raises ValueError."""
-    classes = _engine_classes(engine, policy, [(d, 0, x), (0, 0, y)])
-    return summed(policy, lambda beta: engine.two_point(d, x, y, beta), classes)
 
 
 # ----------------------------------------------------------------------
@@ -144,16 +131,7 @@ def two_point_from_primaries(
     y: CohClass,
     gamma0: CohClass | None = None,
 ) -> NovikovSeries:
-    """Two-point descendant series built from primary three-point data only.
-
-    One step of the divisor relation lowers the cotangent power by one:
-    (gamma0·beta) ⟨τ_d(x) y⟩_beta = [Σ_a (gamma0 * y)_a ⟨τ_{d-1}(x) basis[a]⟩]_beta
-    − ⟨τ_{d-1}(gamma0 ∪ x) y⟩_beta, where the product-compatibility identity has turned the
-    triple correlator into lower two-point series; at level 0 the series is the three-point
-    primary ⟨gamma0 x y⟩_beta divided by gamma0·beta.  This route, which never consults the
-    engine, builds T and checks the engine's two-point values.  Each call builds a fresh
-    :class:`_PrimaryTwoPoint`, so nothing is remembered between calls.
-    """
+    """One series of the primary-only route; see :class:`_PrimaryTwoPoint`."""
     return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
 
 
@@ -736,13 +714,10 @@ def divisor_product_identity(
     """
     if d < 1:
         raise ValueError("need a positive level on the descendant slot")
-    model = engine.model
-    gamma0 = engine.gamma0
-    pairs = [(0, gamma0), (d, x), (0, y)]
-    classes = _engine_classes(engine, policy, [(level, 0, cls) for level, cls in pairs])
-    lhs = summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
+    model, gamma0 = engine.model, engine.gamma0
+    lhs = summed_correlator(engine, [(0, gamma0), (d, x), (0, y)], policy)
     rhs = NovikovSeries.zero(policy)
     for a, coeff in enumerate(quantum_product(model, engine.primary_table, policy, gamma0, y)):
         if not coeff.is_zero():
-            rhs = rhs + coeff * summed_two_point(engine, d - 1, x, model.basis_class(a), policy)
+            rhs = rhs + coeff * summed_correlator(engine, [(d - 1, x), (0, model.basis_class(a))], policy)
     return lhs, rhs

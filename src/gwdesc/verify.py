@@ -20,7 +20,7 @@ from .moduli import TautTableError, constant_map_correlator, psi_integral_genus0
 from .phase import (
     _PrimaryTwoPoint,
     divisor_product_identity,
-    summed_two_point,
+    summed_correlator,
     transform_identity_report,
 )
 
@@ -316,7 +316,7 @@ def suite_two_point_paths(
         for x in basis:
             for y in basis:
                 checked += 1
-                via_engine = summed_two_point(engine, d, x, y, policy)
+                via_engine = summed_correlator(engine, [(d, x), (0, y)], policy)
                 via_primaries = route.series(d, x, y)
                 if via_engine != via_primaries:
                     failures.append(f"d={d}: {via_engine} vs {via_primaries}")

@@ -16,7 +16,7 @@ import pytest
 
 from gwdesc import CorrelatorEngine, plane_curve_counts
 from gwdesc.moduli import psi_integral_genus0
-from gwdesc.phase import summed_two_point, transform_identity_report, two_point_from_primaries
+from gwdesc.phase import summed_correlator, transform_identity_report, two_point_from_primaries
 from gwdesc.verify import (
     suite_degree_zero_collapse,
     suite_determinism,
@@ -111,7 +111,7 @@ def test_criterion_6_two_point_path_equivalence(p1, p2):
             for x in basis:
                 for y in basis:
                     checked += 1
-                    if summed_two_point(engine, d, x, y, policy) != two_point_from_primaries(
+                    if summed_correlator(engine, [(d, x), (0, y)], policy) != two_point_from_primaries(
                         model, fixture.primary, policy, d, x, y
                     ):
                         ok = False

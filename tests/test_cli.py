@@ -609,3 +609,67 @@ def test_closed_stdout_exits_141_without_a_message():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")
+
+
+def _rational_field_error(err, head, what, value):
+    return err == f'error: {head}{what} must be a rational string "p/q" or an integer, got {value!r}\n'
+
+
+@pytest.mark.parametrize(
+    "edit, what, value",
+    [
+        (lambda d: d.update(integral={"h2": 1 / 3}), "integral['h2']", 1 / 3),
+        (lambda d: d.update(ample={"h": True}), "ample['h']", True),
+        (lambda d: d["chern"][1].update(h=3.0), "chern entry 1['h']", 3.0),
+        (lambda d: d["cup"][0].update(result={"h2": 1.0}), "cup result of 'h'∪'h'['h2']", 1.0),
+    ],
+    ids=["integral", "ample", "chern", "cup"],
+)
+def test_float_in_a_geometry_rational_field_is_an_input_error(tmp_path, capsys, edit, what, value):
+    # the integral 1/3 written as a JSON float was stored as 3333333333333333/10^16 and validated
+    from gwdesc import load_fixture
+
+    data = load_fixture("P2").model.to_dict()
+    geometry = tmp_path / "plane.json"
+    data["integral"] = {"h2": 1}  # a JSON integer still loads
+    geometry.write_text(json.dumps(data))
+    assert run(capsys, "validate", "--model", str(geometry))[0] == 0
+    edit(data)
+    geometry.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--model", str(geometry))
+    assert (code, out) == (2, "")
+    assert _rational_field_error(err, "malformed geometry file: ", what, value)
+
+
+@pytest.mark.parametrize("value, printed", [("1/10", "1/10"), (3, "3"), (0.1, None), (False, None)])
+def test_float_in_a_primary_value_is_an_input_error(tmp_path, capsys, value, printed):
+    # the value 0.1 was read through its decimal repr, and the correlator printed 1/10
+    record = {"beta": [1], "classes": ["h", "h2", "h2"], "value": value}
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([record]))
+    code, out, err = run(
+        capsys, "correlator", "--model", str(_plane_geometry(tmp_path)), "--primary", str(table),
+        "--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h",
+    )
+    if printed is not None:
+        assert (code, out.strip()) == (0, printed)
+    else:
+        assert (code, out) == (2, "")
+        assert _rational_field_error(err, f"record {record}: ", "value", value)
+
+
+@pytest.mark.parametrize("value, printed", [("1/24", "1/12"), (1, "2"), (1 / 24, None), (True, None)])
+def test_float_in_a_taut_value_is_an_input_error(tmp_path, capsys, value, printed):
+    # <tau_1(1)>_{1,0} on P1 is chi(P1) = 2 times the table's psi integral
+    record = {"g": 1, "n": 1, "psi": [1], "lambda": [], "value": value}
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([record]))
+    code, out, err = run(
+        capsys, "correlator", "--model", "P1", "--taut", str(table), "--genus", "1", "--beta", "0",
+        "--ins", "tau(1):one",
+    )
+    if printed is not None:
+        assert (code, out.strip()) == (0, printed)
+    else:
+        assert (code, out) == (2, "")
+        assert _rational_field_error(err, f"tautological record {record!r}: ", "value", value)

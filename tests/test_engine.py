@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from test_quadric import quadric_model, quadric_table
@@ -16,8 +16,9 @@ from gwdesc.engine import (
     UnsupportedQueryError,
 )
 from gwdesc.geometry import ModelError
-from gwdesc.moduli import constant_map_correlator, psi_boundary_partitions, psi_integral_genus0
+from gwdesc.moduli import constant_map_correlator, psi_integral_genus0
 from gwdesc.phase import (
+    _PrimaryTwoPoint,
     build_transform,
     potential_modified,
     potential_primary,
@@ -312,6 +313,56 @@ def test_gen_is_entered_with_at_least_three_marks(p1, p2):
     assert len(seen) > 1000 and min(seen) == 3
 
 
+def psi_boundary_partitions(i: int, j: int, k: int, n: int) -> list[tuple[int, ...]]:
+    """Mark subsets S expanding the i-th cotangent class into boundary divisors.
+
+    On the genus-0 moduli with marks 1..n, the cotangent class at mark i is
+    the sum of the boundary divisors separating i from two chosen reference
+    marks j and k; the admissible subsets contain i, avoid j and k, and have
+    between 2 and n-2 elements so both sides stay stable.  It is the
+    mark-by-mark reference that the engine's grouped splitting is checked against.
+    """
+    if len({i, j, k}) != 3:
+        raise ValueError("marks i, j, k must be distinct")
+    marks = range(1, n + 1)
+    if not {i, j, k} <= set(marks):
+        raise ValueError("marks must lie in 1..n")
+    rest = [m for m in marks if m not in (i, j, k)]
+    subsets = [
+        tuple(sorted((i,) + chosen)) for r in range(1, n - 2) for chosen in combinations(rest, r)
+    ]
+    subsets.sort(key=lambda s: (len(s), s))
+    return subsets
+
+
+def test_boundary_partitions_enumeration():
+    assert psi_boundary_partitions(1, 2, 3, 4) == [(1, 4)]
+    assert psi_boundary_partitions(1, 2, 3, 5) == [(1, 4), (1, 5), (1, 4, 5)]
+    with pytest.raises(ValueError):
+        psi_boundary_partitions(1, 1, 2, 4)
+    with pytest.raises(ValueError):
+        psi_boundary_partitions(1, 2, 9, 4)
+    assert psi_boundary_partitions(2, 1, 3, 4) == [(2, 4)]
+
+
+def test_boundary_partitions_match_a_brute_force_reference():
+    for n in range(3, 10):
+        subsets = [
+            tuple(m for m in range(1, n + 1) if mask >> (m - 1) & 1) for mask in range(1 << n)
+        ]
+        for i, j, k in permutations(range(1, n + 1), 3):
+            want = sorted(
+                (s for s in subsets if i in s and j not in s and k not in s and 2 <= len(s) <= n - 2),
+                key=lambda s: (len(s), s),
+            )
+            assert psi_boundary_partitions(i, j, k, n) == want
+
+
+def test_boundary_partition_count_matches_psi_degree():
+    # the divisor sum evaluates the first cotangent class on the 4-marked space
+    assert len(psi_boundary_partitions(1, 2, 3, 4)) == psi_integral_genus0([1, 0, 0, 0])
+
+
 def test_modified_matches_markwise_boundary_expansion(p2_engine, p2):
     """Grouped splitting against a literal mark-by-mark expansion."""
     m = p2.model
@@ -355,13 +406,31 @@ def test_generalized_base_case_is_modified(p2_engine, p2):
     assert p2_engine.generalized((1,), triples) == p2_engine.modified((1,), pairs)
 
 
-def test_generalized_reproduces_three_point(p1_engine, p1):
+def test_generalized_reproduces_three_point(p1_engine, p1, p2_engine, p2):
     m = p1.model
     h = cls(m, "h")
     one = m.unit
     v1 = p1_engine.generalized((1,), [(1, 0, h), (0, 0, h), (0, 0, one)])
     v2 = p1_engine.descendant(0, (1,), [(1, h), (0, h), (0, one)])
     assert v1 == v2 == 1
+    # a second route: the string equation <tau_d(x) y 1>_beta = <tau_{d-1}(x) y>_beta, its right
+    # side from the primary-only two-point route, which never consults the engine
+    nonzero = 0
+    for engine, fixture in ((p1_engine, p1), (p2_engine, p2)):
+        m = fixture.model
+        policy = m.policy(3)
+        route = _PrimaryTwoPoint(m, fixture.primary, policy)
+        basis = [m.basis_class(i) for i in range(m.rank)]
+        for d in range(1, 5):
+            for x in basis:
+                for y in basis:
+                    lowered = route.series(d - 1, x, y)
+                    for beta in policy.iter_effective():
+                        if any(beta):
+                            value = engine.generalized(beta, [(d, 0, x), (0, 0, y), (0, 0, m.unit)])
+                            assert value == lowered.coefficient(beta), (m.name, d, x, y, beta)
+                            nonzero += value != 0
+    assert nonzero == 16
 
 
 def test_generalized_zero_class_collapse(p1_engine, p1, point_engine, point):

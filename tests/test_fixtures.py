@@ -1,16 +1,11 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from gwdesc.fixtures import (
-    genus1_taut_table,
-    load_fixture,
-    p2_primary_records,
-    plane_curve_counts,
-    shipped_p2_primary_records,
-)
+from gwdesc.fixtures import _data_text, genus1_taut_table, load_fixture, plane_curve_counts
 from gwdesc.geometry import ModelError
 
 
@@ -54,7 +49,10 @@ def test_fixture_shapes():
 
 
 def test_p2_table_matches_oracle_regeneration():
-    assert p2_primary_records() == shipped_p2_primary_records()
+    # only the line class admits a dimension-consistent three-point entry, and its value
+    # is the degree-1 count; the shipped data file must not drift from it
+    regenerated = [{"beta": [1], "classes": ["h", "h2", "h2"], "value": str(plane_curve_counts(1)[1])}]
+    assert json.loads(_data_text("p2.primary.json")) == regenerated
 
 
 def test_p1_table_is_the_single_line_entry():

@@ -11,7 +11,6 @@ from gwdesc.moduli import (
     TautTable,
     TautTableError,
     constant_map_correlator,
-    psi_boundary_partitions,
     psi_integral_genus0,
 )
 
@@ -43,34 +42,6 @@ def test_psi_integral_sum_rule():
             if sum(exps) == n - 3:
                 total += psi_integral_genus0(list(exps))
         assert total == n ** (n - 3)
-
-
-def test_boundary_partitions_enumeration():
-    assert psi_boundary_partitions(1, 2, 3, 4) == [(1, 4)]
-    assert psi_boundary_partitions(1, 2, 3, 5) == [(1, 4), (1, 5), (1, 4, 5)]
-    with pytest.raises(ValueError):
-        psi_boundary_partitions(1, 1, 2, 4)
-    with pytest.raises(ValueError):
-        psi_boundary_partitions(1, 2, 9, 4)
-    assert psi_boundary_partitions(2, 1, 3, 4) == [(2, 4)]
-
-
-def test_boundary_partitions_match_a_brute_force_reference():
-    for n in range(3, 10):
-        subsets = [
-            tuple(m for m in range(1, n + 1) if mask >> (m - 1) & 1) for mask in range(1 << n)
-        ]
-        for i, j, k in permutations(range(1, n + 1), 3):
-            want = sorted(
-                (s for s in subsets if i in s and j not in s and k not in s and 2 <= len(s) <= n - 2),
-                key=lambda s: (len(s), s),
-            )
-            assert psi_boundary_partitions(i, j, k, n) == want
-
-
-def test_boundary_partition_count_matches_psi_degree():
-    # the divisor sum evaluates the first cotangent class on the 4-marked space
-    assert len(psi_boundary_partitions(1, 2, 3, 4)) == psi_integral_genus0([1, 0, 0, 0])
 
 
 def test_taut_table_screening():

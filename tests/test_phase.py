@@ -23,7 +23,6 @@ from gwdesc.phase import (
     quantum_product,
     substitution_identity,
     summed_correlator,
-    summed_two_point,
     transform_identity_report,
     two_point_from_primaries,
 )
@@ -119,7 +118,7 @@ def test_two_point_paths_agree(p1_engine, p1, p2_engine, p2):
         for d in range(4):
             for x in basis:
                 for y in basis:
-                    assert summed_two_point(engine, d, x, y, policy) == two_point_from_primaries(
+                    assert summed_correlator(engine, [(d, x), (0, y)], policy) == two_point_from_primaries(
                         m, fx.primary, policy, d, x, y
                     )
 
@@ -192,7 +191,8 @@ def test_screened_sums_equal_full_window_sums(p1, p2):
         for d in range(top + 1):
             for x in classes:
                 for y in classes:
-                    assert summed_two_point(engine, d, x, y, policy) == full_window_two_point(engine, d, x, y, policy)
+                    screened = summed_correlator(engine, [(d, x), (0, y)], policy)
+                    assert screened == full_window_two_point(engine, d, x, y, policy)
         for n in (2, 3, 4):
             for chosen in combinations_with_replacement(classes, n):
                 for levels in ((0,) * n, (1,) + (0,) * (n - 1), (2, 1) + (0,) * (n - 2)):
@@ -208,15 +208,15 @@ def test_two_point_paths_ask_the_engine_only_at_admissible_classes(p2, monkeypat
 
     engines = []
     calls = []
-    original = CorrelatorEngine.two_point
+    original = CorrelatorEngine.descendant
 
-    def counting(self, d, x, y, beta):
+    def counting(self, g, beta, pairs):
         if self not in engines:
             engines.append(self)
         calls.append(beta)
-        return original(self, d, x, y, beta)
+        return original(self, g, beta, pairs)
 
-    monkeypatch.setattr(CorrelatorEngine, "two_point", counting)
+    monkeypatch.setattr(CorrelatorEngine, "descendant", counting)
     assert suite_two_point_paths(p2.model, p2.primary, qmax=6, dmax=12).ok
     monkeypatch.undo()
     assert len(calls) == 39 and len(engines) == 1
@@ -285,7 +285,7 @@ def test_series_entries_reject_a_negative_level(p2, p2_engine):
     policy = m.policy(2)
     h, h2 = cls(m, "h"), cls(m, "h2")
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
-        summed_two_point(p2_engine, -1, h2, h2, policy)
+        summed_correlator(p2_engine, [(-1, h2), (0, h2)], policy)
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
         summed_correlator(p2_engine, [(-1, h2), (0, h2), (0, h)], policy)
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
@@ -327,7 +327,7 @@ def engine_summed_transform(engine, policy):
     for k in range(top):
         for a in range(rank):
             for b in range(rank):
-                series = summed_two_point(engine, k, model.basis_class(a), duals[b], policy)
+                series = summed_correlator(engine, [(k, model.basis_class(a)), (0, duals[b])], policy)
                 for c in range(top - k):
                     entries[((c, b), (c + k + 1, a))] = series
     return PhaseTransform(policy, rank, entries)

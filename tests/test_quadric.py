@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable, constant_map_correlator
-from gwdesc.phase import summed_two_point, transform_identity_report, two_point_from_primaries
+from gwdesc.phase import summed_correlator, transform_identity_report, two_point_from_primaries
 from gwdesc.verify import suite_identities
 
 
@@ -112,7 +112,7 @@ def test_quadric_two_point_paths(quadric_engine, quadric):
     for d in range(3):
         for x in basis:
             for y in basis:
-                assert summed_two_point(quadric_engine, d, x, y, policy) == two_point_from_primaries(
+                assert summed_correlator(quadric_engine, [(d, x), (0, y)], policy) == two_point_from_primaries(
                     model, table, policy, d, x, y
                 )
 
