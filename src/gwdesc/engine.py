@@ -39,7 +39,9 @@ from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .exact import CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, json_rational, narrow
+from .exact import (
+    CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, json_int_list, json_rational, narrow
+)
 from .geometry import CohClass, GeometryModel, ModelError
 from .moduli import TautTable, constant_map_correlator
 
@@ -127,13 +129,18 @@ class PrimaryTable:
         for row in rows:
             if not isinstance(row, dict) or not {"beta", "classes", "value"} <= row.keys():
                 raise TableFormatError(f"record {row!r}: a record is an object with beta, classes and value")
-            beta, classes = row["beta"], row["classes"]
-            if not (isinstance(beta, list) and all(type(b) is int for b in beta) and isinstance(classes, list)):
+            try:
+                beta = tuple(json_int_list(row["beta"], "beta"))
+                value = json_rational(row["value"], "value")
+            except ValueError as exc:
+                raise TableFormatError(f"record {row}: {exc}") from exc
+            classes = row["classes"]
+            if not isinstance(classes, list):
                 raise TableFormatError(f"record {row}: beta must be a list of integers and classes a list of labels")
             if len(classes) != 3:
                 raise TableFormatError(f"record {row}: a three-point record needs 3 classes, got {len(classes)}")
             triple = tuple(model.label_index(str(label)) for label in classes)
-            records.append((tuple(beta), triple, json_rational(row["value"], f"record {row}: value")))
+            records.append((beta, triple, value))
         return cls(model, records)
 
     @classmethod

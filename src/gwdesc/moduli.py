@@ -1,9 +1,10 @@
 """Intersection numbers on moduli of stable curves and constant-map correlators.
 
-Genus zero has a closed multinomial form for pure cotangent-power integrals;
-genus one reduces to tangent-bundle Chern data paired with injected psi and
-lambda-psi integrals; higher genus runs the full Chern-root expansion of the
-obstruction bundle against an injected table of tautological integrals.
+Genus zero has a closed multinomial form for pure cotangent-power integrals.
+At every genus a constant-map correlator is one Chern-root expansion of the
+obstruction bundle: each root tuple pairs a target Chern class with the
+insertions' product, times a psi-lambda integral over the curve moduli taken
+from the closed form at genus 0 and from an injected table above it.
 """
 
 from __future__ import annotations
@@ -134,11 +135,13 @@ def constant_map_correlator(
     """Descendant correlator of constant maps (curve class zero).
 
     The moduli of constant maps is the product of the curve moduli with the
-    target, virtually cut by the top Chern class of the obstruction bundle.
-    Genus zero has the closed multinomial form; genus one keeps the two
-    surviving terms of the obstruction expansion; higher genus feeds the
-    full Chern-root expansion with tautological integrals from the injected
-    table.  Queries outside the dimension constraints return exactly zero.
+    target, virtually cut by the top Chern class of the obstruction bundle
+    E^∨ ⊠ T_X, of rank g·dim.  One Chern-root expansion of that class serves
+    every genus: at genus 0 the bundle has rank 0 and the one term is the
+    closed multinomial form; at genus 1 the screen leaves only the lambda-free
+    and the single-lambda_1 terms; above, the tautological integrals come
+    from the injected table.  Queries outside the dimension constraints
+    return exactly zero.
 
     The dimension constraints are screened in two halves before any cup
     product is formed.  The exponent half runs first and reads no class: it
@@ -172,7 +175,7 @@ def constant_map_correlator(
 
     # multilinearity: split any mixed-degree insertion into its homogeneous
     # components, one per degree, so that terms of one degree still cancel
-    degrees: list[int] = []
+    degree_sum = 0
     for slot, (d, cls) in enumerate(insertions):
         if cls.is_zero():
             return _ZERO
@@ -187,89 +190,41 @@ def constant_map_correlator(
                 rest[slot] = (d, part)
                 total += constant_map_correlator(g, rest, model, table)
             return total
-        degrees.append(degree)
+        degree_sum += degree
 
     # degree half of the screen
-    if g == 0:
-        if sum(degrees) != delta:
-            return _ZERO
-        return _constant_maps_genus0(insertions, model)
-    if g == 1:
-        return _constant_maps_genus1(insertions, degrees, model, table)
-    if sum(degrees) > delta or exponent_sum + sum(degrees) != (g - 1) * (3 - delta) + n:
+    if degree_sum > delta or exponent_sum + degree_sum != (g - 1) * (3 - delta) + n:
         return _ZERO
-    return _constant_maps_higher(g, insertions, model, table)
+    return _constant_maps(g, insertions, model, table)
 
 
-def _cup_all(insertions, model: GeometryModel) -> CohClass:
+def _constant_maps(g: int, insertions, model: GeometryModel, table: TautTable | None) -> Fraction:
+    """Chern-root expansion of a pattern that passed the degree screen: per root
+    tuple, the target integral of its Chern class against the insertions'
+    product times the psi-lambda integral over the curve moduli."""
     product = model.unit
     for _, cls in insertions:
         product = model.cup(product, cls)
-    return product
-
-
-def _constant_maps_genus0(insertions, model: GeometryModel) -> Fraction:
-    """Genus-0 value of a pattern that passed the degree screen."""
-    value = model.integrate(_cup_all(insertions, model))
-    if not value:
-        return Fraction(0)
-    return psi_integral_genus0([d for d, _ in insertions]) * value
-
-
-def _constant_maps_genus1(insertions, degrees: list[int], model: GeometryModel, table: TautTable | None) -> Fraction:
-    n = len(insertions)
-    delta = model.dimension
-    exponents = [d for d, _ in insertions]
-    unit_idx = model.unit_index
-    total = Fraction(0)
-
-    if sum(exponents) == n and all(deg == 0 for deg in degrees):
-        scale = Fraction(1)
-        for _, cls in insertions:
-            scale *= cls.coeffs[unit_idx]
-        euler = model.integrate(model.chern[delta])
-        if scale and euler:
-            if table is None:
-                raise TautTableError("table incomplete: genus-1 psi integrals required")
-            total += scale * euler * table.lookup(1, n, exponents, ())
-
-    if delta >= 1 and sum(exponents) == n - 1 and degrees.count(1) == 1 and degrees.count(0) == n - 1:
-        slot = degrees.index(1)
-        scale = Fraction(1)
-        for other, (_, cls) in enumerate(insertions):
-            if other != slot:
-                scale *= cls.coeffs[unit_idx]
-        pairing = model.integrate(model.cup(model.chern[delta - 1], insertions[slot][1]))
-        if scale and pairing:
-            if table is None:
-                raise TautTableError("table incomplete: genus-1 lambda-psi integrals required")
-            total -= scale * pairing * table.lookup(1, n, exponents, (1,))
-
-    return total
-
-
-def _constant_maps_higher(g: int, insertions, model: GeometryModel, table: TautTable | None) -> Fraction:
-    """Genus >= 2 value of a pattern that passed the degree screen."""
-    delta = model.dimension
-    n = len(insertions)
-    exponents = [d for d, _ in insertions]
-    product = _cup_all(insertions, model)
     if product.is_zero():
         return Fraction(0)
 
+    delta = model.dimension
+    n = len(insertions)
+    exponents = [d for d, _ in insertions]
     total = Fraction(0)
     for tup in combinations_with_replacement(range(g + 1), delta):
-        target = model.chern_symmetric(tup, g)
-        target_value = model.integrate(model.cup(target, product))
+        target_value = model.integrate(model.cup(model.chern_symmetric(tup, g), product))
         if not target_value:
             continue
         lambdas = tuple(i for i in tup if i)
-        if table is None:
+        if g == 0:
+            moduli_value = psi_integral_genus0(exponents)
+        elif table is not None:
+            moduli_value = table.lookup(g, n, exponents, lambdas)
+        else:
             raise TautTableError(
                 f"table incomplete: need integral g={g} n={n} "
                 f"psi={sorted(exponents, reverse=True)} lambda={list(lambdas)}"
             )
-        moduli_value = table.lookup(g, n, exponents, lambdas)
-        if moduli_value:
-            total += moduli_value * target_value
+        total += moduli_value * target_value
     return Fraction((-1) ** (g * delta)) * total

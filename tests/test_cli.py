@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -137,6 +138,26 @@ def test_correlator_deeper_than_the_stack(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the reduction is deeper than the interpreter stack allows\n"
+
+
+def test_correlator_deeper_than_a_set_stack(capsys):
+    # the limit sits a fixed 150 frames above the caller, so the clause is reached at a
+    # small class whatever depth the runner calls from
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack(0))
+    sys.setrecursionlimit(depth + 150)
+    try:
+        code, out, err = run(capsys, "correlator", "--model", "P1", "--beta", "120", "--ins", "tau(238):h,tau(0):h")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (2, "")
+    assert err == "error: the reduction is deeper than the interpreter stack allows\n"
+
+
+def test_correlator_malformed_class(capsys):
+    code, out, err = run(capsys, "correlator", "--model", "P1", "--beta", "1,x", "--ins", "tau(0):h,tau(0):h,tau(0):h")
+    assert (code, out) == (2, "")
+    assert err == "error: curve class '1,x' must be a comma-separated integer vector\n"
 
 
 def test_correlator_unknown_label(capsys):
@@ -656,6 +677,26 @@ def test_float_in_a_primary_value_is_an_input_error(tmp_path, capsys, value, pri
     else:
         assert (code, out) == (2, "")
         assert _rational_field_error(err, f"record {record}: ", "value", value)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/0", "abc"])
+def test_bad_primary_value_is_a_table_format_error(tmp_path, capsys, value):
+    # a float or a bool was a plain ValueError, "1/0" a RationalFormatError, and "abc" a
+    # plain ValueError; the last two did not name the record
+    from gwdesc import PrimaryTable, load_fixture
+
+    record = {"beta": [1], "classes": ["h", "h2", "h2"], "value": value}
+    with pytest.raises(TableFormatError) as info:
+        PrimaryTable.from_records(load_fixture("P2").model, [record])
+    assert str(info.value).startswith(f"record {record}: ")
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([record]))
+    code, out, err = run(
+        capsys, "correlator", "--model", str(_plane_geometry(tmp_path)), "--primary", str(table),
+        "--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {info.value}\n"
 
 
 @pytest.mark.parametrize("value, printed", [("1/24", "1/12"), (1, "2"), (1 / 24, None), (True, None)])

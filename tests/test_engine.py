@@ -716,7 +716,7 @@ def test_effectivity_guard(p1_engine):
         "generalized-reduce-at",
         "modified",
         "modified-refs",
-        "three_point_descendant",
+        "descendant_three_marks",
         "two_point",
         "two_point_general",
         "primary",
@@ -737,7 +737,7 @@ def test_every_entry_rejects_a_non_effective_class(p1_engine, p1, entry):
         "modified": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)]),
         "modified-refs": lambda: p1_engine.modified(beta, [(1, h), (0, h), (0, h), (0, h)], refs=(0, 1, 2)),
         # a three-mark query whose positive level is not at the first slot
-        "three_point_descendant": lambda: p1_engine.descendant(0, beta, [(0, h), (1, h), (0, h)]),
+        "descendant_three_marks": lambda: p1_engine.descendant(0, beta, [(0, h), (1, h), (0, h)]),
         "two_point": lambda: p1_engine.two_point(1, h, h, beta),
         "two_point_general": lambda: p1_engine.two_point_general(1, h, 0, h, beta),
         "primary": lambda: p1_engine.primary(beta, [h, h, h, h]),
@@ -768,7 +768,7 @@ def test_negative_genus_is_rejected_at_every_class(p1_engine, p1, beta):
         "generalized-reduce-at",
         "modified",
         "modified-refs",
-        "three_point_descendant",
+        "descendant_three_marks",
         "two_point",
         "two_point_general",
         "one_point",
@@ -792,7 +792,7 @@ def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
         "modified": lambda: p2_engine.modified(beta, [(-1, h2), (0, h2), (0, h)]),
         "modified-refs": lambda: p2_engine.modified(beta, [(1, h), (-1, h2), (0, h2), (0, h)], refs=(0, 1, 2)),
         # the negative level at the last slot, behind a positive one
-        "three_point_descendant": lambda: p2_engine.descendant(0, beta, [(1, h2), (0, h2), (-1, h)]),
+        "descendant_three_marks": lambda: p2_engine.descendant(0, beta, [(1, h2), (0, h2), (-1, h)]),
         "two_point": lambda: p2_engine.two_point(-1, h2, h2, beta),
         "two_point_general": lambda: p2_engine.two_point_general(0, h2, -1, h2, beta),
         "one_point": lambda: p2_engine.one_point(-1, h2, beta),

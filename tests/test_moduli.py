@@ -232,7 +232,9 @@ def _genus1_reference(insertions, model, table):
         euler = model.integrate(model.chern[delta])
         if scale and euler:
             if table is None:
-                raise TautTableError("table incomplete: genus-1 psi integrals required")
+                raise TautTableError(
+                    f"table incomplete: need integral g=1 n={n} psi={sorted(exponents, reverse=True)} lambda=[]"
+                )
             total += scale * euler * table.lookup(1, n, exponents, ())
     if delta >= 1 and sum(exponents) == n - 1 and degrees.count(1) == 1 and degrees.count(0) == n - 1:
         slot = degrees.index(1)
@@ -243,7 +245,9 @@ def _genus1_reference(insertions, model, table):
         pairing = model.integrate(model.cup(model.chern[delta - 1], insertions[slot][1]))
         if scale and pairing:
             if table is None:
-                raise TautTableError("table incomplete: genus-1 lambda-psi integrals required")
+                raise TautTableError(
+                    f"table incomplete: need integral g=1 n={n} psi={sorted(exponents, reverse=True)} lambda=[1]"
+                )
             total -= scale * pairing * table.lookup(1, n, exponents, (1,))
     return total
 
