@@ -6,6 +6,7 @@ from .exact import (
     NovikovSeries,
     PolicyMismatchError,
     RationalFormatError,
+    TableFormatError,
     TruncationPolicy,
     antiderivative_q,
     derivative_q,
@@ -29,7 +30,6 @@ from .engine import (
     CorrelatorEngine,
     PrimaryTable,
     ReconstructionError,
-    TableFormatError,
     UnsupportedQueryError,
 )
 from .fixtures import FixtureModel, load_fixture, plane_curve_counts

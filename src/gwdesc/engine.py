@@ -40,7 +40,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .exact import (
-    CurveClass, GwdescError, TruncationPolicy, beta_splittings, format_rational, json_int_list, json_rational, narrow
+    CurveClass, GwdescError, TableFormatError, TruncationPolicy, beta_splittings, format_rational, json_int_list,
+    json_rational, narrow,
 )
 from .geometry import CohClass, GeometryModel, ModelError
 from .moduli import TautTable, constant_map_correlator
@@ -52,10 +53,6 @@ class UnsupportedQueryError(GwdescError, ValueError):
 
 class ReconstructionError(GwdescError, RuntimeError):
     """An n-point primary value is not reachable from the three-point table."""
-
-
-class TableFormatError(GwdescError, ValueError):
-    """A primary-table record is malformed or violates its invariants."""
 
 
 Insertion = tuple[int, int, int]  # (d, e, basis index)
@@ -129,17 +126,17 @@ class PrimaryTable:
         for row in rows:
             if not isinstance(row, dict) or not {"beta", "classes", "value"} <= row.keys():
                 raise TableFormatError(f"record {row!r}: a record is an object with beta, classes and value")
+            classes = row["classes"]
             try:
                 beta = tuple(json_int_list(row["beta"], "beta"))
                 value = json_rational(row["value"], "value")
+                if not isinstance(classes, list):
+                    raise ValueError("beta must be a list of integers and classes a list of labels")
+                if len(classes) != 3:
+                    raise ValueError(f"a three-point record needs 3 classes, got {len(classes)}")
+                triple = tuple(model.label_index(str(label)) for label in classes)
             except ValueError as exc:
                 raise TableFormatError(f"record {row}: {exc}") from exc
-            classes = row["classes"]
-            if not isinstance(classes, list):
-                raise TableFormatError(f"record {row}: beta must be a list of integers and classes a list of labels")
-            if len(classes) != 3:
-                raise TableFormatError(f"record {row}: a three-point record needs 3 classes, got {len(classes)}")
-            triple = tuple(model.label_index(str(label)) for label in classes)
             records.append((beta, triple, value))
         return cls(model, records)
 

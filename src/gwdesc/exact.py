@@ -32,6 +32,10 @@ class RationalFormatError(GwdescError, ValueError):
     """An input text is not a rational "p/q" (or "p") with q nonzero."""
 
 
+class TableFormatError(GwdescError, ValueError):
+    """A primary or tautological table record is malformed or violates its invariants."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or "p") into an exact rational; a zero q is a RationalFormatError."""
     try:

@@ -147,6 +147,7 @@ class GeometryModel:
         self.degrees = tuple(degrees)
         self.rank = len(labels)
         self._basis = tuple(CohClass(tuple(Fraction(int(j == i)) for j in range(self.rank))) for i in range(self.rank))
+        self._basis_degree = dict(zip(self._basis, self.degrees))
         self.lattice_rank = lattice_rank
         self._index = {label: i for i, label in enumerate(labels)}
         self._by_degree = {d: tuple(i for i, e in enumerate(degrees) if e == d) for d in set(degrees)}
@@ -268,6 +269,9 @@ class GeometryModel:
 
     def degree_of(self, x: CohClass) -> int | None:
         """Degree of a homogeneous class; None for zero or mixed classes."""
+        degree = self._basis_degree.get(x)
+        if degree is not None:
+            return degree
         support = x.support()
         if not support:
             return None

@@ -17,7 +17,7 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, json_int, json_int_list, json_rational
+from .exact import GwdescError, TableFormatError, json_int, json_int_list, json_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -75,13 +75,13 @@ class TautTable:
         self._table: dict[tuple[int, int, tuple[int, ...], tuple[int, ...]], Fraction] = {}
         for rec in records:
             if rec.g < 1:
-                raise ValueError("tautological tables hold genus >= 1 entries only")
+                raise TableFormatError("tautological tables hold genus >= 1 entries only")
             dim = 3 * rec.g - 3 + rec.n
             if sum(rec.psi) + sum(rec.lambdas) != dim:
-                raise ValueError(f"entry {rec} does not match the moduli dimension {dim}")
+                raise TableFormatError(f"entry {rec} does not match the moduli dimension {dim}")
             key = self._key(rec.g, rec.n, rec.psi, rec.lambdas)
             if key in self._table and self._table[key] != rec.value:
-                raise ValueError(f"conflicting values for {key}")
+                raise TableFormatError(f"conflicting values for {key}")
             self._table[key] = rec.value
 
     @staticmethod
@@ -101,11 +101,13 @@ class TautTable:
     @classmethod
     def from_records(cls, rows: Sequence[dict]) -> TautTable:
         if not isinstance(rows, list):
-            raise ValueError(f"a tautological table is a list of records, not {type(rows).__name__}")
+            raise TableFormatError(f"a tautological table is a list of records, not {type(rows).__name__}")
         records = []
         for row in rows:
             if not isinstance(row, dict) or not {"g", "n", "psi", "lambda", "value"} <= row.keys():
-                raise ValueError(f"tautological record {row!r}: a record is an object with g, n, psi, lambda and value")
+                raise TableFormatError(
+                    f"tautological record {row!r}: a record is an object with g, n, psi, lambda and value"
+                )
             try:
                 records.append(
                     TautRecord(
@@ -117,7 +119,7 @@ class TautTable:
                     )
                 )
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"tautological record {row!r}: {exc}") from exc
+                raise TableFormatError(f"tautological record {row!r}: {exc}") from exc
         return cls(records)
 
     @classmethod
@@ -156,14 +158,16 @@ def constant_map_correlator(
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
-    exponents = [d for d, _ in insertions]
-    if exponents and min(exponents) < 0:
-        raise ValueError("descendant exponents must be non-negative")
 
-    # exponent half of the screen: no choice of classes meets these counts
+    # exponent half of the screen: no choice of classes meets these counts; a
+    # negative exponent raises before any pattern is screened out
+    exponent_sum = 0
+    for d, _ in insertions:
+        if d < 0:
+            raise ValueError("descendant exponents must be non-negative")
+        exponent_sum += d
     n = len(insertions)
     delta = model.dimension
-    exponent_sum = sum(exponents)
     if g == 0:
         if n < 3 or exponent_sum != n - 3:
             return _ZERO
@@ -174,13 +178,14 @@ def constant_map_correlator(
         return _ZERO
 
     # multilinearity: split any mixed-degree insertion into its homogeneous
-    # components, one per degree, so that terms of one degree still cancel
+    # components, one per degree, so that terms of one degree still cancel;
+    # degree_of is None only for a mixed or a zero class
     degree_sum = 0
     for slot, (d, cls) in enumerate(insertions):
-        if cls.is_zero():
-            return _ZERO
         degree = model.degree_of(cls)
         if degree is None:
+            if cls.is_zero():
+                return _ZERO
             total = Fraction(0)
             for part_degree in sorted({model.degrees[idx] for idx in cls.support()}):
                 part = CohClass(

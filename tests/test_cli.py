@@ -699,6 +699,24 @@ def test_bad_primary_value_is_a_table_format_error(tmp_path, capsys, value):
     assert err == f"error: {info.value}\n"
 
 
+def test_unknown_label_in_a_primary_record_is_a_table_format_error(tmp_path, capsys):
+    # the label lookup raised ModelError, whose message did not name the record
+    from gwdesc import PrimaryTable, load_fixture
+
+    record = {"beta": [1], "classes": ["h", "x", "h2"], "value": "1"}
+    with pytest.raises(TableFormatError) as info:
+        PrimaryTable.from_records(load_fixture("P2").model, [record])
+    assert str(info.value) == f"record {record}: unknown basis label 'x' (basis: one, h, h2)"
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps([record]))
+    code, out, err = run(
+        capsys, "correlator", "--model", str(_plane_geometry(tmp_path)), "--primary", str(table),
+        "--beta", "1", "--ins", "tau(0):h2,tau(0):h2,tau(0):h",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {info.value}\n"
+
+
 @pytest.mark.parametrize("value, printed", [("1/24", "1/12"), (1, "2"), (1 / 24, None), (True, None)])
 def test_float_in_a_taut_value_is_an_input_error(tmp_path, capsys, value, printed):
     # <tau_1(1)>_{1,0} on P1 is chi(P1) = 2 times the table's psi integral

@@ -162,6 +162,27 @@ def test_hash_is_the_dataclass_hash_formed_once(monkeypatch):
     assert calls == []
 
 
+def test_degree_of_basis_equal_scaled_zero_and_mixed_classes(p1, p2):
+    # a basis class is found by value, so an equal instance and the basis class
+    # itself read the same degree; a scaled class misses and is scanned
+    for m in (p1.model, p2.model, _p3_like_model()):
+        for i, label in enumerate(m.labels):
+            basis = m.basis_class(i)
+            equal = m.class_from_map({label: 1})
+            assert equal == basis and equal is not basis
+            for cls in (basis, equal, 2 * basis, Fraction(-1, 2) * basis):
+                assert m.degree_of(cls) == m.degrees[i], (m.name, label, cls)
+        h = m.class_from_map({"h": 1})
+        assert m.degree_of(h) == 1
+        assert m.degree_of(m.zero_class()) is None
+        assert m.degree_of(CohClass((Fraction(0),) * m.rank)) is None
+        assert m.degree_of(m.unit + h) is None
+        assert m.degree_of(Fraction(-1, 2) * (m.unit - 2 * h)) is None
+    m = p2.model
+    assert m.degree_of(2 * m.class_from_map({"h": 1})) == 1
+    assert m.degree_of(Fraction(-1, 2) * m.class_from_map({"h2": 1})) == 2
+
+
 # ----------------------------------------------------------------------
 # symmetric functions
 

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
+from gwdesc import GwdescError, TableFormatError
 from gwdesc.geometry import CohClass
 from gwdesc.moduli import (
     TautRecord,
@@ -54,6 +55,41 @@ def test_taut_table_screening():
     assert table.lookup(1, 1, [0], [1, 1]) == 0  # dimension mismatch short-circuits
     with pytest.raises(TautTableError, match="table incomplete"):
         table.lookup(1, 1, [0], [1])
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            [{"g": 1, "n": 1, "psi": [1], "lambda": [], "value": 0.5}],
+            "tautological record {'g': 1, 'n': 1, 'psi': [1], 'lambda': [], 'value': 0.5}: "
+            'value must be a rational string "p/q" or an integer, got 0.5',
+        ),
+        (
+            [{"g": 0, "n": 3, "psi": [0, 0, 0], "lambda": [], "value": "1"}],
+            "tautological tables hold genus >= 1 entries only",
+        ),
+        (
+            [{"g": 1, "n": 2, "psi": [1, 1], "lambda": [1], "value": "1"}],
+            "entry TautRecord(g=1, n=2, psi=(1, 1), lambdas=(1,), value=Fraction(1, 1)) "
+            "does not match the moduli dimension 2",
+        ),
+        (
+            [
+                {"g": 1, "n": 1, "psi": [1], "lambda": [], "value": "1/24"},
+                {"g": 1, "n": 1, "psi": [1], "lambda": [], "value": "1/12"},
+            ],
+            "conflicting values for (1, 1, (1,), ())",
+        ),
+    ],
+    ids=["float-value", "genus-0", "dimension", "conflict"],
+)
+def test_malformed_taut_records_are_gwdesc_errors(records, message):
+    # each was a plain ValueError, which an `except GwdescError` missed
+    with pytest.raises(GwdescError) as info:
+        TautTable.from_records(records)
+    assert isinstance(info.value, TableFormatError) and isinstance(info.value, ValueError)
+    assert str(info.value) == message
 
 
 def test_constant_maps_genus0(p2):
@@ -159,6 +195,44 @@ def test_exponent_screen_reads_no_class(p2, monkeypatch):
         (2, [(5, h), (-1, one)]),
     ]
     for g, insertions in negative:
+        with pytest.raises(ValueError, match="non-negative"):
+            constant_map_correlator(g, insertions, m, None)
+
+
+def test_degree_screen_forms_no_cup_product(p2, monkeypatch):
+    from gwdesc.geometry import GeometryModel
+
+    def uncupped(*_):
+        raise AssertionError("the degree screen formed a cup product")
+
+    monkeypatch.setattr(GeometryModel, "cup", uncupped)
+    m = p2.model
+    one, zero = m.unit, m.zero_class()
+    h, h2 = m.class_from_map({"h": 1}), m.class_from_map({"h2": 1})
+    # each passes the exponent half and misses the degree count
+    # (g - 1)(3 - dimension) + n, or holds a zero class
+    missed = [
+        (0, [(0, h), (0, h), (0, h)]),  # degree 3 > dimension 2
+        (0, [(0, 2 * h), (0, one), (0, Fraction(-1, 2) * one)]),  # 0 + 1 != 2
+        (0, [(1, h2), (0, h), (0, h), (0, one)]),  # degree 4 > 2
+        (1, [(1, h)]),  # exponent 1 + degree 1 != 1
+        (1, [(1, h2), (0, h)]),  # degree 3 > 2
+        (2, [(0, h2), (0, h2)]),  # degree 4 > 2
+        (2, [(2, h), (0, 2 * h)]),  # 2 + 2 != 3
+        (0, [(0, h), (0, zero), (0, one)]),
+        (1, [(1, one), (0, zero)]),
+        (2, [(0, zero), (2, h)]),
+    ]
+    for g, insertions in missed:
+        value = constant_map_correlator(g, insertions, m, None)
+        assert (type(value), value) == (Fraction, 0), (g, insertions)
+    # a negative exponent beside a zero class still raises first
+    for g, insertions in [
+        (0, [(0, zero), (-1, h), (1, h)]),
+        (0, [(-1, zero), (1, h), (0, h)]),
+        (1, [(2, zero), (-1, h)]),
+        (2, [(-1, h), (0, zero)]),
+    ]:
         with pytest.raises(ValueError, match="non-negative"):
             constant_map_correlator(g, insertions, m, None)
 
@@ -324,3 +398,33 @@ def test_degree_screen_matches_cup_first_evaluation_in_the_scan_window(p2):
                 nonzero += not isinstance(want, tuple) and want != 0
     # counts measured with the cup-first code
     assert (compared, nonzero, raised) == (53138, 47, 81)
+
+
+def test_degree_screen_matches_cup_first_evaluation_on_scaled_classes(p1, p2):
+    # classes that are not basis instances: each basis class scaled by 2 or -1/2,
+    # so the degree is read by the support scan; one zero-class slot is added to
+    # every pattern of n <= 3
+    from gwdesc.fixtures import genus1_taut_table
+    from gwdesc.verify import _p3_like_model
+
+    tables = {0: None, 1: genus1_taut_table(), 2: _synthetic_genus2_table(4)}
+    compared = nonzero = raised = 0
+    for model in (p1.model, p2.model, _p3_like_model()):
+        scaled = [(2 if i % 2 else Fraction(-1, 2)) * model.basis_class(i) for i in range(model.rank)]
+        slots = [(d, cls) for d in range(3) for cls in scaled]
+        patterns = [key for n in range(5) for key in combinations_with_replacement(slots, n)]
+        patterns += [
+            key + ((d, model.zero_class()),) for d in range(3) for n in range(4)
+            for key in combinations_with_replacement(slots, n)
+        ]
+        for g in (0, 1, 2):
+            for table in dict.fromkeys((None, tables[g])):
+                for insertions in patterns:
+                    want = _outcome(lambda: _cup_first_reference(g, insertions, model, table))
+                    got = _outcome(lambda: constant_map_correlator(g, insertions, model, table))
+                    assert got == want, (model.name, g, insertions, table is None)
+                    compared += 1
+                    raised += isinstance(want, tuple)
+                    nonzero += not isinstance(want, tuple) and want != 0
+    # counts measured with the cup-first code
+    assert (compared, nonzero, raised) == (25110, 142, 207)
