@@ -11,7 +11,6 @@ Fractions exactly as the Fraction would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _cartesian
@@ -103,27 +102,64 @@ def beta_splittings(beta: CurveClass) -> Iterator[tuple[CurveClass, CurveClass]]
         yield left, tuple(c - l for c, l in zip(beta, left))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class _Frozen:
+    """Base of the frozen value classes: ``__init__`` writes the fields to ``__dict__``,
+    and assigning or deleting an attribute afterwards raises AttributeError.  A
+    ``cached_property`` still fills in, since it writes to ``__dict__`` too, and copy
+    and pickle restore ``__dict__`` the same way."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TruncationPolicy(_Frozen):
     """Finite working window for all series-level computations.
 
     ``beta_weights`` records the degree of each lattice generator against the
     model's ample divisor; the degree of a curve class is the weighted
     coordinate sum, which is additive.  Series terms above
     ``max_beta_degree`` are dropped on construction and after every
-    operation, so truncation commutes with the ring structure.
+    operation, so truncation commutes with the ring structure.  A policy is
+    a frozen value that equals and hashes as the tuple of its four fields.
     """
 
-    beta_weights: tuple[int, ...]
-    max_beta_degree: int
-    max_x_degree: int = 0
-    max_descendant: int = 0
-
-    def __post_init__(self) -> None:
-        if any(w < 1 for w in self.beta_weights):
+    def __init__(
+        self, beta_weights: tuple[int, ...], max_beta_degree: int, max_x_degree: int = 0, max_descendant: int = 0
+    ) -> None:
+        if any(w < 1 for w in beta_weights):
             raise ValueError("every lattice generator needs ample degree >= 1")
-        if min(self.max_beta_degree, self.max_x_degree, self.max_descendant) < 0:
+        if min(max_beta_degree, max_x_degree, max_descendant) < 0:
             raise ValueError("truncation bounds must be non-negative")
+        self.__dict__.update(
+            beta_weights=beta_weights,
+            max_beta_degree=max_beta_degree,
+            max_x_degree=max_x_degree,
+            max_descendant=max_descendant,
+        )
+
+    def _fields(self) -> tuple:
+        return (self.beta_weights, self.max_beta_degree, self.max_x_degree, self.max_descendant)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"TruncationPolicy(beta_weights={self.beta_weights!r}, max_beta_degree={self.max_beta_degree!r}, "
+            f"max_x_degree={self.max_x_degree!r}, max_descendant={self.max_descendant!r})"
+        )
 
     @property
     def rank(self) -> int:
@@ -147,8 +183,8 @@ class TruncationPolicy:
     @cached_property
     def degrees(self) -> dict[CurveClass, int]:
         """The degree of each effective class of the window, in degree order and then
-        lexicographically, formed once per policy (cached_property writes past the
-        frozen dataclass's ``__setattr__``)."""
+        lexicographically, formed once per policy (cached_property writes to ``__dict__``,
+        past the frozen ``__setattr__``)."""
         ranges = (range(self.max_beta_degree // w + 1) for w in self.beta_weights)
         found = sorted((self.beta_degree(beta), beta) for beta in _cartesian(*ranges))
         return {beta: d for d, beta in found if d <= self.max_beta_degree}
@@ -269,7 +305,7 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        # identity first: the dataclass __eq__ compares field by field
+        # identity first: TruncationPolicy.__eq__ compares field by field
         return (self.policy is other.policy or self.policy == other.policy) and self._terms == other._terms
 
     def __str__(self) -> str:

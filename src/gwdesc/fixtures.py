@@ -9,7 +9,6 @@ independent oracle for everything enumerative in the test suite.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from math import comb
@@ -21,10 +20,11 @@ from .moduli import TautTable
 FIXTURE_NAMES = ("P1", "P2", "point")
 
 
-@dataclass
 class FixtureModel:
-    model: GeometryModel
-    primary: PrimaryTable
+    __slots__ = ("model", "primary")
+
+    def __init__(self, model: GeometryModel, primary: PrimaryTable) -> None:
+        self.model, self.primary = model, primary
 
 
 def _data_text(filename: str) -> str:

@@ -11,7 +11,6 @@ supported, so no sign bookkeeping is needed anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -21,6 +20,7 @@ from .exact import (
     CurveClass,
     GwdescError,
     TruncationPolicy,
+    _Frozen,
     format_rational,
     invert_matrix,
     json_int,
@@ -40,11 +40,20 @@ class ModelError(GwdescError, ValueError):
     """A geometry input failed to load or validate."""
 
 
-@dataclass(frozen=True)
-class CohClass:
-    """Cohomology class as an exact coefficient vector over the model basis."""
+class CohClass(_Frozen):
+    """Cohomology class as an exact coefficient vector over the model basis; a frozen
+    value that equals and hashes as its coefficient tuple."""
 
-    coeffs: tuple[Fraction, ...]
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        self.__dict__["coeffs"] = coeffs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"CohClass(coeffs={self.coeffs!r})"
 
     def __add__(self, other: CohClass) -> CohClass:
         return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -70,12 +79,12 @@ class CohClass:
 
     @cached_property
     def _support(self) -> tuple[int, ...]:
-        # computed once per instance; cached_property writes to __dict__, which
-        # a frozen dataclass allows, and equality and hashing read only coeffs
+        # computed once per instance; cached_property writes to __dict__, past the
+        # frozen __setattr__, and equality and hashing read only coeffs
         return tuple(i for i, a in enumerate(self.coeffs) if a)
 
     def __hash__(self) -> int:
-        # the dataclass hash, formed once: a Fraction re-derives its hash on every call
+        # hash((coeffs,)), formed once: a Fraction re-derives its hash on every call
         return self._hash
 
     @cached_property
@@ -89,16 +98,18 @@ class CohClass:
         return tuple((narrow(self.coeffs[i]), i) for i in self._support)
 
 
-@dataclass
 class ValidationCheck:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass
 class ValidationReport:
-    checks: list[ValidationCheck]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[ValidationCheck]) -> None:
+        self.checks = checks
 
     @property
     def ok(self) -> bool:

@@ -10,7 +10,6 @@ from the closed form at genus 0 and from an injected table above it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -54,13 +53,15 @@ def psi_integral_genus0(exponents: Sequence[int]) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class TautRecord:
-    g: int
-    n: int
-    psi: tuple[int, ...]
-    lambdas: tuple[int, ...]
-    value: Fraction
+    __slots__ = ("g", "n", "psi", "lambdas", "value")
+
+    def __init__(self, g: int, n: int, psi: tuple[int, ...], lambdas: tuple[int, ...], value: Fraction) -> None:
+        self.g, self.n, self.psi, self.lambdas, self.value = g, n, psi, lambdas, value
+
+    def __repr__(self) -> str:
+        # a table error prints the record
+        return f"TautRecord({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
 class TautTable:
@@ -179,13 +180,12 @@ def constant_map_correlator(
 
     # multilinearity: split any mixed-degree insertion into its homogeneous
     # components, one per degree, so that terms of one degree still cancel;
-    # degree_of is None only for a mixed or a zero class
+    # degree_of is None only for a mixed or a zero class, and a zero class has
+    # no component, so its sum stays 0
     degree_sum = 0
     for slot, (d, cls) in enumerate(insertions):
         degree = model.degree_of(cls)
         if degree is None:
-            if cls.is_zero():
-                return _ZERO
             total = Fraction(0)
             for part_degree in sorted({model.degrees[idx] for idx in cls.support()}):
                 part = CohClass(

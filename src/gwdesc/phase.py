@@ -10,7 +10,6 @@ series.  Every object here is exact and truncated by one shared policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -617,14 +616,21 @@ def _numerators(series: NovikovSeries, denominator: int) -> dict[CurveClass, int
 # the potential identity and the per-correlator substitution identity
 
 
-@dataclass
 class TransformIdentityReport:
-    ok: bool
-    potential_mismatches: list = field(default_factory=list)
-    substitution_mismatches: list = field(default_factory=list)
-    checked_keys: int = 0
-    substitution_checked: int = 0
-    transform: PhaseTransform | None = None  # the coordinate change both identities used
+    """Verdict and mismatches of both identities; ``transform`` is the coordinate change they used."""
+
+    __slots__ = ("ok", "potential_mismatches", "substitution_mismatches", "checked_keys", "substitution_checked", "transform")
+
+    def __init__(
+        self, ok: bool, potential_mismatches: list, substitution_mismatches: list,
+        checked_keys: int, substitution_checked: int, transform: PhaseTransform,
+    ) -> None:
+        self.ok, self.potential_mismatches, self.substitution_mismatches = ok, potential_mismatches, substitution_mismatches
+        self.checked_keys, self.substitution_checked, self.transform = checked_keys, substitution_checked, transform
+
+    def __repr__(self) -> str:
+        # a failing identity test prints the report
+        return f"TransformIdentityReport({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
 def substitution_identity(

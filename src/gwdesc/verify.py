@@ -8,7 +8,6 @@ deterministic line-based reports so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable
@@ -25,11 +24,11 @@ from .phase import (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    ok: bool
-    lines: list[str] = field(default_factory=list)
+    __slots__ = ("name", "ok", "lines")
+
+    def __init__(self, name: str, ok: bool, lines: list[str]) -> None:
+        self.name, self.ok, self.lines = name, ok, lines
 
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -53,6 +55,31 @@ def test_policy_validation():
         TruncationPolicy(beta_weights=(0,), max_beta_degree=2)
     with pytest.raises(ValueError):
         TruncationPolicy(beta_weights=(1,), max_beta_degree=-1)
+
+
+def test_policy_is_a_frozen_value():
+    policy = TruncationPolicy(beta_weights=(1, 2), max_beta_degree=4, max_x_degree=3)
+    twin = TruncationPolicy((1, 2), 4, 3, 0)
+    assert twin is not policy and twin == policy and hash(twin) == hash(policy)
+    assert hash(policy) == hash(((1, 2), 4, 3, 0))
+    assert {policy: 1}[twin] == 1
+    for other in (
+        TruncationPolicy(beta_weights=(1, 1), max_beta_degree=4, max_x_degree=3),
+        TruncationPolicy(beta_weights=(1, 2), max_beta_degree=5, max_x_degree=3),
+        TruncationPolicy(beta_weights=(1, 2), max_beta_degree=4, max_x_degree=2),
+        TruncationPolicy(beta_weights=(1, 2), max_beta_degree=4, max_x_degree=3, max_descendant=1),
+    ):
+        assert other != policy and not other == policy
+    assert policy != ((1, 2), 4, 3, 0)
+    with pytest.raises(AttributeError):
+        policy.max_beta_degree = 5
+    with pytest.raises(AttributeError):
+        del policy.max_x_degree
+    assert policy.max_beta_degree == 4 and policy.max_x_degree == 3
+    assert repr(policy) == "TruncationPolicy(beta_weights=(1, 2), max_beta_degree=4, max_x_degree=3, max_descendant=0)"
+    assert policy.degrees is policy.degrees and policy.sums is policy.sums
+    for copied in (copy.copy(policy), pickle.loads(pickle.dumps(policy))):
+        assert copied == policy and hash(copied) == hash(policy) and copied.degrees == policy.degrees
 
 
 def test_iter_effective_is_degree_ordered():

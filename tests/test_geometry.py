@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import pickle
 import random
@@ -138,14 +137,14 @@ def test_cached_support_keeps_value_semantics(p2):
     fresh = CohClass(coeffs)
     assert read == fresh and hash(read) == hash(fresh)
     assert {read: 1}[fresh] == 1
-    for other in (copy.copy(read), pickle.loads(pickle.dumps(read)), dataclasses.replace(read)):
+    for other in (copy.copy(read), pickle.loads(pickle.dumps(read)), CohClass(read.coeffs)):
         assert other == fresh and hash(other) == hash(fresh)
         assert other.support() == (1, 2)
-    replaced = dataclasses.replace(read, coeffs=(Fraction(1), Fraction(0), Fraction(0)))
+    replaced = CohClass((Fraction(1), Fraction(0), Fraction(0)))
     assert replaced.support() == (0,)
     assert replaced == m.unit and not replaced.is_zero()
     assert m.zero_class().support() == () and m.zero_class().is_zero()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         read.coeffs = coeffs
 
 
