@@ -115,6 +115,11 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _slots_repr(self) -> str:
+    """The ``Name(field=value, ...)`` repr over the fields in ``__slots__``."""
+    return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+
+
 class TruncationPolicy(_Frozen):
     """Finite working window for all series-level computations.
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from math import comb
+from pathlib import Path
 
 from .engine import PrimaryTable
 from .geometry import GeometryModel, ModelError
@@ -27,8 +27,11 @@ class FixtureModel:
         self.model, self.primary = model, primary
 
 
+_DATA = Path(__file__).with_name("data")
+
+
 def _data_text(filename: str) -> str:
-    return resources.files("gwdesc.data").joinpath(filename).read_text(encoding="utf-8")
+    return (_DATA / filename).read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> FixtureModel:

@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, TableFormatError, json_int, json_int_list, json_rational
+from .exact import GwdescError, TableFormatError, _slots_repr, json_int, json_int_list, json_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -59,9 +59,7 @@ class TautRecord:
     def __init__(self, g: int, n: int, psi: tuple[int, ...], lambdas: tuple[int, ...], value: Fraction) -> None:
         self.g, self.n, self.psi, self.lambdas, self.value = g, n, psi, lambdas, value
 
-    def __repr__(self) -> str:
-        # a table error prints the record
-        return f"TautRecord({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+    __repr__ = _slots_repr  # a table error prints the record
 
 
 class TautTable:

@@ -22,6 +22,7 @@ from .exact import (
     TruncationPolicy,
     _accumulate,
     _accumulate_product,
+    _slots_repr,
     antiderivative_q,
     beta_is_zero,
     format_rational,
@@ -628,9 +629,7 @@ class TransformIdentityReport:
         self.ok, self.potential_mismatches, self.substitution_mismatches = ok, potential_mismatches, substitution_mismatches
         self.checked_keys, self.substitution_checked, self.transform = checked_keys, substitution_checked, transform
 
-    def __repr__(self) -> str:
-        # a failing identity test prints the report
-        return f"TransformIdentityReport({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+    __repr__ = _slots_repr  # a failing identity test prints the report
 
 
 def substitution_identity(
