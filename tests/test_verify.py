@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 from math import comb
 from pathlib import Path
 
@@ -43,6 +44,42 @@ def test_point_oracle_falls_back_to_point_fixture(p1):
     result = run_suite("point-oracle", p1.model, p1.primary, nmax=5)
     assert result.ok
     assert any("zero-dimensional fixture" in line for line in result.lines)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_point_oracle_walks_exactly_the_multisets_it_checks(n):
+    # the pruned walk against the enumerate-then-filter form it replaces, order included;
+    # one tuple past the end is read, so a walk that never stops fails instead of hanging
+    want = [e for e in combinations_with_replacement(range(n), n) if sum(e) <= n - 1]
+    assert list(islice(verify._exponent_multisets(n), len(want) + 1)) == want
+
+
+@pytest.mark.parametrize(("nmax", "checked"), [(7, 72), (10, 281), (12, 615)])
+def test_point_oracle_checked_counts(point, nmax, checked):
+    result = suite_point_oracle(point.model, point.primary, nmax=nmax)
+    assert result.ok, result.render()
+    assert result.lines == [f"checked {checked} exponent multisets up to n={nmax}"]
+
+
+def test_point_oracle_lists_failures_in_enumeration_order(point, monkeypatch):
+    # (0, 0, 0, 0, 3) precedes (0, 0, 0, 1, 1) in combinations_with_replacement order
+    # but not by exponent sum, so a walk that finds the right set in another order fails
+    from gwdesc.engine import CorrelatorEngine
+
+    wrong = {(0, 0, 0, 1, 1), (0, 0, 0, 0, 3)}
+    modified = CorrelatorEngine.modified
+
+    def off_by_one(self, beta, pairs, refs=None):
+        value = modified(self, beta, pairs, refs)
+        return value + 1 if tuple(e for e, _ in pairs) in wrong else value
+
+    monkeypatch.setattr(CorrelatorEngine, "modified", off_by_one)
+    result = suite_point_oracle(point.model, point.primary, nmax=5)
+    assert not result.ok
+    assert result.lines[1:] == [
+        "exponents (0, 0, 0, 0, 3): got 1, expected 0",
+        "exponents (0, 0, 0, 1, 1): got 3, expected 2",
+    ]
 
 
 def test_identities_suite_small(p1):
@@ -131,6 +168,36 @@ def test_point_vanishing_evaluates_every_non_admissible_pattern(monkeypatch):
     }
     assert admissible == {"point": (4, 15, 14), "P1": (7, 39, 56), "P2": (15, 39, 99), "P3": (26, 39, 97)}
     assert result.lines[1] == "admissible patterns skipped: 450"
+
+
+def test_point_vanishing_zero_test_is_exact(p2, monkeypatch):
+    # every value but zero is a failure: a tiny or negative Fraction and a non-number
+    # alike, while a zero that is not the screen's shared one still passes
+    returned = {
+        (0, ((0, 1), (1, 2), (2, 0), (2, 2), (3, 1))): Fraction(1, 10**9),
+        (1, ((1, 0), (1, 0), (2, 1))): Fraction(-1),
+        (2, ((0, 0),)): None,
+        (0, ((0, 0), (0, 0))): Fraction(0),
+    }
+    seen = set()
+    correlator = verify.constant_map_correlator
+
+    def misbehaving(g, insertions, model, table):
+        key = (g, _pattern(insertions))
+        if key in returned:
+            seen.add(key)
+            return returned[key]
+        return correlator(g, insertions, model, table)
+
+    monkeypatch.setattr(verify, "constant_map_correlator", misbehaving)
+    result = suite_point_vanishing(models=[p2.model])
+    assert seen == set(returned)
+    assert not result.ok
+    assert result.lines[2:] == [
+        "P2 g=0 pattern ((0, 1), (1, 2), (2, 0), (2, 2), (3, 1)): nonzero 1/1000000000",
+        "P2 g=1 pattern ((1, 0), (1, 0), (2, 1)): nonzero -1",
+        "P2 g=2 pattern ((0, 0),): nonzero None",
+    ]
 
 
 def test_degree_zero_collapse_suite(p1):
