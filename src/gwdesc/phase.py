@@ -411,15 +411,10 @@ def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
 
 
 def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], correlator) -> PotentialSeries:
-    """Potential over the monomials ``keys``, each weighted by its multiplicity factor."""
-    coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}
-    for key in keys:
-        series = correlator(key)
-        if series.is_zero():
-            continue
-        factor = _multiplicity_factor(key)
-        coeffs[key] = series if factor == 1 else series * Fraction(1, factor)
-    return PotentialSeries(policy, coeffs)
+    """Potential over the monomials ``keys``, asked for in their order: ``correlator(key)``
+    is the key's stored coefficient, its summed correlator over its multiplicity factor
+    (see :func:`_potential`, which builds it as one Fraction per term); zero ones are dropped."""
+    return PotentialSeries(policy, {key: correlator(key) for key in keys})
 
 
 def _admissible_keys(
@@ -452,44 +447,68 @@ def _potential(
     keys with no such class are never formed, nor, if ``modified``, keys whose levels sum
     past n - 3 (the dimension of M̄_{0,n}, so their correlators vanish).
 
-    Keys are assembled in increasing number of marks.  A descendant key of four or more
-    marks with a string, dilaton or divisor insertion takes its series from the keys of
-    one fewer mark by that genus-zero equation (see :func:`_axiom_reduction`); every
-    other key is summed from the engine."""
+    A descendant key of four or more marks with a string, dilaton or divisor insertion
+    takes its series from the keys of one fewer mark by that genus-zero equation (see
+    :func:`_axiom_reduction`); the engine sums every other key, and those engine keys are
+    evaluated first.  Their values are put over one common denominator D, the lcm of
+    their denominators, and the reduction runs on the numerators, ints unless a cup part
+    or a pairing is not integral.  :func:`_assemble` then asks for the keys in increasing
+    number of marks, and each stored term is one Fraction(numerator, D·factor), with the
+    key's multiplicity factor."""
     degrees = engine.model.degrees
+    keys = _admissible_keys(engine, policy, indices, modified)
     reduce = None if modified else _axiom_reduction(engine.model, policy)
-    built: dict[tuple[PhaseIndex, ...], NovikovSeries] = {}  # the nonzero raw series of the keys so far
-
-    def correlator(key):
-        series = None if reduce is None else reduce(key, built)
-        if series is None:
+    # the nonzero terms of every engine key, then as numerators over the common denominator, and
+    # the nonzero numerators of each reduced key once it is formed
+    built: dict[tuple[PhaseIndex, ...], dict[CurveClass, int | Fraction]] = {}
+    for key in keys:
+        if reduce is None or reduce.slot(key) is None:
             # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
             core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
             classes = engine.admissible_classes(policy, len(key), sum(d + degrees[a] for d, a in key))
-            series = summed(policy, lambda beta: engine.core(beta, core), classes)
-        if not series.is_zero():
-            built[key] = series
-        return series
+            terms = {beta: value for beta in classes if (value := engine.core(beta, core))}
+            if terms:
+                built[key] = terms
+    denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
+    for key, terms in built.items():  # in place, so each key's Fractions go as its numerators come
+        built[key] = _numerators(terms, denominator)
+    zero = NovikovSeries.zero(policy)
 
-    # _assemble asks for the keys in their order, so the keys of n - 1 marks are built first
-    return _assemble(policy, _admissible_keys(engine, policy, indices, modified), correlator)
+    def correlator(key):
+        terms = None if reduce is None else reduce(key, built)
+        if terms is None:
+            terms = built.get(key)
+        if terms:
+            scale = denominator * _multiplicity_factor(key)
+            series = NovikovSeries._trusted(policy, {beta: Fraction(n, scale) for beta, n in terms.items()})
+            if not series.is_zero():
+                built[key] = terms
+                return series
+        return zero
+
+    return _assemble(policy, keys, correlator)
 
 
 def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
-    """The genus-zero string, dilaton and divisor equations on raw potential series.
+    """The genus-zero string, dilaton and divisor equations on potential numerators.
 
-    Returns ``reduce(key, built)``: the summed correlator of ``key`` from the raw series
-    ``built`` of keys with one fewer mark, by the equation of its first string τ_0(1),
-    dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), where X is the key
-    without that insertion:
+    Returns ``reduce(key, built)``: the summed correlator of ``key`` as numerators over
+    the denominator of ``built``, the nonzero numerators of keys with one fewer mark, by
+    the equation of its first string τ_0(1), dilaton τ_1(1) or divisor τ_0(D) insertion
+    (D of degree 1), where X is the key without that insertion:
 
     * string: <τ_0(1) X> = Σ_i <X with slot i lowered one level>;
     * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
     * divisor: <τ_0(D) X>_β = (D·β) <X>_β + Σ_i <X with slot i lowered to τ_{d_i-1}(a_i ∪ D)>_β.
 
-    X has at least three marks, so it is stable at every class.  ``built`` holds only
-    nonzero series, so a key missing from it reads as zero.  ``reduce`` returns None when
-    the key has three marks or none of these insertions: the engine evaluates it."""
+    X has at least three marks, so it is stable at every class.  A key missing from
+    ``built`` reads as zero.  The equations are linear with int coefficients where the cup
+    parts and pairings are integral, so int numerators stay ints; elsewhere the terms are
+    Fractions, still exact.  The result is a raw dict of our own that may hold zero sums.
+
+    ``reduce`` returns None when the key has three marks or none of these insertions: the
+    engine evaluates it.  ``reduce.slot(key)`` is the position of the insertion the equation
+    removes, None for exactly those engine keys, so they are known before ``built`` is."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
@@ -506,33 +525,39 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     }
     axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
 
+    def slot(key):
+        if len(key) >= 4:
+            for at, idx in enumerate(key):
+                if idx in axiom_indices:
+                    return at
+        return None
+
     def reduce(key, built):
-        slot = next((p for p, idx in enumerate(key) if idx in axiom_indices), None) if len(key) >= 4 else None
-        if slot is None:
+        at = slot(key)
+        if at is None:
             return None
-        d_s, a_s = key[slot]
-        rest = key[:slot] + key[slot + 1 :]
-        # the terms are summed into one raw dict of our own, never into a series in built
-        acc: dict[CurveClass, Fraction] = {}
+        d_s, a_s = key[at]
+        rest = key[:at] + key[at + 1 :]
+        acc: dict[CurveClass, int | Fraction] = {}  # never a dict in built
+        below = built.get(rest)
         if d_s == 1:
-            if rest in built:
-                _accumulate(acc, built[rest]._terms, len(rest) - 2)
-            return NovikovSeries._trusted(policy, acc)
-        if a_s not in units and rest in built:
+            if below is not None:
+                _accumulate(acc, below, len(rest) - 2)
+            return acc
+        if a_s not in units and below is not None:
             pairing = pairings[a_s]
-            acc = {beta: c * p for beta, c in built[rest]._terms.items() if (p := pairing[beta])}
+            acc = {beta: c * p for beta, c in below.items() if (p := pairing[beta])}
         for i, (d, a) in enumerate(rest):
             # equal slots sit together in the sorted rest: a run of m of them lowers to one key, m times
             if d >= 1 and (i == 0 or rest[i - 1] != rest[i]):
-                m = 1
-                while i + m < len(rest) and rest[i + m] == rest[i]:
-                    m += 1
+                m = rest.count(rest[i])
                 for c, idx in lowerings[a_s][a]:
                     term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])))
                     if term is not None:
-                        _accumulate(acc, term._terms, c * m)
-        return NovikovSeries._trusted(policy, acc)
+                        _accumulate(acc, term, c * m)
+        return acc
 
+    reduce.slot = slot
     return reduce
 
 
@@ -574,7 +599,7 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
     # T's row at each index used, as (input, entry numerators over dt), with None for a unit entry
     rows = {
-        idx: [(inp, None if entry == one else _numerators(entry, dt)) for inp, entry in row.items()]
+        idx: [(inp, None if entry == one else _numerators(entry._terms, dt)) for inp, entry in row.items()]
         for idx, row in used.items()
     }
 
@@ -584,7 +609,7 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     for key, coeff in potential._coeffs.items():
         dc = lcm(*(c.denominator for c in coeff._terms.values()))
         shared = numerators.setdefault(dc * dt ** len(key), {})
-        expansions = {(): _numerators(coeff, dc)}
+        expansions = {(): _numerators(coeff._terms, dc)}
         for step, idx in enumerate(key, 1):
             # the last index adds its full expansions straight into the shared sums
             new: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = shared if step == len(key) else {}
@@ -608,9 +633,9 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     return PotentialSeries(policy, {xkey: NovikovSeries._trusted(policy, terms) for xkey, terms in out.items()})
 
 
-def _numerators(series: NovikovSeries, denominator: int) -> dict[CurveClass, int]:
-    """The terms of ``series`` times ``denominator``, a multiple of every term's denominator, as ints."""
-    return {beta: c.numerator * (denominator // c.denominator) for beta, c in series._terms.items()}
+def _numerators(terms: dict[CurveClass, Fraction], denominator: int) -> dict[CurveClass, int]:
+    """``terms`` times ``denominator``, a multiple of every term's denominator, as ints."""
+    return {beta: c.numerator * (denominator // c.denominator) for beta, c in terms.items()}
 
 
 # ----------------------------------------------------------------------

@@ -35,14 +35,21 @@ def test_every_per_layer_metric_has_a_live_target():
     try:
         model = fixture.model
         engine = CorrelatorEngine(model, fixture.primary)
-        report = phase.transform_identity_report(engine, model.policy(1, max_x_degree=4, max_descendant=2))
+        policy = model.policy(1, max_x_degree=4, max_descendant=2)
+        report = phase.transform_identity_report(engine, policy)
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
     assert report.ok
     assert set(listed) - set(metrics) == RUN_METRICS
     assert [name for name in listed if name in metrics and metrics[name] is None] == []
-    # the assembly wrapper calls _assemble positionally and counted the keys
-    assert metrics["phase.assemble.keys"] > 0 and metrics["engine.generalized.calls"] > 0
+    # the assembly wrapper calls _assemble positionally and saw every key of both potentials
+    # the report built, so a potential that bypasses _assemble fails here
+    indices = phase.phase_indices(policy, model.rank)
+    keys = [phase._admissible_keys(engine, policy, indices, modified) for modified in (False, True)]
+    kept = [len(build(engine, policy).items()) for build in (phase.potential_standard, phase.potential_modified)]
+    assert metrics["phase.assemble.keys"] == sum(map(len, keys))
+    assert metrics["phase.assemble.kept"] == sum(kept) > 0
+    assert metrics["engine.generalized.calls"] > 0
     # T is built by the primary-only route, whose quantum products the tracer sees
     assert metrics["phase.quantum_product.calls"] > 0

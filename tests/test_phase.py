@@ -6,8 +6,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 from test_quadric import quadric_model, quadric_table
+from test_verify import RESCALED_PLANE, _rescaled_table
 
-from gwdesc import CorrelatorEngine, UnsupportedQueryError
+from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable, UnsupportedQueryError
 from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy
 from gwdesc import phase
 from gwdesc.phase import (
@@ -547,9 +548,10 @@ def test_modified_key_screen_drops_only_zero_keys(p1, p2, name, window, dropped)
     screened = set(phase._admissible_keys(engine, policy, indices, modified=True))
     reference = CorrelatorEngine(model, table)
 
-    def correlator(key):
+    def correlator(key):  # the stored coefficient: the summed correlator over the multiplicity factor
         triples = [(0, d, model.basis_class(a)) for d, a in key]
-        return phase.summed(policy, lambda beta: reference.generalized(beta, triples))
+        scale = Fraction(1, phase._multiplicity_factor(key))
+        return phase.summed(policy, lambda beta: reference.generalized(beta, triples)) * scale
 
     assert len(every_key) - len(screened) == dropped
     for key in every_key:
@@ -587,6 +589,108 @@ def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
             pairs = [(d, model.basis_class(a)) for d, a in key]
             want = summed_correlator(reference, pairs, policy) * Fraction(1, phase._multiplicity_factor(key))
             assert standard.coefficient(key) == want, key
+
+
+def _fraction_reference_potential(engine, policy, indices):
+    """The standard potential by the per-key Fraction reduction: the keys in order, each
+    reduced by its first string, dilaton or divisor insertion from the raw Fraction series
+    of the keys of one fewer mark or else summed by the engine, and every kept series
+    then scaled by one over its multiplicity factor."""
+    model, degrees = engine.model, engine.model.degrees
+    units = model.basis_of_degree(0)
+    units = units if len(units) == 1 else ()
+    divisors = model.basis_of_degree(1)
+    lowerings = {
+        a_s: [model.cup(model.basis_class(a_s), model.basis_class(a)).parts for a in range(model.rank)]
+        for a_s in units + divisors
+    }
+    pairings = {
+        a_s: {beta: model.beta_pairing(model.basis_class(a_s), beta) for beta in policy.degrees} for a_s in divisors
+    }
+    axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
+    built = {}  # the nonzero raw series of the keys so far
+
+    def reduce(key):
+        slot = next((p for p, idx in enumerate(key) if idx in axiom_indices), None) if len(key) >= 4 else None
+        if slot is None:
+            return None
+        d_s, a_s = key[slot]
+        rest = key[:slot] + key[slot + 1 :]
+        acc = {}
+        if d_s == 1:
+            if rest in built:
+                phase._accumulate(acc, built[rest]._terms, len(rest) - 2)
+            return NovikovSeries._trusted(policy, acc)
+        if a_s not in units and rest in built:
+            acc = {beta: c * pairings[a_s][beta] for beta, c in built[rest]._terms.items()}
+        for i, (d, a) in enumerate(rest):
+            if d >= 1 and (i == 0 or rest[i - 1] != rest[i]):  # a run of m equal slots lowers to one key
+                m = rest.count(rest[i])
+                for c, idx in lowerings[a_s][a]:
+                    term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])))
+                    if term is not None:
+                        phase._accumulate(acc, term._terms, c * m)
+        return NovikovSeries._trusted(policy, acc)
+
+    coeffs = {}
+    for key in phase._admissible_keys(engine, policy, indices):
+        series = reduce(key)
+        if series is None:
+            core = tuple((d, 0, a) for d, a in key)
+            classes = engine.admissible_classes(policy, len(key), sum(d + degrees[a] for d, a in key))
+            series = phase.summed(policy, lambda beta: engine.core(beta, core), classes)
+        if not series.is_zero():
+            built[key] = series
+            coeffs[key] = series * Fraction(1, phase._multiplicity_factor(key))
+    return PotentialSeries(policy, coeffs)
+
+
+@pytest.mark.parametrize("variant", ["ample", "3-ample", "unchecked"])
+@pytest.mark.parametrize(
+    "name, window", [("P1", (3, 6, 4)), ("P2", (3, 5, 3)), ("quadric", (2, 4, 2)), ("P2-rescaled", (3, 5, 3))]
+)
+def test_integer_reduction_matches_the_fraction_reference(p1, p2, name, window, variant):
+    """The standard and primary potentials, reduced over integer numerators on one common
+    denominator, equal the per-key Fraction reduction in value and in order, and ask the
+    engine for the same memo entries.  On the rescaled plane h∪h = p/2, so the string and
+    divisor lowerings leave Fraction numerators; the other variants rescale the engine's
+    reduction divisor or switch its dimension screen off."""
+    if name == "P2-rescaled":
+        model = GeometryModel.from_dict(RESCALED_PLANE)
+        table = PrimaryTable.from_records(model, _rescaled_table("4"))
+        assert Fraction(1, 2) in [c for c, _ in model.cup(model.basis_class(1), model.basis_class(1)).parts]
+    else:
+        model, table = _model_and_table(p1, p2, name)
+    options = {"gamma0": 3 * model.ample} if variant == "3-ample" else {}
+    options["check_dimension"] = variant != "unchecked"
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    engine, reference_engine = CorrelatorEngine(model, table, **options), CorrelatorEngine(model, table, **options)
+    for build, indices in (
+        (potential_standard, phase_indices(policy, model.rank)),
+        (potential_primary, [(0, a) for a in range(model.rank)]),
+    ):
+        potential = build(engine, policy)
+        reference = _fraction_reference_potential(reference_engine, policy, indices)
+        assert not potential.is_zero()
+        assert potential == reference
+        assert [(k, s.items()) for k, s in potential.items()] == [(k, s.items()) for k, s in reference.items()]
+        assert all(type(c) is Fraction for s in potential._coeffs.values() for c in s._terms.values())
+        # the first build ran on fresh engines, the second adds what it asks beyond the first's
+        assert engine._memo.keys() == reference_engine._memo.keys()
+
+
+def test_the_common_denominator_spans_engine_keys_of_every_length(p2):
+    """On P2 at (3,6,4) the four-mark engine key τ_0(p)² τ_1(h) τ_4(p) sums to a series
+    with a half in it, while no three-mark key over its indices has a denominator above one:
+    the common denominator must span the engine keys of every number of marks."""
+    model = p2.model
+    policy = model.policy(3, max_x_degree=6, max_descendant=4)
+    indices = [(0, 2), (1, 1), (4, 2)]
+    potential = phase._potential(CorrelatorEngine(model, p2.primary), policy, indices)
+    assert potential == _fraction_reference_potential(CorrelatorEngine(model, p2.primary), policy, indices)
+    raw = {key: series * phase._multiplicity_factor(key) for key, series in potential.items()}
+    assert {c.denominator for key, series in raw.items() if len(key) == 3 for c in series._terms.values()} <= {1}
+    assert 2 in {c.denominator for c in raw[((0, 2), (0, 2), (1, 1), (4, 2))]._terms.values()}
 
 
 def _model_and_table(p1, p2, name):
