@@ -20,8 +20,7 @@ Evaluation strategy, in reduction order:
   pulled-back term vanishes at three marks) or a table value; for fewer it
   is again unstable, and the dilaton relation gives an independent route.
 
-The dimension count is screened once per query, at the entry (``core``, which
-takes one basis core, leaves it to its caller, the potential assembly).  Everything
+The dimension count is screened once per query, at the entry.  Everything
 is memoized on canonically sorted keys, so values are independent of
 insertion order and of evaluation interleaving.  The pairings c1·beta and
 gamma0·beta and the basis coefficients of a class are held as ints where
@@ -77,6 +76,7 @@ class PrimaryTable:
     def __init__(self, model: GeometryModel, records: Sequence[tuple[CurveClass, tuple[int, int, int], Fraction]] = ()) -> None:
         self.model = model
         self._table: dict[tuple[CurveClass, tuple[int, int, int]], Fraction] = {}
+        seen: dict[tuple[CurveClass, tuple[int, int, int]], Fraction] = {}  # zero values too, unlike _table
         for beta, triple, value in records:
             beta = tuple(beta)
             triple = tuple(sorted(triple))
@@ -98,7 +98,7 @@ class PrimaryTable:
                     f"violates the dimension constraint {expected}"
                 )
             key = (beta, triple)
-            if key in self._table and self._table[key] != value:
+            if seen.setdefault(key, value) != value:
                 raise TableFormatError(f"conflicting values for {key}")
             if value:
                 self._table[key] = value
@@ -146,6 +146,13 @@ class PrimaryTable:
             return cls.from_records(model, json.load(handle))
 
 
+class _NoMemo(dict):
+    """The memo of an uncached engine: a dict that stores nothing."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
 class CorrelatorEngine:
     """Evaluates primary, descendant, generalized and modified correlators.
 
@@ -166,7 +173,6 @@ class CorrelatorEngine:
         self.model = model
         self.primary_table = primary if primary is not None else PrimaryTable(model)
         self.taut = taut
-        self.use_cache = use_cache
         self.check_dimension = check_dimension
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         if model.lattice_rank > 0 and model.degree_of(self.gamma0) != 1:
@@ -174,7 +180,7 @@ class CorrelatorEngine:
         # gamma0 and gamma0 ∪ basis[a] (the lowering terms) as (coefficient, index) parts
         self._gamma0_parts = self.gamma0.parts
         self._lowered = [model.cup(self.gamma0, model.basis_class(a)).parts for a in range(model.rank)]
-        self._memo: dict = {}
+        self._memo: dict = {} if use_cache else _NoMemo()
         self._active: set = set()
         # c1·beta and gamma0·beta per class (an int where integral, see exact.narrow);
         # each window's classes grouped by c1·beta; each class's splittings
@@ -185,9 +191,6 @@ class CorrelatorEngine:
 
     # ------------------------------------------------------------------
     # small helpers
-
-    def _deg(self, idx: int) -> int:
-        return self.model.degrees[idx]
 
     def _effective(self, beta: CurveClass) -> CurveClass:
         beta = tuple(beta)
@@ -228,7 +231,7 @@ class CorrelatorEngine:
         return total - self.model.dimension - n + 3
 
     def _dimension_ok(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> bool:
-        return self._c1_beta(beta) == self._c1_needed(len(ins), sum(d + e + self._deg(a) for d, e, a in ins))
+        return self._c1_beta(beta) == self._c1_needed(len(ins), sum(d + e + self.model.degrees[a] for d, e, a in ins))
 
     def admissible_classes(self, policy: TruncationPolicy, n: int, total: int) -> Sequence[CurveClass]:
         """The window's classes, in window order, at which n insertions of total
@@ -240,16 +243,6 @@ class CorrelatorEngine:
             for beta in policy.iter_effective():
                 self._windows[policy].setdefault(self._c1_beta(beta), []).append(beta)
         return self._windows[policy].get(self._c1_needed(n, total), ())
-
-    def _memo_get(self, key):
-        if self.use_cache:
-            return self._memo.get(key)
-        return None
-
-    def _memo_put(self, key, value: Fraction) -> Fraction:
-        if self.use_cache:
-            self._memo[key] = value
-        return value
 
     def _expand(
         self, triples: Sequence[tuple[int, int, CohClass]]
@@ -306,12 +299,13 @@ class CorrelatorEngine:
         n = len(ins)
         # two-point values do not depend on the route, so their key leaves it out
         key = ("2", beta, ins) if n == 2 else (str(n), beta, ins, route)
-        cached = self._memo_get(key)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         if n < 2 and route == "dilaton":
             with_dilaton = tuple(sorted(ins + ((1, 0, self.model.unit_index),)))
-            return self._memo_put(key, self._unstable(beta, with_dilaton, route) / (n - 2))
+            self._memo[key] = value = self._unstable(beta, with_dilaton, route) / (n - 2)
+            return value
         pairing = self._gamma0_pairing(beta)
         total = Fraction(0)
         for c, gi in self._gamma0_parts:
@@ -332,7 +326,8 @@ class CorrelatorEngine:
                     lowered[slot] = (d - 1, e, idx)
                     value = self._unstable(beta, tuple(sorted(lowered)), route)
                     total -= value if c == 1 else c * value
-        return self._memo_put(key, total / pairing)
+        self._memo[key] = value = total / pairing
+        return value
 
     # ------------------------------------------------------------------
     # generalized correlators (stable range)
@@ -344,7 +339,7 @@ class CorrelatorEngine:
         if sum(e for _, e, _ in ins) > len(ins) - 3:
             return Fraction(0)
         key = ("g", beta, ins)
-        cached = self._memo_get(key)
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         if key in self._active:
@@ -360,7 +355,8 @@ class CorrelatorEngine:
                 value = self._primary(beta, tuple(a for _, _, a in ins))
         finally:
             self._active.discard(key)
-        return self._memo_put(key, value)
+        self._memo[key] = value
+        return value
 
     def _gen_apply_relation(self, beta: CurveClass, ins: tuple[Insertion, ...], j: int) -> Fraction:
         """One application of the descendant-lowering relation at slot j; also the unstable
@@ -369,7 +365,7 @@ class CorrelatorEngine:
         shifted = list(ins)
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
-        others = e_j + sum(d + e + self._deg(a) for p, (d, e, a) in enumerate(ins) if p != j)
+        others = e_j + sum(d + e + self.model.degrees[a] for p, (d, e, a) in enumerate(ins) if p != j)
         for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
             for a in self._candidates(beta2, len(ins), others):
                 tp = Fraction(0)
@@ -422,7 +418,7 @@ class CorrelatorEngine:
                 side_c.extend([val] * (count - s))
             # the node class on side S completes S's dimension count; on a
             # dimension-valid query its dual then completes the other side's
-            others = sum(d + e + self._deg(a) for d, e, a in side_s)
+            others = sum(d + e + self.model.degrees[a] for d, e, a in side_s)
             for beta1, beta2 in self._splittings(beta):
                 for a in self._candidates(beta1, len(side_s) + 1, others):
                     left = self._gen(beta1, tuple(sorted(side_s + [(0, 0, a)])))
@@ -445,7 +441,7 @@ class CorrelatorEngine:
             return self._primary3(beta, classes)
         if not any(beta):
             return Fraction(0)
-        degrees = [self._deg(a) for a in classes]
+        degrees = [self.model.degrees[a] for a in classes]
         if 0 in degrees:
             # identity insertions kill stable primaries at nonzero classes
             return Fraction(0)
@@ -490,6 +486,17 @@ class CorrelatorEngine:
                 total += term if coeff == 1 else coeff * term
         return total
 
+    def _core(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
+        """One term of the multilinear sum :meth:`_sum` forms, for the potential assembly: the
+        genus-zero correlator of the sorted basis-index core ``ins`` of n >= 3 marks with
+        non-negative levels, at an effective class.  At the zero class a core with a cotangent
+        power and no pulled-back one goes to :meth:`descendant`, which dispatches it to the
+        constant-map closed form; every other core goes to ``_gen``.  The dimension screen of
+        ``_sum`` is left to the caller, who passes the classes of :meth:`admissible_classes`."""
+        if not any(beta) and any(d for d, _, _ in ins) and not any(e for _, e, _ in ins):
+            return self.descendant(0, beta, [(d, self.model.basis_class(a)) for d, _, a in ins])
+        return self._gen(beta, ins)
+
     # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)
 
@@ -504,25 +511,6 @@ class CorrelatorEngine:
             return constant_map_correlator(g, list(pairs), self.model, self.taut)
         value = self._gen if len(pairs) >= 3 else self._unstable
         return self._sum(beta, [(d, 0, cls) for d, cls in pairs], value)
-
-    def core(self, beta: CurveClass, ins: Sequence[Insertion]) -> Fraction:
-        """Genus-zero correlator of one basis-index core ``ins``, (d, e, a) per mark, n >= 3.
-
-        This is one term of the multilinear sum :meth:`_sum` forms, evaluated by the same
-        per-core function (``_gen``), so ``ins`` is sorted into the canonical order of the
-        memo keys.  At the zero class a core with a cotangent power and no pulled-back one
-        goes to :meth:`descendant`, which dispatches it to the constant-map closed form; a
-        primary core there goes to ``_gen``, as in :meth:`generalized`, for the same value.
-        The dimension screen of ``_sum`` is left to the caller, who passes the classes of
-        :meth:`admissible_classes`; any other class gives the same value (zero), only later."""
-        beta = self._effective(beta)
-        _check_levels(ins)
-        ins = tuple(sorted(ins))
-        if len(ins) < 3:
-            raise UnsupportedQueryError("a core needs the stable range (n >= 3)")
-        if not any(beta) and any(d for d, _, _ in ins) and not any(e for _, e, _ in ins):
-            return self.descendant(0, beta, [(d, self.model.basis_class(a)) for d, _, a in ins])
-        return self._gen(beta, ins)
 
     def generalized(
         self,

@@ -201,6 +201,9 @@ def constant_map_correlator(
     return _constant_maps(g, insertions, model, table)
 
 
+_NO_TABLE = TautTable()
+
+
 def _constant_maps(g: int, insertions, model: GeometryModel, table: TautTable | None) -> Fraction:
     """Chern-root expansion of a pattern that passed the degree screen: per root
     tuple, the target integral of its Chern class against the insertions'
@@ -222,12 +225,7 @@ def _constant_maps(g: int, insertions, model: GeometryModel, table: TautTable | 
         lambdas = tuple(i for i in tup if i)
         if g == 0:
             moduli_value = psi_integral_genus0(exponents)
-        elif table is not None:
-            moduli_value = table.lookup(g, n, exponents, lambdas)
-        else:
-            raise TautTableError(
-                f"table incomplete: need integral g={g} n={n} "
-                f"psi={sorted(exponents, reverse=True)} lambda={list(lambdas)}"
-            )
+        else:  # no table reads as an empty one, which names the missing integral
+            moduli_value = (_NO_TABLE if table is None else table).lookup(g, n, exponents, lambdas)
         total += moduli_value * target_value
     return Fraction((-1) ** (g * delta)) * total

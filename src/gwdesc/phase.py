@@ -419,23 +419,24 @@ def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], 
 
 def _admissible_keys(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
-) -> list[tuple[PhaseIndex, ...]]:
+) -> dict[tuple[PhaseIndex, ...], Sequence[CurveClass]]:
     """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the
     window some dimension-admissible class (all of them with ``check_dimension`` off): a
-    filtered ``combinations_with_replacement``, in its order.
+    filtered ``combinations_with_replacement``, in its order, each mapped to those classes,
+    ``engine.admissible_classes`` at its degree sum.
 
     With ``modified`` the levels are pulled-back powers from M̄_{0,n}, of dimension n - 3,
     so only the monomials whose levels sum to at most n - 3 are kept: every other modified
     correlator vanishes."""
-    keys: list[tuple[PhaseIndex, ...]] = []
+    keys: dict[tuple[PhaseIndex, ...], Sequence[CurveClass]] = {}
     for n in range(3, policy.max_x_degree + 1):
         pool = [(d, a) for d, a in indices if d <= n - 3] if modified else indices
         weights = [d + engine.model.degrees[a] for d, a in pool]
         totals = list(map(sum, combinations_with_replacement(weights, n)))
-        wanted = {t for t in set(totals) if engine.admissible_classes(policy, n, t)}
+        wanted = {t: classes for t in set(totals) if (classes := engine.admissible_classes(policy, n, t))}
         for key, total in zip(combinations_with_replacement(pool, n), totals):
             if total in wanted and (not modified or sum(d for d, _ in key) <= n - 3):
-                keys.append(key)
+                keys[key] = wanted[total]
     return keys
 
 
@@ -455,18 +456,20 @@ def _potential(
     or a pairing is not integral.  :func:`_assemble` then asks for the keys in increasing
     number of marks, and each stored term is one Fraction(numerator, D·factor), with the
     key's multiplicity factor."""
-    degrees = engine.model.degrees
     keys = _admissible_keys(engine, policy, indices, modified)
-    reduce = None if modified else _axiom_reduction(engine.model, policy)
+    if modified:
+        slots, reduce = {}, None
+    else:
+        slot, reduce = _axiom_reduction(engine.model, policy)
+        slots = {key: at for key in keys if (at := slot(key)) is not None}  # the reduced keys
     # the nonzero terms of every engine key, then as numerators over the common denominator, and
     # the nonzero numerators of each reduced key once it is formed
     built: dict[tuple[PhaseIndex, ...], dict[CurveClass, int | Fraction]] = {}
-    for key in keys:
-        if reduce is None or reduce.slot(key) is None:
+    for key, classes in keys.items():
+        if key not in slots:
             # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
             core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
-            classes = engine.admissible_classes(policy, len(key), sum(d + degrees[a] for d, a in key))
-            terms = {beta: value for beta in classes if (value := engine.core(beta, core))}
+            terms = {beta: value for beta in classes if (value := engine._core(beta, core))}
             if terms:
                 built[key] = terms
     denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
@@ -475,9 +478,8 @@ def _potential(
     zero = NovikovSeries.zero(policy)
 
     def correlator(key):
-        terms = None if reduce is None else reduce(key, built)
-        if terms is None:
-            terms = built.get(key)
+        at = slots.get(key)
+        terms = built.get(key) if at is None else reduce(key, at, built)
         if terms:
             scale = denominator * _multiplicity_factor(key)
             series = NovikovSeries._trusted(policy, {beta: Fraction(n, scale) for beta, n in terms.items()})
@@ -492,10 +494,12 @@ def _potential(
 def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     """The genus-zero string, dilaton and divisor equations on potential numerators.
 
-    Returns ``reduce(key, built)``: the summed correlator of ``key`` as numerators over
-    the denominator of ``built``, the nonzero numerators of keys with one fewer mark, by
-    the equation of its first string τ_0(1), dilaton τ_1(1) or divisor τ_0(D) insertion
-    (D of degree 1), where X is the key without that insertion:
+    Returns ``(slot, reduce)``.  ``slot(key)`` is the position of the key's first string
+    τ_0(1), dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), None when the key
+    has three marks or none of these insertions: the engine evaluates those keys.  For any
+    other key, ``reduce(key, slot(key), built)`` is its summed correlator as numerators over
+    the denominator of ``built``, the nonzero numerators of keys with one fewer mark, by the
+    equation of that insertion, where X is the key without it:
 
     * string: <τ_0(1) X> = Σ_i <X with slot i lowered one level>;
     * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
@@ -504,11 +508,7 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     X has at least three marks, so it is stable at every class.  A key missing from
     ``built`` reads as zero.  The equations are linear with int coefficients where the cup
     parts and pairings are integral, so int numerators stay ints; elsewhere the terms are
-    Fractions, still exact.  The result is a raw dict of our own that may hold zero sums.
-
-    ``reduce`` returns None when the key has three marks or none of these insertions: the
-    engine evaluates it.  ``reduce.slot(key)`` is the position of the insertion the equation
-    removes, None for exactly those engine keys, so they are known before ``built`` is."""
+    Fractions, still exact.  The result is a raw dict of our own that may hold zero sums."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
@@ -532,10 +532,7 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
                     return at
         return None
 
-    def reduce(key, built):
-        at = slot(key)
-        if at is None:
-            return None
+    def reduce(key, at, built):
         d_s, a_s = key[at]
         rest = key[:at] + key[at + 1 :]
         acc: dict[CurveClass, int | Fraction] = {}  # never a dict in built
@@ -557,8 +554,7 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
                         _accumulate(acc, term, c * m)
         return acc
 
-    reduce.slot = slot
-    return reduce
+    return slot, reduce
 
 
 def potential_standard(engine: CorrelatorEngine, policy: TruncationPolicy) -> PotentialSeries:

@@ -89,6 +89,14 @@ def test_primary_table_symmetrizes(p2):
     assert table.value((1,), 1, 1, 1) == 0
 
 
+@pytest.mark.parametrize("values", [("0", "5"), ("5", "0")])
+def test_primary_table_conflicts_in_either_order(p2, values):
+    # a zero value was never stored, so 0 then 5 used to be accepted and read 5
+    rows = [{"beta": [1], "classes": ["h2", "h2", "h"], "value": value} for value in values]
+    with pytest.raises(TableFormatError, match="conflicting values"):
+        PrimaryTable.from_records(p2.model, rows)
+
+
 # ----------------------------------------------------------------------
 # base evaluations on the line
 
@@ -688,19 +696,32 @@ def test_public_values_are_fractions(request, name):
     assert {type(v) for v in values} == {Fraction}
 
 
-def test_cache_transparency(p2):
-    cached = CorrelatorEngine(p2.model, p2.primary, use_cache=True)
-    uncached = CorrelatorEngine(p2.model, p2.primary, use_cache=False)
-    m = p2.model
-    h2 = cls(m, "h2")
+def test_cache_transparency(p1, p2):
+    """The uncached engine's memo stores nothing, at every recursion tag and by both
+    unstable routes, and every value equals the cached engine's (P2 has no dimension-valid
+    zero-point query, so P1 gives those)."""
+    h, h2 = cls(p2.model, "h"), cls(p2.model, "h2")
+    routes = ("divisor", "dilaton")
     queries = [
-        ((1,), [(1, h2), (0, h2), (0, cls(m, "h"))]),
-        ((2,), [(0, h2)] * 5),
-        ((1,), [(2, h2), (0, h2), (0, h2), (0, cls(m, "h"))]),
+        (p2, [
+            lambda e: e.descendant(0, (1,), [(1, h2), (0, h2), (0, h)]),
+            lambda e: e.descendant(0, (2,), [(0, h2)] * 5),
+            lambda e: e.descendant(0, (1,), [(2, h2), (0, h2), (0, h2), (0, h)]),
+            lambda e: e.two_point(3, h2, h2, (2,)),
+            *(lambda e, route=route: e.one_point(4, h2, (2,), route=route) for route in routes),
+        ]),
+        (p1, [lambda e, route=route: e.zero_point((1,), route=route) for route in routes]),
     ]
-    for beta, pairs in queries:
-        assert cached.descendant(0, beta, pairs) == uncached.descendant(0, beta, pairs)
-    assert cached._memo and not uncached._memo
+    tags = set()
+    for fixture, calls in queries:
+        cached = CorrelatorEngine(fixture.model, fixture.primary, use_cache=True)
+        uncached = CorrelatorEngine(fixture.model, fixture.primary, use_cache=False)
+        for query in calls:
+            assert query(cached) == query(uncached)
+        assert uncached._memo == {}
+        # a one- or zero-point key is (tag, beta, ins, route); key[::3] is (tag, route)
+        tags |= {key[0] if key[0] in ("g", "2") else key[::3] for key in cached._memo}
+    assert tags == {"g", "2", *(("1", route) for route in routes), *(("0", route) for route in routes)}
 
 
 def test_effectivity_guard(p1_engine):
@@ -772,8 +793,6 @@ def test_negative_genus_is_rejected_at_every_class(p1_engine, p1, beta):
         "two_point",
         "two_point_general",
         "one_point",
-        "core-cotangent",
-        "core-pulled-back",
     ],
 )
 def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
@@ -781,7 +800,6 @@ def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
     # descendant: two_point(-1, h2, h2, (1,)) returned 0
     m = p2.model
     h, h2 = cls(m, "h"), cls(m, "h2")
-    a, a2 = m.label_index("h"), m.label_index("h2")
     calls = {
         "descendant": lambda: p2_engine.descendant(0, beta, [(-1, h2), (0, h2), (0, h)]),
         "generalized-cotangent": lambda: p2_engine.generalized(beta, [(-1, 0, h2), (0, 0, h2), (0, 0, h)]),
@@ -796,8 +814,6 @@ def test_every_entry_rejects_a_negative_level(p2_engine, p2, entry, beta):
         "two_point": lambda: p2_engine.two_point(-1, h2, h2, beta),
         "two_point_general": lambda: p2_engine.two_point_general(0, h2, -1, h2, beta),
         "one_point": lambda: p2_engine.one_point(-1, h2, beta),
-        "core-cotangent": lambda: p2_engine.core(beta, [(-1, 0, a2), (0, 0, a2), (0, 0, a)]),
-        "core-pulled-back": lambda: p2_engine.core(beta, [(0, -1, a2), (0, 0, a2), (0, 0, a)]),
     }
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
         calls[entry]()

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gwdesc.fixtures import _data_text, genus1_taut_table, load_fixture, plane_curve_counts
-from gwdesc.geometry import ModelError
+from gwdesc.fixtures import FIXTURE_NAMES, _data_text, genus1_taut_table, load_fixture, plane_curve_counts
+from gwdesc.geometry import GeometryModel, ModelError
 
 
 def test_plane_curve_counts():
@@ -25,9 +25,12 @@ def test_plane_curve_counts_validation():
 
 
 def test_fixture_loading_and_validation():
-    for name in ("P1", "P2", "point"):
-        fixture = load_fixture(name)
-        assert fixture.model.validate().ok
+    # load_fixture does not validate the shipped files, so every one is validated here
+    for name in FIXTURE_NAMES:
+        raw = GeometryModel.from_dict(json.loads(_data_text(f"{name.lower()}.geometry.json")))
+        report = raw.validate()
+        assert report.ok, report
+        assert load_fixture(name).model.labels == raw.labels
     with pytest.raises(ModelError, match="unknown fixture"):
         load_fixture("P3")
 

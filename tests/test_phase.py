@@ -509,16 +509,21 @@ def test_dimension_skip_matches_the_full_window(p2, name, window, standard_keys,
 def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
     """Pinned key counts, checked and unchecked engine, without and with the modified
     screen (levels summing to at most n - 3).  A spare zero-valued key would leave
-    every coefficient unchanged, so only the counts catch it."""
+    every coefficient unchanged, so only the counts catch it.  Each key maps to the
+    engine's admissible classes at its degree sum."""
     fixture = {"P1": p1, "P2": p2, "point": point}[name]
     model, table = fixture.model, fixture.primary
     policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
     indices = [(0, a) for a in range(model.rank)] if level0 else phase_indices(policy, model.rank)
-    lists = [
-        phase._admissible_keys(CorrelatorEngine(model, table, check_dimension=check), policy, indices, modified)
-        for modified in (False, True)
-        for check in (True, False)
-    ]
+    lists = []
+    for modified in (False, True):
+        for check in (True, False):
+            engine = CorrelatorEngine(model, table, check_dimension=check)
+            keys = phase._admissible_keys(engine, policy, indices, modified)
+            for key, classes in keys.items():
+                total = sum(d + model.degrees[a] for d, a in key)
+                assert list(classes) == list(engine.admissible_classes(policy, len(key), total)), key
+            lists.append(keys)
     assert tuple(map(len, lists)) == counts
     # each screened list is the unchecked standard one with keys dropped, order kept
     for keys in (lists[0], lists[2], lists[3]):
@@ -582,13 +587,38 @@ def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
     for check, count in zip((True, False), derived):
         engine = CorrelatorEngine(model, table, check_dimension=check)
         keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
-        reduce = phase._axiom_reduction(model, policy)
-        assert sum(reduce(key, {}) is not None for key in keys) == count
+        slot, _ = phase._axiom_reduction(model, policy)
+        assert sum(slot(key) is not None for key in keys) == count
         standard = potential_standard(engine, policy)
         for key in keys:
             pairs = [(d, model.basis_class(a)) for d, a in key]
             want = summed_correlator(reference, pairs, policy) * Fraction(1, phase._multiplicity_factor(key))
             assert standard.coefficient(key) == want, key
+
+
+def test_the_standard_potential_finds_each_key_slot_once(p2, monkeypatch):
+    """``_potential`` asks the axiom reduction for each key's slot once, for the engine
+    keys and the reduced ones alike, and the value is unchanged."""
+    model = p2.model
+    policy = model.policy(3, max_x_degree=5, max_descendant=3)
+    reference = potential_standard(CorrelatorEngine(model, p2.primary), policy)
+    original = phase._axiom_reduction
+    asked = []
+
+    def counting_reduction(model, policy):
+        slot, reduce = original(model, policy)
+
+        def counting_slot(key):
+            asked.append(key)
+            return slot(key)
+
+        return counting_slot, reduce
+
+    monkeypatch.setattr(phase, "_axiom_reduction", counting_reduction)
+    engine = CorrelatorEngine(model, p2.primary)
+    assert potential_standard(engine, policy) == reference
+    keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
+    assert asked == list(keys)
 
 
 def _fraction_reference_potential(engine, policy, indices):
@@ -638,7 +668,7 @@ def _fraction_reference_potential(engine, policy, indices):
         if series is None:
             core = tuple((d, 0, a) for d, a in key)
             classes = engine.admissible_classes(policy, len(key), sum(d + degrees[a] for d, a in key))
-            series = phase.summed(policy, lambda beta: engine.core(beta, core), classes)
+            series = phase.summed(policy, lambda beta: engine._core(beta, core), classes)
         if not series.is_zero():
             built[key] = series
             coeffs[key] = series * Fraction(1, phase._multiplicity_factor(key))
@@ -729,26 +759,22 @@ def test_core_assembly_matches_the_class_valued_entries(p1, p2, name, window, ch
 
 
 def test_engine_core_is_the_per_core_term_of_the_class_valued_entries(p2_engine, p2):
-    """``core`` sorts its marks, takes the constant-map closed form at the zero class for a
-    descendant core and ``_gen`` otherwise, and agrees with the class-valued entries."""
+    """``_core`` takes the constant-map closed form at the zero class for a descendant core
+    and ``_gen`` otherwise, and agrees with the class-valued entries; its caller sorts the core."""
     model = p2.model
     one, h, pt = (model.label_index(label) for label in ("one", "h", "h2"))
-    descendant_core = ((0, 0, h), (1, 0, pt), (0, 0, h), (0, 0, one))
+    descendant_core = tuple(sorted(((0, 0, h), (1, 0, pt), (0, 0, h), (0, 0, one))))
     pairs = [(d, model.basis_class(a)) for d, _, a in descendant_core]
     for beta in [(0,), (1,), (2,)]:
-        assert p2_engine.core(beta, descendant_core) == p2_engine.descendant(0, beta, pairs), beta
-    modified_core = ((1, 0, one), (0, 0, h), (0, 1, pt), (0, 0, pt))
+        assert p2_engine._core(beta, descendant_core) == p2_engine.descendant(0, beta, pairs), beta
+    modified_core = tuple(sorted(((1, 0, one), (0, 0, h), (0, 1, pt), (0, 0, pt))))
     triples = [(d, e, model.basis_class(a)) for d, e, a in modified_core]
     for beta in [(0,), (1,), (2,)]:
-        assert p2_engine.core(beta, modified_core) == p2_engine.generalized(beta, triples), beta
-    primary_core = ((0, 0, h), (0, 0, one), (0, 0, h))
+        assert p2_engine._core(beta, modified_core) == p2_engine.generalized(beta, triples), beta
+    primary_core = tuple(sorted(((0, 0, h), (0, 0, one), (0, 0, h))))
     primary_pairs = [(0, model.basis_class(a)) for *_, a in primary_core]
-    assert p2_engine.core((0,), primary_core) == 1 == p2_engine.descendant(0, (0,), primary_pairs)
-    assert type(p2_engine.core((1,), primary_core)) is Fraction
-    with pytest.raises(UnsupportedQueryError):
-        p2_engine.core((1,), ((0, 0, pt), (0, 0, pt)))
-    with pytest.raises(ValueError, match="effective"):
-        p2_engine.core((-1,), primary_core)
+    assert p2_engine._core((0,), primary_core) == 1 == p2_engine.descendant(0, (0,), primary_pairs)
+    assert type(p2_engine._core((1,), primary_core)) is Fraction
 
 
 def test_potential_keys_are_order_free(p1_engine, p1):
