@@ -27,7 +27,7 @@ from .phase import (
     potential_modified,
     potential_primary,
     potential_standard,
-    summed,
+    summed_correlator,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -139,7 +139,7 @@ def cmd_correlator(args) -> int:
         return 0
     if args.genus != 0:
         raise CliError("summed series are genus-0 only")
-    print(summed(model.policy(args.qmax), lambda beta: _evaluate_query(engine, 0, beta, triples)))
+    print(summed_correlator(engine, triples, model.policy(args.qmax)))
     return 0
 
 

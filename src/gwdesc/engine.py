@@ -582,10 +582,7 @@ class CorrelatorEngine:
     # relation checks (both sides evaluated independently)
 
     def check_divisor_relation(
-        self,
-        beta: CurveClass,
-        pairs: Sequence[tuple[int, CohClass]],
-        gamma0: CohClass | None = None,
+        self, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]
     ) -> tuple[Fraction, Fraction]:
         """Both sides of the divisor relation for a genus-0 query.
 
@@ -593,8 +590,7 @@ class CorrelatorEngine:
         the base must have at least three marks, since a two-mark base
         compares a nonempty three-mark space against an empty one.
         """
-        beta = tuple(beta)
-        gamma0 = gamma0 if gamma0 is not None else self.gamma0
+        beta, gamma0 = tuple(beta), self.gamma0
         lhs = self.descendant(0, beta, [(0, gamma0)] + list(pairs))
         rhs = self.model.beta_pairing(gamma0, beta) * self.descendant(0, beta, list(pairs))
         for slot, (d, cls) in enumerate(pairs):

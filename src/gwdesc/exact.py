@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 CurveClass = tuple[int, ...]
 
@@ -132,8 +132,9 @@ class TruncationPolicy(_Frozen):
     """
 
     def __init__(
-        self, beta_weights: tuple[int, ...], max_beta_degree: int, max_x_degree: int = 0, max_descendant: int = 0
+        self, beta_weights: Sequence[int], max_beta_degree: int, max_x_degree: int = 0, max_descendant: int = 0
     ) -> None:
+        beta_weights = tuple(beta_weights)  # a list would neither hash nor equal its tuple
         if any(w < 1 for w in beta_weights):
             raise ValueError("every lattice generator needs ample degree >= 1")
         if min(max_beta_degree, max_x_degree, max_descendant) < 0:
@@ -149,6 +150,8 @@ class TruncationPolicy(_Frozen):
         return (self.beta_weights, self.max_beta_degree, self.max_x_degree, self.max_descendant)
 
     def __eq__(self, other) -> bool:
+        if other is self:  # the common case: series of one window share its policy
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
@@ -274,7 +277,7 @@ class NovikovSeries:
         return [(beta, terms[beta]) for beta in self.policy.degrees if beta in terms]
 
     def _check_policy(self, other: NovikovSeries) -> None:
-        if self.policy is not other.policy and self.policy != other.policy:
+        if self.policy != other.policy:
             raise PolicyMismatchError("series built over different truncation policies")
 
     def __add__(self, other: NovikovSeries) -> NovikovSeries:
@@ -310,8 +313,7 @@ class NovikovSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        # identity first: TruncationPolicy.__eq__ compares field by field
-        return (self.policy is other.policy or self.policy == other.policy) and self._terms == other._terms
+        return self.policy == other.policy and self._terms == other._terms
 
     def __str__(self) -> str:
         if not self._terms:

@@ -53,29 +53,26 @@ def summed(
     return NovikovSeries._trusted(policy, {beta: value(beta) for beta in betas})
 
 
-def _engine_classes(
-    engine: CorrelatorEngine, policy: TruncationPolicy, triples: Sequence[tuple[int, int, CohClass]]
-) -> Sequence[CurveClass] | None:
-    """The classes to sum an engine series of the marks ``triples``, (d, e, class) per mark,
-    over: ``engine.admissible_classes`` at their degree sum, the only ones ``_sum``'s screen
-    lets a core through at; None (the whole window) when a class is zero or mixed-degree.
-    A negative level raises ValueError here, before the screen could skip every class."""
-    _check_levels(triples)
-    degrees = [engine.model.degree_of(cls) for _, _, cls in triples]
-    if None in degrees:
-        return None
-    return engine.admissible_classes(policy, len(triples), sum(d + e for d, e, _ in triples) + sum(degrees))
-
-
 def summed_correlator(
-    engine: CorrelatorEngine,
-    pairs: Sequence[tuple[int, CohClass]],
-    policy: TruncationPolicy,
+    engine: CorrelatorEngine, marks: Sequence[tuple[int, int, CohClass]], policy: TruncationPolicy
 ) -> NovikovSeries:
-    """Genus-zero descendant correlator of any number of marks (two for the engine's
-    two-point series) summed over the classes of :func:`_engine_classes`."""
-    classes = _engine_classes(engine, policy, [(d, 0, cls) for d, cls in pairs])
-    return summed(policy, lambda beta: engine.descendant(0, beta, pairs), classes)
+    """Genus-zero correlator of the marks, (d, e, class) per mark, summed over the window: the
+    generalized kind when a mark has a pulled-back power, else the descendant kind (two marks
+    give the engine's two-point series).  Only the classes of ``engine.admissible_classes``
+    are asked, or the whole window when a class is zero or of mixed degree."""
+    _check_levels(marks)  # before the screen, which could skip every class
+    if any(e for _, e, _ in marks):
+        if len(marks) < 3:
+            raise UnsupportedQueryError("generalized correlators need the stable range (n >= 3)")
+        value = lambda beta: engine.generalized(beta, marks)
+    else:
+        pairs = [(d, cls) for d, _, cls in marks]
+        value = lambda beta: engine.descendant(0, beta, pairs)
+    degrees = [engine.model.degree_of(cls) for _, _, cls in marks]
+    classes = None if None in degrees else engine.admissible_classes(
+        policy, len(marks), sum(d + e for d, e, _ in marks) + sum(degrees)
+    )
+    return summed(policy, value, classes)
 
 
 # ----------------------------------------------------------------------
@@ -299,11 +296,7 @@ class PhaseTransform:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseTransform):
             return NotImplemented
-        return (
-            (self.policy is other.policy or self.policy == other.policy)
-            and self.basis_rank == other.basis_rank
-            and self._rows == other._rows
-        )
+        return self.policy == other.policy and self.basis_rank == other.basis_rank and self._rows == other._rows
 
     def to_records(self, model: GeometryModel) -> list[dict]:
         out = []
@@ -374,7 +367,7 @@ class PotentialSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PotentialSeries):
             return NotImplemented
-        return (self.policy is other.policy or self.policy == other.policy) and self._coeffs == other._coeffs
+        return self.policy == other.policy and self._coeffs == other._coeffs
 
     def difference(self, other: PotentialSeries) -> list[tuple[tuple[PhaseIndex, ...], NovikovSeries]]:
         """Nonzero coefficients of self - other, canonically ordered."""
@@ -590,7 +583,7 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     one = NovikovSeries.one(policy)
     used = {idx: transform._rows.get(idx, {}) for key in potential._coeffs for idx in key}
     for row in used.values():
-        if any(entry.policy is not policy and entry.policy != policy for entry in row.values()):
+        if any(entry.policy != policy for entry in row.values()):
             raise PolicyMismatchError("transform built over a different truncation policy")
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
     # T's row at each index used, as (input, entry numerators over dt), with None for a unit entry
@@ -676,17 +669,16 @@ def substitution_identity(
     d_slot, a_slot = key[slot]
     if d_slot > policy.max_descendant:
         raise ValueError(f"level {d_slot} of key {key} lies above the transform's window ({policy.max_descendant})")
-    if len(key) < 3:  # raised here, since the class screen may leave the engine nothing to ask
+    if len(key) < 3:  # else only a nonzero entry of T would raise it, after the left side
         raise UnsupportedQueryError("generalized correlators need the stable range (n >= 3)")
-    lhs = summed_correlator(engine, [(d, model.basis_class(a)) for d, a in key], policy)
-    rest = [(d, 0, model.basis_class(a)) for p, (d, a) in enumerate(key) if p != slot]
+    marks = [(d, 0, model.basis_class(a)) for d, a in key]
+    lhs = summed_correlator(engine, marks, policy)
+    rest = marks[:slot] + marks[slot + 1 :]
     rhs = NovikovSeries.zero(policy)
     for j, b in phase_indices(policy, model.rank):
         entry = transform.entry((j, b), (d_slot, a_slot))
         if not entry.is_zero():
-            triples = [(0, j, model.basis_class(b))] + rest
-            classes = _engine_classes(engine, policy, triples)
-            rhs = rhs + entry * summed(policy, lambda beta: engine.generalized(beta, triples), classes)
+            rhs = rhs + entry * summed_correlator(engine, [(0, j, model.basis_class(b))] + rest, policy)
     return lhs, rhs
 
 
@@ -741,9 +733,9 @@ def divisor_product_identity(
     if d < 1:
         raise ValueError("need a positive level on the descendant slot")
     model, gamma0 = engine.model, engine.gamma0
-    lhs = summed_correlator(engine, [(0, gamma0), (d, x), (0, y)], policy)
+    lhs = summed_correlator(engine, [(0, 0, gamma0), (d, 0, x), (0, 0, y)], policy)
     rhs = NovikovSeries.zero(policy)
     for a, coeff in enumerate(quantum_product(model, engine.primary_table, policy, gamma0, y)):
         if not coeff.is_zero():
-            rhs = rhs + coeff * summed_correlator(engine, [(d - 1, x), (0, model.basis_class(a))], policy)
+            rhs = rhs + coeff * summed_correlator(engine, [(d - 1, 0, x), (0, 0, model.basis_class(a))], policy)
     return lhs, rhs

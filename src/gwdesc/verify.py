@@ -340,7 +340,7 @@ def suite_two_point_paths(
         for x in basis:
             for y in basis:
                 checked += 1
-                via_engine = summed_correlator(engine, [(d, x), (0, y)], policy)
+                via_engine = summed_correlator(engine, [(d, 0, x), (0, 0, y)], policy)
                 via_primaries = route.series(d, x, y)
                 if via_engine != via_primaries:
                     failures.append(f"d={d}: {via_engine} vs {via_primaries}")
@@ -348,10 +348,10 @@ def suite_two_point_paths(
     return _verdict("two-point-paths", head, failures, checked)
 
 
-def suite_degree_zero_collapse(
-    model: GeometryModel, primary: PrimaryTable, nmax: int = 5, total_max: int = 3
-) -> SuiteResult:
-    """Mixed powers at curve class zero against the merged-level closed form."""
+def suite_degree_zero_collapse(model: GeometryModel, primary: PrimaryTable, nmax: int = 5) -> SuiteResult:
+    """Mixed powers at curve class zero, their levels d + e summing to at most 3,
+    against the merged-level closed form."""
+    total_max = 3
     engine = CorrelatorEngine(model, primary)
     beta0 = (0,) * model.lattice_rank
     checked = 0

@@ -111,7 +111,7 @@ def test_criterion_6_two_point_path_equivalence(p1, p2):
             for x in basis:
                 for y in basis:
                     checked += 1
-                    if summed_correlator(engine, [(d, x), (0, y)], policy) != two_point_from_primaries(
+                    if summed_correlator(engine, [(d, 0, x), (0, 0, y)], policy) != two_point_from_primaries(
                         model, fixture.primary, policy, d, x, y
                     ):
                         ok = False
@@ -123,7 +123,7 @@ def test_criterion_7_degree_zero_collapse(p1, p2):
     ok = True
     counts = []
     for fixture in (p1, p2):
-        result = suite_degree_zero_collapse(fixture.model, fixture.primary, nmax=5, total_max=3)
+        result = suite_degree_zero_collapse(fixture.model, fixture.primary, nmax=5)
         ok = ok and result.ok
         counts.append(result.lines[0])
     _verdict(7, ok, "; ".join(counts))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gwdesc import (
+    CorrelatorEngine,
     GwdescError,
     ModelError,
     PolicyMismatchError,
@@ -50,6 +51,28 @@ def test_correlator_series(capsys):
     )
     assert code == 0
     assert out.strip() == "1·q^[1]"
+
+
+def test_correlator_series_asks_the_engine_only_at_admissible_classes(capsys, monkeypatch):
+    # degrees 2 + 2 + 1 meet dim + c1·beta = 2 + 3·beta on P2 only at beta = 1 of the window's 4 classes
+    calls = []
+    original = CorrelatorEngine.descendant
+
+    def counting(self, g, beta, pairs):
+        calls.append(beta)
+        return original(self, g, beta, pairs)
+
+    monkeypatch.setattr(CorrelatorEngine, "descendant", counting)
+    code, out, _ = run(capsys, "correlator", "--model", "P2", "--qmax", "3", "--ins", "tau(0):h2,tau(0):h2,tau(0):h")
+    assert code == 0 and out.strip() == "1·q^[1]"
+    assert calls == [(1,)]
+
+
+def test_correlator_series_of_two_pulled_back_marks_needs_the_stable_range(capsys):
+    code, out, err = run(capsys, "correlator", "--model", "P2", "--qmax", "2", "--ins", "tau(0,1):h2,tau(0):h2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: generalized correlators need the stable range (n >= 3)\n"
 
 
 def test_correlator_zero_class_two_point(capsys):

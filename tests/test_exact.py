@@ -164,6 +164,14 @@ def test_truncation_is_a_quotient_map():
         assert shrink(a * b) == shrink(a) * shrink(b)
 
 
+def test_policy_with_list_weights_equals_its_tuple_twin():
+    listed = TruncationPolicy(beta_weights=[1], max_beta_degree=2)
+    twin = TruncationPolicy(beta_weights=(1,), max_beta_degree=2)
+    assert listed.beta_weights == (1,) and listed == twin and hash(listed) == hash(twin)
+    assert {twin: 1}[listed] == 1
+    assert NovikovSeries(listed, {(1,): 1}) + NovikovSeries(twin, {(2,): 1}) == NovikovSeries(twin, {(1,): 1, (2,): 1})
+
+
 def test_policy_mismatch_raises():
     a = series({(1,): 1})
     b = NovikovSeries(TruncationPolicy(beta_weights=(1,), max_beta_degree=2), {(1,): 1})

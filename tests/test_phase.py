@@ -38,11 +38,13 @@ def test_summed_correlators(p1_engine, p1, p2_engine, p2):
     m = p1.model
     policy = m.policy(3)
     h = cls(m, "h")
-    assert summed_correlator(p1_engine, [(0, h)] * 3, policy) == NovikovSeries.monomial(policy, (1,))
-    assert summed_correlator(p1_engine, [(0, m.unit)] * 3, policy).is_zero()
+    assert summed_correlator(p1_engine, [(0, 0, h)] * 3, policy) == NovikovSeries.monomial(policy, (1,))
+    assert summed_correlator(p1_engine, [(0, 0, m.unit)] * 3, policy).is_zero()
+    listed = TruncationPolicy(beta_weights=list(policy.beta_weights), max_beta_degree=3)  # hashed by the screen
+    assert summed_correlator(p1_engine, [(0, 0, h)] * 3, listed) == NovikovSeries.monomial(policy, (1,))
     m2 = p2.model
     policy2 = m2.policy(2)
-    series = summed_correlator(p2_engine, [(0, cls(m2, "h2")), (0, cls(m2, "h2")), (0, cls(m2, "h"))], policy2)
+    series = summed_correlator(p2_engine, [(0, 0, cls(m2, "h2")), (0, 0, cls(m2, "h2")), (0, 0, cls(m2, "h"))], policy2)
     assert series == NovikovSeries.monomial(policy2, (1,))
 
 
@@ -119,7 +121,7 @@ def test_two_point_paths_agree(p1_engine, p1, p2_engine, p2):
         for d in range(4):
             for x in basis:
                 for y in basis:
-                    assert summed_correlator(engine, [(d, x), (0, y)], policy) == two_point_from_primaries(
+                    assert summed_correlator(engine, [(d, 0, x), (0, 0, y)], policy) == two_point_from_primaries(
                         m, fx.primary, policy, d, x, y
                     )
 
@@ -192,13 +194,29 @@ def test_screened_sums_equal_full_window_sums(p1, p2):
         for d in range(top + 1):
             for x in classes:
                 for y in classes:
-                    screened = summed_correlator(engine, [(d, x), (0, y)], policy)
+                    screened = summed_correlator(engine, [(d, 0, x), (0, 0, y)], policy)
                     assert screened == full_window_two_point(engine, d, x, y, policy)
         for n in (2, 3, 4):
             for chosen in combinations_with_replacement(classes, n):
                 for levels in ((0,) * n, (1,) + (0,) * (n - 1), (2, 1) + (0,) * (n - 2)):
                     pairs = list(zip(levels, chosen))
-                    assert summed_correlator(engine, pairs, policy) == full_window_correlator(engine, pairs, policy)
+                    marks = [(d, 0, x) for d, x in pairs]
+                    assert summed_correlator(engine, marks, policy) == full_window_correlator(engine, pairs, policy)
+        # pulled-back powers: e on the first mark, or d on the first and e on the last
+        for n in (3, 4):
+            for chosen in combinations_with_replacement(classes, n):
+                for first, last in (((0, 1), (0, 0)), ((1, 0), (0, 1))):
+                    marks = [(*first, chosen[0])] + [(0, 0, x) for x in chosen[1:-1]] + [(*last, chosen[-1])]
+                    full = phase.summed(policy, lambda beta: engine.generalized(beta, marks))
+                    assert summed_correlator(engine, marks, policy) == full
+
+
+def test_summed_pulled_back_marks_need_the_stable_range(p2_engine, p2):
+    m = p2.model
+    h, h2 = cls(m, "h"), cls(m, "h2")
+    for marks in ([(0, 1, h2), (0, 0, h2)], [(0, 1, h2), (1, 0, h)], [(0, 1, h2)]):
+        with pytest.raises(UnsupportedQueryError, match="stable range"):
+            summed_correlator(p2_engine, marks, m.policy(2))
 
 
 def test_two_point_paths_ask_the_engine_only_at_admissible_classes(p2, monkeypatch):
@@ -286,9 +304,9 @@ def test_series_entries_reject_a_negative_level(p2, p2_engine):
     policy = m.policy(2)
     h, h2 = cls(m, "h"), cls(m, "h2")
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
-        summed_correlator(p2_engine, [(-1, h2), (0, h2)], policy)
+        summed_correlator(p2_engine, [(-1, 0, h2), (0, 0, h2)], policy)
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
-        summed_correlator(p2_engine, [(-1, h2), (0, h2), (0, h)], policy)
+        summed_correlator(p2_engine, [(-1, 0, h2), (0, 0, h2), (0, 0, h)], policy)
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
         two_point_from_primaries(m, p2.primary, policy, -1, h2, h2)
     with pytest.raises(ValueError, match="descendant exponents must be non-negative"):
@@ -328,7 +346,7 @@ def engine_summed_transform(engine, policy):
     for k in range(top):
         for a in range(rank):
             for b in range(rank):
-                series = summed_correlator(engine, [(k, model.basis_class(a)), (0, duals[b])], policy)
+                series = summed_correlator(engine, [(k, 0, model.basis_class(a)), (0, 0, duals[b])], policy)
                 for c in range(top - k):
                     entries[((c, b), (c + k + 1, a))] = series
     return PhaseTransform(policy, rank, entries)
@@ -591,8 +609,8 @@ def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
         assert sum(slot(key) is not None for key in keys) == count
         standard = potential_standard(engine, policy)
         for key in keys:
-            pairs = [(d, model.basis_class(a)) for d, a in key]
-            want = summed_correlator(reference, pairs, policy) * Fraction(1, phase._multiplicity_factor(key))
+            marks = [(d, 0, model.basis_class(a)) for d, a in key]
+            want = summed_correlator(reference, marks, policy) * Fraction(1, phase._multiplicity_factor(key))
             assert standard.coefficient(key) == want, key
 
 
@@ -1055,13 +1073,13 @@ def test_potential_records_are_canonical(p1_engine, p1):
 
 def test_equality_on_one_policy_object_skips_the_field_comparison(p1, monkeypatch):
     calls = []
-    field_eq = TruncationPolicy.__eq__
+    fields = TruncationPolicy._fields
 
-    def counting(self, other):
-        calls.append(other)
-        return field_eq(self, other)
+    def counting(self):
+        calls.append(self)
+        return fields(self)
 
-    monkeypatch.setattr(TruncationPolicy, "__eq__", counting)
+    monkeypatch.setattr(TruncationPolicy, "_fields", counting)
 
     def containers(policy):
         q = NovikovSeries.monomial(policy, (1,), 3)

@@ -112,7 +112,7 @@ def test_quadric_two_point_paths(quadric_engine, quadric):
     for d in range(3):
         for x in basis:
             for y in basis:
-                assert summed_correlator(quadric_engine, [(d, x), (0, y)], policy) == two_point_from_primaries(
+                assert summed_correlator(quadric_engine, [(d, 0, x), (0, 0, y)], policy) == two_point_from_primaries(
                     model, table, policy, d, x, y
                 )
 
