@@ -23,9 +23,11 @@ Evaluation strategy, in reduction order:
 The dimension count is screened once per query, at the entry.  Everything
 is memoized on canonically sorted keys, so values are independent of
 insertion order and of evaluation interleaving.  The pairings c1·beta and
-gamma0·beta and the basis coefficients of a class are held as ints where
-integral (a factor 1 is skipped); every value the engine returns or
-memoizes is a Fraction.
+gamma0·beta, the divisor pairings D·beta of the n-point primaries and the
+basis coefficients of a class are held as ints where integral (a factor 1 is
+skipped).  The memo holds an integral value as an int too (see exact.narrow),
+and the sums start at the int 0; every public entry and ``_core`` returns a
+Fraction.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ def _check_levels(marks: Sequence[tuple[int, int, object]]) -> None:
     for d, e, _ in marks:
         if d < 0 or e < 0:
             raise ValueError("descendant exponents must be non-negative")
+
+
+_ZERO = Fraction(0)  # the value of every table miss, shared since a Fraction is immutable
 
 
 class PrimaryTable:
@@ -104,7 +109,7 @@ class PrimaryTable:
                 self._table[key] = value
 
     def value(self, beta: CurveClass, ia: int, ib: int, ic: int) -> Fraction:
-        return self._table.get((tuple(beta), tuple(sorted((ia, ib, ic)))), Fraction(0))
+        return self._table.get((tuple(beta), tuple(sorted((ia, ib, ic)))), _ZERO)
 
     def records(self) -> list[dict]:
         out = []
@@ -182,10 +187,11 @@ class CorrelatorEngine:
         self._lowered = [model.cup(self.gamma0, model.basis_class(a)).parts for a in range(model.rank)]
         self._memo: dict = {} if use_cache else _NoMemo()
         self._active: set = set()
-        # c1·beta and gamma0·beta per class (an int where integral, see exact.narrow);
-        # each window's classes grouped by c1·beta; each class's splittings
+        # c1·beta and gamma0·beta per class and basis[a]·beta per (a, class) (an int where
+        # integral, see exact.narrow); each window's classes grouped by c1·beta; each class's splittings
         self._c1: dict[CurveClass, int | Fraction] = {}
         self._g0: dict[CurveClass, int | Fraction] = {}
+        self._basis_pairings: dict[tuple[int, CurveClass], int | Fraction] = {}
         self._windows: dict[TruncationPolicy, dict[int | Fraction, list[CurveClass]]] = {}
         self._splits: dict[CurveClass, tuple[tuple[CurveClass, CurveClass], ...]] = {}
 
@@ -212,6 +218,12 @@ class CorrelatorEngine:
             pairing = self._g0[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
         if pairing == 0:
             raise ValueError(f"reduction divisor pairs to zero with {beta}; not ample there")
+        return pairing
+
+    def _basis_pairing(self, a: int, beta: CurveClass) -> int | Fraction:
+        pairing = self._basis_pairings.get((a, beta))
+        if pairing is None:
+            pairing = self._basis_pairings[a, beta] = narrow(self.model.beta_pairing(self.model.basis_class(a), beta))
         return pairing
 
     @cached_property
@@ -284,7 +296,7 @@ class CorrelatorEngine:
     # ------------------------------------------------------------------
     # unstable range at nonzero class: one divisor-relation step
 
-    def _unstable(self, beta: CurveClass, ins: tuple[Insertion, ...], route: str = "divisor") -> Fraction:
+    def _unstable(self, beta: CurveClass, ins: tuple[Insertion, ...], route: str = "divisor") -> int | Fraction:
         """Two-, one- or zero-point correlator at a nonzero class.
 
         The divisor route solves the divisor relation with gamma0,
@@ -295,7 +307,7 @@ class CorrelatorEngine:
         divides <tau_1(1)·ins> by the dilaton factor 2g-2+n = n-2 instead.
         """
         if not any(beta):
-            return Fraction(0)
+            return 0
         n = len(ins)
         # two-point values do not depend on the route, so their key leaves it out
         key = ("2", beta, ins) if n == 2 else (str(n), beta, ins, route)
@@ -304,10 +316,10 @@ class CorrelatorEngine:
             return cached
         if n < 2 and route == "dilaton":
             with_dilaton = tuple(sorted(ins + ((1, 0, self.model.unit_index),)))
-            self._memo[key] = value = self._unstable(beta, with_dilaton, route) / (n - 2)
+            self._memo[key] = value = narrow(Fraction(self._unstable(beta, with_dilaton, route), n - 2))
             return value
         pairing = self._gamma0_pairing(beta)
-        total = Fraction(0)
+        total = 0
         for c, gi in self._gamma0_parts:
             with_divisor = tuple(sorted(ins + ((0, 0, gi),)))
             if n == 2:
@@ -326,18 +338,18 @@ class CorrelatorEngine:
                     lowered[slot] = (d - 1, e, idx)
                     value = self._unstable(beta, tuple(sorted(lowered)), route)
                     total -= value if c == 1 else c * value
-        self._memo[key] = value = total / pairing
+        self._memo[key] = value = narrow(Fraction(total, pairing))
         return value
 
     # ------------------------------------------------------------------
     # generalized correlators (stable range)
 
-    def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
+    def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> int | Fraction:
         # the pulled-back powers are pulled back from the curve moduli of n marks,
         # of dimension n - 3, so a product of them of higher degree vanishes
         # (every caller passes n >= 3, so the bound is never negative)
         if sum(e for _, e, _ in ins) > len(ins) - 3:
-            return Fraction(0)
+            return 0
         key = ("g", beta, ins)
         cached = self._memo.get(key)
         if cached is not None:
@@ -355,10 +367,10 @@ class CorrelatorEngine:
                 value = self._primary(beta, tuple(a for _, _, a in ins))
         finally:
             self._active.discard(key)
-        self._memo[key] = value
+        self._memo[key] = value = narrow(value)
         return value
 
-    def _gen_apply_relation(self, beta: CurveClass, ins: tuple[Insertion, ...], j: int) -> Fraction:
+    def _gen_apply_relation(self, beta: CurveClass, ins: tuple[Insertion, ...], j: int) -> int | Fraction:
         """One application of the descendant-lowering relation at slot j; also the unstable
         range's three-mark step, where ``_gen`` screens the shifted term (e = 1 > n - 3) to zero."""
         d_j, e_j, a_j = ins[j]
@@ -368,7 +380,7 @@ class CorrelatorEngine:
         others = e_j + sum(d + e + self.model.degrees[a] for p, (d, e, a) in enumerate(ins) if p != j)
         for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
             for a in self._candidates(beta2, len(ins), others):
-                tp = Fraction(0)
+                tp = 0
                 for c, b in self._dual_parts[a]:
                     value = self._unstable(beta1, tuple(sorted(((d_j - 1, 0, a_j), (0, 0, b)))))
                     tp += value if c == 1 else c * value
@@ -389,7 +401,7 @@ class CorrelatorEngine:
         beta: CurveClass,
         ins: tuple[Insertion, ...],
         refs: tuple[int, int, int] | None = None,
-    ) -> Fraction:
+    ) -> int | Fraction:
         n = len(ins)
         if refs is None:
             i = next(p for p, (_, e, _) in enumerate(ins) if e >= 1)
@@ -404,7 +416,7 @@ class CorrelatorEngine:
         for p in rest_positions:
             groups[ins[p]] = groups.get(ins[p], 0) + 1
         group_items = sorted(groups.items())
-        total = Fraction(0)
+        total = 0
         for svec in _cartesian(*(range(count + 1) for _, count in group_items)):
             taken = sum(svec)
             if taken == 0:
@@ -424,7 +436,7 @@ class CorrelatorEngine:
                     left = self._gen(beta1, tuple(sorted(side_s + [(0, 0, a)])))
                     if not left:
                         continue
-                    right = Fraction(0)
+                    right = 0
                     for c, b in self._dual_parts[a]:
                         piece = self._gen(beta2, tuple(sorted(side_c + [(0, 0, b)])))
                         if piece:
@@ -436,20 +448,19 @@ class CorrelatorEngine:
     # ------------------------------------------------------------------
     # n-point primaries from the three-point table
 
-    def _primary(self, beta: CurveClass, classes: tuple[int, ...]) -> Fraction:
+    def _primary(self, beta: CurveClass, classes: tuple[int, ...]) -> int | Fraction:
         if len(classes) == 3:
             return self._primary3(beta, classes)
         if not any(beta):
-            return Fraction(0)
+            return 0
         degrees = [self.model.degrees[a] for a in classes]
         if 0 in degrees:
             # identity insertions kill stable primaries at nonzero classes
-            return Fraction(0)
+            return 0
         if 1 in degrees:
             slot = degrees.index(1)
             rest = classes[:slot] + classes[slot + 1 :]
-            pairing = self.model.beta_pairing(self.model.basis_class(classes[slot]), beta)
-            return pairing * self._gen(beta, tuple((0, 0, a) for a in rest))
+            return self._basis_pairing(classes[slot], beta) * self._gen(beta, tuple((0, 0, a) for a in rest))
         target = classes[0]
         decomp = self.model.divisor_decomposition(target)
         if decomp is None:
@@ -458,11 +469,11 @@ class CorrelatorEngine:
                 "n-point primaries need divisor-generated cohomology"
             )
         rest = tuple((0, 0, a) for a in classes[1:])
-        total = Fraction(0)
+        total = 0
         for coeff, d_idx, x_idx in decomp:
             with_divisor = self._gen(beta, tuple(sorted(((0, 0, d_idx), (1, 0, x_idx)) + rest)))
             without = self._gen(beta, tuple(sorted(((1, 0, x_idx),) + rest)))
-            total += coeff * (with_divisor - self.model.beta_pairing(self.model.basis_class(d_idx), beta) * without)
+            total += coeff * (with_divisor - self._basis_pairing(d_idx, beta) * without)
         return total
 
     # ------------------------------------------------------------------
@@ -491,11 +502,13 @@ class CorrelatorEngine:
         genus-zero correlator of the sorted basis-index core ``ins`` of n >= 3 marks with
         non-negative levels, at an effective class.  At the zero class a core with a cotangent
         power and no pulled-back one goes to :meth:`descendant`, which dispatches it to the
-        constant-map closed form; every other core goes to ``_gen``.  The dimension screen of
-        ``_sum`` is left to the caller, who passes the classes of :meth:`admissible_classes`."""
+        constant-map closed form; every other core goes to ``_gen``, whose int value becomes a
+        Fraction here.  The dimension screen of ``_sum`` is left to the caller, who passes the
+        classes of :meth:`admissible_classes`."""
         if not any(beta) and any(d for d, _, _ in ins) and not any(e for _, e, _ in ins):
             return self.descendant(0, beta, [(d, self.model.basis_class(a)) for d, _, a in ins])
-        return self._gen(beta, ins)
+        value = self._gen(beta, ins)
+        return value if type(value) is Fraction else Fraction(value)
 
     # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)

@@ -4,9 +4,13 @@ All coefficients this package returns are `fractions.Fraction`; curve
 classes are short integer vectors in the effective cone of a rank-m lattice;
 a series is a finite map from curve classes to rationals, truncated by a
 weighted degree (the pairing with a fixed ample divisor).  No floating point
-anywhere.  Inside the engine an integral coefficient may be held as a plain
-``int`` (see :func:`narrow`), which equals, hashes and combines with
-Fractions exactly as the Fraction would.
+anywhere.  Inside a layer an exact rational is kept as a plain ``int`` where
+it can be, and a Fraction is built only where a value leaves the layer: the
+engine memoizes an integral value as an ``int`` (see :func:`narrow`), which
+equals, hashes and combines with Fractions exactly as the Fraction would,
+and a potential (``phase.PotentialSeries``) holds int numerators over one
+shared denominator.  A quotient of two ints is never ``/`` (a float): it is
+``Fraction(numerator, denominator)``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
 from .exact import (
@@ -347,31 +347,81 @@ class PotentialSeries:
     """Multiset-keyed polynomial with exact series coefficients.
 
     A key is a sorted tuple of (level, basis index) pairs; the stored value
-    is the correlator divided by the product of multiplicity factorials, so
-    two potentials agree exactly when their dicts agree.
+    is the correlator divided by the product of multiplicity factorials.  It
+    is held in one canonical form: per key, the nonzero int numerators by
+    curve class over one shared denominator, in lowest terms (the gcd of the
+    denominator and every numerator is 1), so two potentials agree exactly
+    when their denominators and numerator dicts agree.  The
+    :class:`NovikovSeries` view of a key is built only when asked for
+    (:meth:`coefficient`, :meth:`items`, :meth:`difference`).
     """
 
+    __slots__ = ("policy", "_numerators", "_denominator")
+
     def __init__(self, policy: TruncationPolicy, coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] | None = None) -> None:
+        coeffs = coeffs or {}
+        denominator = lcm(*(c.denominator for s in coeffs.values() for c in s._terms.values()))
+        self._store(policy, {key: _numerators(s._terms, denominator) for key, s in coeffs.items()}, denominator)
+
+    @classmethod
+    def _from_numerators(
+        cls, policy: TruncationPolicy, numerators: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]], denominator: int
+    ) -> PotentialSeries:
+        """The potential whose key coefficients are ``numerators`` over the positive int
+        ``denominator``, which need not be in lowest terms; zero numerators are dropped.  The
+        caller hands its dicts over: one with no zero term may be kept as it is."""
+        potential = cls.__new__(cls)
+        potential._store(policy, numerators, denominator)
+        return potential
+
+    def _store(self, policy: TruncationPolicy, numerators: dict, denominator: int) -> None:
+        # the keys without their zero terms, and no key left empty; then one gcd puts them in lowest terms
+        kept: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = {}
+        divisor = denominator
+        for key, terms in numerators.items():
+            if not (terms and all(terms.values())):
+                terms = {beta: n for beta, n in terms.items() if n}
+                if not terms:
+                    continue
+            kept[key] = terms
+            if divisor != 1:
+                divisor = gcd(divisor, *terms.values())
+        if divisor != 1:  # also when nothing is kept: the zero potential is 0 over 1
+            kept = {key: {beta: n // divisor for beta, n in terms.items()} for key, terms in kept.items()}
         self.policy = policy
-        self._coeffs = {key: s for key, s in (coeffs or {}).items() if not s.is_zero()}
+        self._numerators = kept
+        self._denominator = denominator // divisor
+
+    def _series(self, terms: dict[CurveClass, int]) -> NovikovSeries:
+        denominator = self._denominator
+        return NovikovSeries._trusted(self.policy, {beta: Fraction(n, denominator) for beta, n in terms.items()})
 
     def coefficient(self, key: Sequence[PhaseIndex]) -> NovikovSeries:
-        return self._coeffs.get(tuple(sorted(key)), NovikovSeries.zero(self.policy))
+        terms = self._numerators.get(tuple(sorted(key)))
+        return NovikovSeries.zero(self.policy) if terms is None else self._series(terms)
+
+    def keys(self) -> list[tuple[PhaseIndex, ...]]:
+        """The keys with a nonzero coefficient, by number of indices and then lexicographically."""
+        return sorted(self._numerators, key=lambda key: (len(key), key))
 
     def items(self) -> list[tuple[tuple[PhaseIndex, ...], NovikovSeries]]:
-        return sorted(self._coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(key, self._series(self._numerators[key])) for key in self.keys()]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._numerators
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PotentialSeries):
             return NotImplemented
-        return self.policy == other.policy and self._coeffs == other._coeffs
+        return (
+            self.policy == other.policy
+            and self._denominator == other._denominator
+            and self._numerators == other._numerators
+        )
 
     def difference(self, other: PotentialSeries) -> list[tuple[tuple[PhaseIndex, ...], NovikovSeries]]:
         """Nonzero coefficients of self - other, canonically ordered."""
-        keys = set(self._coeffs) | set(other._coeffs)
+        keys = set(self._numerators) | set(other._numerators)
         out = []
         for key in sorted(keys, key=lambda k: (len(k), k)):
             diff = self.coefficient(key) - other.coefficient(key)
@@ -380,17 +430,37 @@ class PotentialSeries:
         return out
 
     def to_records(self, model: GeometryModel) -> list[dict]:
+        """One record per nonzero term, keys in :meth:`keys` order and each key's classes in
+        the window's order; a value is rendered as :func:`format_rational` renders the
+        Fraction, reduced from its numerator and the denominator by one gcd."""
         out = []
-        for key, series in self.items():
-            for beta, value in series.items():
-                out.append(
-                    {
-                        "indices": [[d, model.labels[a]] for d, a in key],
-                        "beta": list(beta),
-                        "value": format_rational(value),
-                    }
-                )
+        denominator = self._denominator
+        for key in self.keys():
+            terms = self._numerators[key]
+            for beta in self.policy.degrees:
+                n = terms.get(beta)
+                if n is not None:
+                    common = gcd(n, denominator)
+                    value = str(n // common) if common == denominator else f"{n // common}/{denominator // common}"
+                    out.append({"indices": [[d, model.labels[a]] for d, a in key], "beta": list(beta), "value": value})
         return out
+
+
+class _KeyTerms:
+    """One key's stored coefficient as :func:`_potential` hands it to :func:`_assemble`: its
+    nonzero int numerators by class (never a zero one) over ``denominator``."""
+
+    __slots__ = ("numerators", "denominator")
+
+    def __init__(self, numerators: dict[CurveClass, int], denominator: int) -> None:
+        self.numerators = numerators
+        self.denominator = denominator
+
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+
+_NO_TERMS = _KeyTerms({}, 1)
 
 
 def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
@@ -405,9 +475,20 @@ def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
 
 def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], correlator) -> PotentialSeries:
     """Potential over the monomials ``keys``, asked for in their order: ``correlator(key)``
-    is the key's stored coefficient, its summed correlator over its multiplicity factor
-    (see :func:`_potential`, which builds it as one Fraction per term); zero ones are dropped."""
-    return PotentialSeries(policy, {key: correlator(key) for key in keys})
+    is the key's stored coefficient as a :class:`_KeyTerms`, its summed correlator over its
+    multiplicity factor (see :func:`_potential`); empty ones are dropped, and the keys are
+    put over the lcm of their denominators."""
+    coeffs = {}
+    for key in keys:
+        terms = correlator(key)
+        if terms.numerators:
+            coeffs[key] = terms
+    denominator = lcm(*{terms.denominator for terms in coeffs.values()})
+    numerators = {}
+    for key, terms in coeffs.items():
+        scale = denominator // terms.denominator
+        numerators[key] = terms.numerators if scale == 1 else {beta: n * scale for beta, n in terms.numerators.items()}
+    return PotentialSeries._from_numerators(policy, numerators, denominator)
 
 
 def _admissible_keys(
@@ -447,8 +528,10 @@ def _potential(
     evaluated first.  Their values are put over one common denominator D, the lcm of
     their denominators, and the reduction runs on the numerators, ints unless a cup part
     or a pairing is not integral.  :func:`_assemble` then asks for the keys in increasing
-    number of marks, and each stored term is one Fraction(numerator, D·factor), with the
-    key's multiplicity factor."""
+    number of marks.  Every key is stored over D·N!, N the window's max_x_degree: its
+    multiplicity factor divides N!, so its numerators are scaled by the int N!/factor.  A
+    key whose reduction left Fraction numerators is lifted to the lcm of their
+    denominators, and :func:`_assemble` puts every key over one denominator."""
     keys = _admissible_keys(engine, policy, indices, modified)
     if modified:
         slots, reduce = {}, None
@@ -468,18 +551,23 @@ def _potential(
     denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
     for key, terms in built.items():  # in place, so each key's Fractions go as its numerators come
         built[key] = _numerators(terms, denominator)
-    zero = NovikovSeries.zero(policy)
+    top = factorial(policy.max_x_degree)
+    denominator *= top
 
     def correlator(key):
         at = slots.get(key)
         terms = built.get(key) if at is None else reduce(key, at, built)
         if terms:
-            scale = denominator * _multiplicity_factor(key)
-            series = NovikovSeries._trusted(policy, {beta: Fraction(n, scale) for beta, n in terms.items()})
-            if not series.is_zero():
+            scale = top // _multiplicity_factor(key)
+            numerators = {beta: n * scale for beta, n in terms.items() if n}
+            if numerators:
                 built[key] = terms
-                return series
-        return zero
+                if at is not None and not all(type(n) is int for n in numerators.values()):
+                    # a reduction with a cup part or a pairing that is not integral: lift its Fractions
+                    lift = lcm(*(n.denominator for n in numerators.values()))
+                    return _KeyTerms({beta: int(n * lift) for beta, n in numerators.items()}, denominator * lift)
+                return _KeyTerms(numerators, denominator)
+        return _NO_TERMS
 
     return _assemble(policy, keys, correlator)
 
@@ -571,34 +659,39 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     """Substitute the coordinate change into a potential, exactly: each key's
     expansion starts from its coefficient and takes one transform row per index.
 
-    The expansion runs over integer numerators: the rows the potential uses are put
-    over their common denominator DT (a unit entry is the numerator DT) and each
-    coefficient over its own lcm Dc.  The expansions of the keys of n indices with one
-    Dc are summed as ints, and each of their output terms is divided by Dc·DT^n once.
+    The expansion runs over the potential's int numerators, over its denominator Dp:
+    the rows the potential uses are put over their common denominator DT (a unit entry
+    is the numerator DT), so a key of n indices expands over Dp·DT^n.  Each key's
+    coefficient is lifted by DT^(top − n), top the most indices of a key, so every
+    expansion adds as ints into one dict over Dp·DT^top, and the result is built from
+    those numerators; no Fraction is formed.
 
     Raises PolicyMismatchError when a row the potential uses holds an entry built over
     another truncation policy."""
     policy = potential.policy
     sums = policy.sums
-    one = NovikovSeries.one(policy)
-    used = {idx: transform._rows.get(idx, {}) for key in potential._coeffs for idx in key}
+    unit = {policy.zero_beta(): 1}  # equals the terms of a unit entry, with no Fraction formed
+    coeffs = potential._numerators
+    used = {idx: transform._rows.get(idx, {}) for key in coeffs for idx in key}
     for row in used.values():
         if any(entry.policy != policy for entry in row.values()):
             raise PolicyMismatchError("transform built over a different truncation policy")
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
     # T's row at each index used, as (input, entry numerators over dt), with None for a unit entry
     rows = {
-        idx: [(inp, None if entry == one else _numerators(entry._terms, dt)) for inp, entry in row.items()]
+        idx: [(inp, None if entry._terms == unit else _numerators(entry._terms, dt)) for inp, entry in row.items()]
         for idx, row in used.items()
     }
+    top = max(map(len, coeffs), default=0)
 
-    # every dict written below is created here: a coefficient's or an entry's terms are only read;
-    # the keys whose expansions share one denominator Dc·DT^n add their numerators as ints
-    numerators: dict[int, dict[tuple[PhaseIndex, ...], dict[CurveClass, int]]] = {}
-    for key, coeff in potential._coeffs.items():
-        dc = lcm(*(c.denominator for c in coeff._terms.values()))
-        shared = numerators.setdefault(dc * dt ** len(key), {})
-        expansions = {(): _numerators(coeff._terms, dc)}
+    # every dict written below is created here: a coefficient's or an entry's terms are only read
+    shared: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = {}
+    for key, coeff in coeffs.items():
+        lift = dt ** (top - len(key))
+        if not key:  # a constant term takes no row
+            shared[()] = {beta: n * lift for beta, n in coeff.items()}
+            continue
+        expansions = {(): coeff if lift == 1 else {beta: n * lift for beta, n in coeff.items()}}
         for step, idx in enumerate(key, 1):
             # the last index adds its full expansions straight into the shared sums
             new: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = shared if step == len(key) else {}
@@ -613,13 +706,7 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
                     if acc:
                         new[nk] = acc
             expansions = new
-        if not key:  # a constant term takes no row
-            shared[()] = expansions[()]
-    out: dict[tuple[PhaseIndex, ...], dict[CurveClass, Fraction]] = {}
-    for denominator, expanded in numerators.items():
-        for xkey, terms in expanded.items():
-            _accumulate(out.setdefault(xkey, {}), {beta: Fraction(v, denominator) for beta, v in terms.items() if v})
-    return PotentialSeries(policy, {xkey: NovikovSeries._trusted(policy, terms) for xkey, terms in out.items()})
+    return PotentialSeries._from_numerators(policy, shared, potential._denominator * dt**top)
 
 
 def _numerators(terms: dict[CurveClass, Fraction], denominator: int) -> dict[CurveClass, int]:
@@ -696,12 +783,10 @@ def transform_identity_report(
     composed = compose_with_transform(modified, transform)
     # equality is one dict comparison; difference subtracts and sorts every key
     mismatches = [] if standard == composed else standard.difference(composed)
-    checked = len(standard._coeffs.keys() | composed._coeffs.keys())
+    checked = len(standard._numerators.keys() | composed._numerators.keys())
 
     if substitution_keys is None:
-        substitution_keys = [
-            key for key, _ in standard.items() if any(d >= 1 for d, _ in key)
-        ][:12]
+        substitution_keys = [key for key in standard.keys() if any(d >= 1 for d, _ in key)][:12]
     sub_mismatches = []
     for key in substitution_keys:
         lhs, rhs = substitution_identity(engine, transform, key)

@@ -696,6 +696,26 @@ def test_public_values_are_fractions(request, name):
     assert {type(v) for v in values} == {Fraction}
 
 
+def test_the_memo_holds_no_integral_fraction(p1, p2):
+    """The memo keeps an integral value as an int, by every recursion kind: after a P2
+    standard potential and P1's one- and zero-point values by both unstable routes no
+    memoized value is a Fraction with denominator 1, and the n-point primaries' divisor
+    pairings are cached as ints."""
+    p2_engine = CorrelatorEngine(p2.model, p2.primary)
+    potential_standard(p2_engine, p2.model.policy(3, max_x_degree=5, max_descendant=3))
+    p1_engine = CorrelatorEngine(p1.model, p1.primary)
+    h = cls(p1.model, "h")
+    for route in ("divisor", "dilaton"):
+        assert p1_engine.zero_point((1,), route=route) == 1
+        assert p1_engine.one_point(2, h, (2,), route=route) == Fraction(1, 4)
+    for engine, least in ((p2_engine, 1000), (p1_engine, 10)):
+        values = list(engine._memo.values())
+        assert len(values) > least and int in {type(v) for v in values} <= {int, Fraction}
+        assert [v for v in values if type(v) is Fraction and v.denominator == 1] == []
+    assert Fraction(1, 4) in p1_engine._memo.values()  # a value that is not integral stays a Fraction
+    assert p2_engine._basis_pairings and {type(p) for p in p2_engine._basis_pairings.values()} == {int}
+
+
 def test_cache_transparency(p1, p2):
     """The uncached engine's memo stores nothing, at every recursion tag and by both
     unstable routes, and every value equals the cached engine's (P2 has no dimension-valid

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -582,7 +583,7 @@ def test_modified_key_screen_drops_only_zero_keys(p1, p2, name, window, dropped)
             assert correlator(key).is_zero(), key
     modified = potential_modified(engine, policy)
     assert not modified.is_zero()
-    assert modified == phase._assemble(policy, every_key, correlator)
+    assert modified == PotentialSeries(policy, {key: correlator(key) for key in every_key})
 
 
 @pytest.mark.parametrize(
@@ -722,7 +723,8 @@ def test_integer_reduction_matches_the_fraction_reference(p1, p2, name, window, 
         assert not potential.is_zero()
         assert potential == reference
         assert [(k, s.items()) for k, s in potential.items()] == [(k, s.items()) for k, s in reference.items()]
-        assert all(type(c) is Fraction for s in potential._coeffs.values() for c in s._terms.values())
+        # the canonical form holds ints only, the rescaled plane's Fraction numerators lifted
+        assert all(type(n) is int for terms in potential._numerators.values() for n in terms.values())
         # the first build ran on fresh engines, the second adds what it asks beyond the first's
         assert engine._memo.keys() == reference_engine._memo.keys()
 
@@ -860,7 +862,7 @@ def test_integer_compose_matches_the_fraction_reference(p1, p2, name, window):
         assert max(denominators) > 1
     composed = compose_with_transform(modified, transform)
     assert composed == _compose_multiplying_every_entry(modified, transform) == potential_standard(engine, policy)
-    assert all(type(c) is Fraction for series in composed._coeffs.values() for c in series._terms.values())
+    assert all(type(n) is int for terms in composed._numerators.values() for n in terms.values())
 
 
 def test_compose_keeps_keys_of_fewer_than_three_indices(p1_engine, p1):
@@ -929,9 +931,126 @@ def test_compose_stores_no_term_that_cancels():
     )
     composed = compose_with_transform(potential, transform)
     assert composed == _compose_multiplying_every_entry(potential, transform)
-    assert ((0, 1), (0, 2), (0, 3)) not in composed._coeffs  # 1·1 + 1·(-1) on both orders
+    assert ((0, 1), (0, 2), (0, 3)) not in composed._numerators  # 1·1 + 1·(-1) on both orders
     assert composed.coefficient(((0, 0), (1, 0), (1, 3))) == q[(1, 0)]  # 2q^(0,1) - 2q^(0,1) + q^(1,0)
-    assert all(series._terms and all(series._terms.values()) for series in composed._coeffs.values())
+    assert all(terms and all(terms.values()) for terms in composed._numerators.values())
+
+
+def test_compose_and_the_identity_test_form_no_fraction(p2):
+    """On P2 at (3,5,3) the composition runs on the potential's int numerators and returns
+    the int form, and the identity test compares ints: neither builds a Fraction."""
+    model = p2.model
+    policy = model.policy(3, max_x_degree=5, max_descendant=3)
+    engine = CorrelatorEngine(model, p2.primary)
+    standard, modified = potential_standard(engine, policy), potential_modified(engine, policy)
+    transform = build_transform(engine, policy)
+    original = Fraction.__dict__["__new__"]
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        composed = compose_with_transform(modified, transform)
+        equal = composed == standard
+    finally:
+        Fraction.__new__ = original
+    assert equal and not composed.is_zero()
+    assert built == []
+    assert Fraction(3, 6) == Fraction(1, 2)  # the original constructor is back
+
+
+def test_potential_numerators_are_canonical(p1):
+    """A potential holds int numerators over one denominator in lowest terms, however its
+    values were given: from Fraction series, or as numerators over a denominator that is not
+    reduced, with zero terms and keys dropped."""
+    model = p1.model
+    policy = model.policy(2, max_x_degree=3, max_descendant=1)
+    a, b = ((0, 1), (0, 1), (1, 0)), ((0, 0), (0, 1), (0, 1))
+    from_series = PotentialSeries(
+        policy,
+        {
+            a: NovikovSeries(policy, {(1,): Fraction(3, 4), (2,): Fraction(-1, 6)}),
+            b: NovikovSeries(policy, {(0,): Fraction(1, 2)}),
+            ((1, 1),) * 3: NovikovSeries.zero(policy),
+        },
+    )
+    numerators = {a: {(1,): 45, (2,): -10, (0,): 0}, b: {(0,): 30}, ((1, 1),) * 3: {(1,): 0}}
+    from_numerators = PotentialSeries._from_numerators(policy, numerators, 60)
+    assert from_series == from_numerators
+    assert (from_numerators._denominator, from_numerators._numerators) == (12, {a: {(1,): 9, (2,): -2}, b: {(0,): 6}})
+    assert from_numerators.keys() == [b, a] and from_numerators.coefficient(reversed(a)) == from_series.coefficient(a)
+    assert from_series != PotentialSeries._from_numerators(policy, {a: {(1,): 9, (2,): -2}}, 12)
+
+
+def test_a_zero_potential_stays_zero(p1_engine, p1):
+    """No terms, all-zero numerators and a composition of either are the one zero potential,
+    0 over 1, with no key, no record and no difference from the empty potential."""
+    policy = p1.model.policy(2, max_x_degree=3, max_descendant=2)
+    empty = PotentialSeries(policy)
+    cancelled = PotentialSeries._from_numerators(policy, {((0, 1),) * 3: {(1,): 0, (2,): 0}}, 7)
+    composed = compose_with_transform(cancelled, build_transform(p1_engine, policy))
+    for zero in (empty, cancelled, composed, PotentialSeries(policy, {((0, 1),) * 3: NovikovSeries.zero(policy)})):
+        assert zero.is_zero() and zero == empty
+        assert (zero._denominator, zero._numerators) == (1, {})
+        assert zero.items() == [] and zero.to_records(p1.model) == [] and zero.difference(empty) == []
+        assert zero.coefficient(((0, 1),) * 3).is_zero()
+
+
+def _fraction_records(potential, model):
+    """The dump records rendered from the potential's Fraction series, term by term."""
+    return [
+        {"indices": [[d, model.labels[a]] for d, a in key], "beta": list(beta), "value": str(value)}
+        for key, series in potential.items()
+        for beta, value in series.items()
+    ]
+
+
+# the plane with p = 7·pt and a table entry <h p p>_1 = 1 that is not scaled with it (49 would
+# be): a key's numerators over the engine keys' common denominator times 4! keep sevenths at
+# (2,4,2), so the assembly lifts that key into the denominator
+SEVENTHS_PLANE = {
+    **RESCALED_PLANE,
+    "name": "P2-sevenths",
+    "cup": [{"a": "h", "b": "h", "result": {"p": "1/7"}}, *RESCALED_PLANE["cup"][1:]],
+    "integral": {"p": "7"},
+    "chern": [{"one": "1"}, {"h": "3"}, {"p": "3/7"}],
+}
+
+
+@pytest.mark.parametrize("name", ["quadric", "P2-rescaled", "P2-sevenths"])
+def test_records_match_the_fraction_rendering(name):
+    """``to_records`` renders each term from its numerator and the denominator exactly as the
+    Fraction renders.  On the quadric's rank-2 lattice the window's order puts the class
+    (1,0) before (0,2), which sorting the classes would not; on the rescaled planes the
+    reduction leaves Fraction numerators, which the assembly lifts into the denominator, and
+    the standard potential equals the per-key Fraction reduction."""
+    if name == "quadric":
+        model = quadric_model()
+        table = quadric_table(model)
+        policy = model.policy(2, max_x_degree=4, max_descendant=2)
+    elif name == "P2-rescaled":
+        model = GeometryModel.from_dict(RESCALED_PLANE)
+        table = PrimaryTable.from_records(model, _rescaled_table("4"))
+        policy = model.policy(3, max_x_degree=5, max_descendant=3)
+    else:
+        model = GeometryModel.from_dict(SEVENTHS_PLANE)
+        table = PrimaryTable.from_records(model, _rescaled_table("1"))
+        policy = model.policy(2, max_x_degree=4, max_descendant=2)
+    engine = CorrelatorEngine(model, table)
+    potentials = [potential_standard(engine, policy), potential_modified(engine, policy)]
+    if name == "quadric":  # a potential's classes share one degree, so a hand-made key mixes two
+        mixed = NovikovSeries(policy, {(0, 2): Fraction(-1, 6), (1, 0): Fraction(3, 4), (0, 1): 2})
+        potentials.append(PotentialSeries(policy, {((0, 1), (1, 2), (2, 3)): mixed}))
+        assert [record["beta"] for record in potentials[-1].to_records(model)] == [[0, 1], [1, 0], [0, 2]]
+    else:
+        indices = phase_indices(policy, model.rank)
+        assert potentials[0] == _fraction_reference_potential(CorrelatorEngine(model, table), policy, indices)
+    for potential in potentials:
+        records = potential.to_records(model)
+        assert records and json.dumps(records) == json.dumps(_fraction_records(potential, model))
 
 
 def test_multiplicity_factor_is_the_product_of_run_factorials():
