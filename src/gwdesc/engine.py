@@ -26,8 +26,8 @@ insertion order and of evaluation interleaving.  The pairings c1·beta and
 gamma0·beta, the divisor pairings D·beta of the n-point primaries and the
 basis coefficients of a class are held as ints where integral (a factor 1 is
 skipped).  The memo holds an integral value as an int too (see exact.narrow),
-and the sums start at the int 0; every public entry and ``_core`` returns a
-Fraction.
+and the sums start at the int 0; every public entry returns a Fraction, and
+``_core`` returns the memo's int or Fraction as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
 from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -345,23 +345,24 @@ class CorrelatorEngine:
     # generalized correlators (stable range)
 
     def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> int | Fraction:
-        # the pulled-back powers are pulled back from the curve moduli of n marks,
-        # of dimension n - 3, so a product of them of higher degree vanishes
-        # (every caller passes n >= 3, so the bound is never negative)
-        if sum(e for _, e, _ in ins) > len(ins) - 3:
-            return 0
         key = ("g", beta, ins)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        j, pulled = None, 0
+        for p, (d, e, _) in enumerate(ins):
+            if d >= 1 and j is None:
+                j = p
+            pulled += e
+        if pulled > len(ins) - 3:  # powers pulled back from M̄_{0,n}, n >= 3, of dimension n - 3
+            return 0
         if key in self._active:
             raise ReconstructionError(f"reduction cycle at {key}")
         self._active.add(key)
         try:
-            j = next((p for p, (d, _, _) in enumerate(ins) if d >= 1), None)
             if j is not None:
                 value = self._gen_apply_relation(beta, ins, j)
-            elif any(e for _, e, _ in ins):
+            elif pulled:
                 value = self._modified_core(beta, ins)
             else:
                 value = self._primary(beta, tuple(a for _, _, a in ins))
@@ -377,8 +378,10 @@ class CorrelatorEngine:
         shifted = list(ins)
         shifted[j] = (d_j - 1, e_j + 1, a_j)
         total = self._gen(beta, tuple(sorted(shifted)))
-        others = e_j + sum(d + e + self.model.degrees[a] for p, (d, e, a) in enumerate(ins) if p != j)
-        for beta1, beta2 in self._splittings(beta)[1:]:  # beta1 != 0
+        others = -d_j - self.model.degrees[a_j]  # slot j counts with its pulled-back power only
+        for d, e, a in ins:
+            others += d + e + self.model.degrees[a]
+        for beta1, beta2 in islice(self._splittings(beta), 1, None):  # beta1 != 0
             for a in self._candidates(beta2, len(ins), others):
                 tp = 0
                 for c, b in self._dual_parts[a]:
@@ -497,18 +500,16 @@ class CorrelatorEngine:
                 total += term if coeff == 1 else coeff * term
         return total
 
-    def _core(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> Fraction:
+    def _core(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> int | Fraction:
         """One term of the multilinear sum :meth:`_sum` forms, for the potential assembly: the
         genus-zero correlator of the sorted basis-index core ``ins`` of n >= 3 marks with
         non-negative levels, at an effective class.  At the zero class a core with a cotangent
         power and no pulled-back one goes to :meth:`descendant`, which dispatches it to the
-        constant-map closed form; every other core goes to ``_gen``, whose int value becomes a
-        Fraction here.  The dimension screen of ``_sum`` is left to the caller, who passes the
-        classes of :meth:`admissible_classes`."""
+        constant-map closed form; every other core goes to ``_gen``, its value returned as the memo
+        holds it, an int where integral.  The caller screens dimensions by :meth:`admissible_classes`."""
         if not any(beta) and any(d for d, _, _ in ins) and not any(e for _, e, _ in ins):
             return self.descendant(0, beta, [(d, self.model.basis_class(a)) for d, _, a in ins])
-        value = self._gen(beta, ins)
-        return value if type(value) is Fraction else Fraction(value)
+        return self._gen(beta, ins)
 
     # ------------------------------------------------------------------
     # public interface (class-valued, multilinear)

@@ -11,7 +11,7 @@ series.  Every object here is exact and truncated by one shared policy.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
@@ -346,22 +346,23 @@ def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> Phase
 class PotentialSeries:
     """Multiset-keyed polynomial with exact series coefficients.
 
-    A key is a sorted tuple of (level, basis index) pairs; the stored value
-    is the correlator divided by the product of multiplicity factorials.  It
-    is held in one canonical form: per key, the nonzero int numerators by
-    curve class over one shared denominator, in lowest terms (the gcd of the
-    denominator and every numerator is 1), so two potentials agree exactly
-    when their denominators and numerator dicts agree.  The
-    :class:`NovikovSeries` view of a key is built only when asked for
-    (:meth:`coefficient`, :meth:`items`, :meth:`difference`).
-    """
+    A key is a sorted tuple of (level, basis index) pairs (the constructor sorts the keys it is
+    given and adds those that sort alike); the stored value is the correlator divided by the
+    product of multiplicity factorials.  It is held in one canonical form: per key, the nonzero
+    int numerators by curve class over one shared denominator, in lowest terms (the gcd of the
+    denominator and every numerator is 1), so two potentials agree exactly when their
+    denominators and numerator dicts agree.  The :class:`NovikovSeries` view of a key is built
+    only when asked for (:meth:`coefficient`, :meth:`items`, :meth:`difference`)."""
 
     __slots__ = ("policy", "_numerators", "_denominator")
 
-    def __init__(self, policy: TruncationPolicy, coeffs: dict[tuple[PhaseIndex, ...], NovikovSeries] | None = None) -> None:
+    def __init__(self, policy: TruncationPolicy, coeffs: dict[Sequence[PhaseIndex], NovikovSeries] | None = None) -> None:
         coeffs = coeffs or {}
         denominator = lcm(*(c.denominator for s in coeffs.values() for c in s._terms.values()))
-        self._store(policy, {key: _numerators(s._terms, denominator) for key, s in coeffs.items()}, denominator)
+        numerators = {}
+        for key, s in coeffs.items():
+            _accumulate(numerators.setdefault(tuple(sorted(key)), {}), _numerators(s._terms, denominator))
+        self._store(policy, numerators, denominator)
 
     @classmethod
     def _from_numerators(
@@ -491,77 +492,84 @@ def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], 
     return PotentialSeries._from_numerators(policy, numerators, denominator)
 
 
+def _code_weights(policy: TruncationPolicy, basis_rank: int) -> tuple[int, dict[PhaseIndex, int]]:
+    """B = max_x_degree + 1 and B^pos per window index at place pos: a key's code Σ count·B^pos has its counts as digits."""
+    base = policy.max_x_degree + 1
+    return base, {idx: base**pos for pos, idx in enumerate(phase_indices(policy, basis_rank))}
+
+
 def _admissible_keys(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
-) -> dict[tuple[PhaseIndex, ...], Sequence[CurveClass]]:
-    """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the
-    window some dimension-admissible class (all of them with ``check_dimension`` off): a
-    filtered ``combinations_with_replacement``, in its order, each mapped to those classes,
-    ``engine.admissible_classes`` at its degree sum.
+) -> dict[tuple[PhaseIndex, ...], tuple[int, Sequence[CurveClass]]]:
+    """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the window
+    some dimension-admissible class (all of them with ``check_dimension`` off): a filtered
+    ``combinations_with_replacement``, in its order, each mapped to its code (see
+    :func:`_code_weights`) and those classes, ``engine.admissible_classes`` at its degree sum.
 
-    With ``modified`` the levels are pulled-back powers from M̄_{0,n}, of dimension n - 3,
-    so only the monomials whose levels sum to at most n - 3 are kept: every other modified
-    correlator vanishes."""
-    keys: dict[tuple[PhaseIndex, ...], Sequence[CurveClass]] = {}
+    With ``modified`` the levels are pulled-back powers from M̄_{0,n}, of dimension n - 3, so
+    only the monomials whose levels sum to at most n - 3 are kept: the others vanish."""
+    _, weight = _code_weights(policy, engine.model.rank)
+    keys: dict[tuple[PhaseIndex, ...], tuple[int, Sequence[CurveClass]]] = {}
     for n in range(3, policy.max_x_degree + 1):
         pool = [(d, a) for d, a in indices if d <= n - 3] if modified else indices
-        weights = [d + engine.model.degrees[a] for d, a in pool]
-        totals = list(map(sum, combinations_with_replacement(weights, n)))
+        degrees = [d + engine.model.degrees[a] for d, a in pool]
+        totals = list(map(sum, combinations_with_replacement(degrees, n)))
         wanted = {t: classes for t in set(totals) if (classes := engine.admissible_classes(policy, n, t))}
-        for key, total in zip(combinations_with_replacement(pool, n), totals):
-            if total in wanted and (not modified or sum(d for d, _ in key) <= n - 3):
-                keys[key] = wanted[total]
+        mask = list(map(wanted.__contains__, totals))
+        codes = map(sum, compress(combinations_with_replacement([weight[idx] for idx in pool], n), mask))
+        for key, total, code in zip(compress(combinations_with_replacement(pool, n), mask), compress(totals, mask), codes):
+            if not modified or sum(d for d, _ in key) <= n - 3:
+                keys[key] = code, wanted[total]
     return keys
 
 
 def _potential(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
 ) -> PotentialSeries:
-    """Potential whose key coefficient sums the key's descendant correlator (pulled-back
-    powers if ``modified``) over the classes where the key's dimension count can hold;
-    keys with no such class are never formed, nor, if ``modified``, keys whose levels sum
-    past n - 3 (the dimension of M̄_{0,n}, so their correlators vanish).
+    """Potential whose key coefficient sums the key's descendant correlator (pulled-back powers
+    if ``modified``) over the classes where the key's dimension count can hold; keys with no
+    such class are never formed, nor, if ``modified``, keys whose levels sum past n - 3 (the
+    dimension of M̄_{0,n}, so their correlators vanish).
 
-    A descendant key of four or more marks with a string, dilaton or divisor insertion
-    takes its series from the keys of one fewer mark by that genus-zero equation (see
-    :func:`_axiom_reduction`); the engine sums every other key, and those engine keys are
-    evaluated first.  Their values are put over one common denominator D, the lcm of
-    their denominators, and the reduction runs on the numerators, ints unless a cup part
-    or a pairing is not integral.  :func:`_assemble` then asks for the keys in increasing
-    number of marks.  Every key is stored over D·N!, N the window's max_x_degree: its
-    multiplicity factor divides N!, so its numerators are scaled by the int N!/factor.  A
-    key whose reduction left Fraction numerators is lifted to the lcm of their
-    denominators, and :func:`_assemble` puts every key over one denominator."""
+    A descendant key of four or more marks with a string, dilaton or divisor insertion takes
+    its series from the keys of one fewer mark (see :func:`_axiom_reduction`); the engine sums
+    every other key first.  Their values, the memo's ints and Fractions as they are, go over
+    their lcm D, and the reduction runs on the numerators, held by key code (see
+    :func:`_code_weights`).  :func:`_assemble` asks for the keys in increasing number of marks.
+    Every key is stored over D·N!, N the window's max_x_degree, its numerators scaled by the
+    int N!/(multiplicity factor); a reduction with a cup part or a pairing that is not integral
+    leaves Fractions, lifted to the lcm of their denominators."""
     keys = _admissible_keys(engine, policy, indices, modified)
     if modified:
         slots, reduce = {}, None
     else:
         slot, reduce = _axiom_reduction(engine.model, policy)
-        slots = {key: at for key in keys if (at := slot(key)) is not None}  # the reduced keys
+        slots = {code: at for key, (code, _) in keys.items() if (at := slot(key)) is not None}  # the reduced keys
     # the nonzero terms of every engine key, then as numerators over the common denominator, and
     # the nonzero numerators of each reduced key once it is formed
-    built: dict[tuple[PhaseIndex, ...], dict[CurveClass, int | Fraction]] = {}
-    for key, classes in keys.items():
-        if key not in slots:
+    built: dict[int, dict[CurveClass, int | Fraction]] = {}
+    for key, (code, classes) in keys.items():
+        if code not in slots:
             # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
             core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
             terms = {beta: value for beta in classes if (value := engine._core(beta, core))}
             if terms:
-                built[key] = terms
+                built[code] = terms
     denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
-    for key, terms in built.items():  # in place, so each key's Fractions go as its numerators come
-        built[key] = _numerators(terms, denominator)
+    for code, terms in built.items():  # in place, so each key's Fractions go as its numerators come
+        built[code] = _numerators(terms, denominator)
     top = factorial(policy.max_x_degree)
     denominator *= top
 
     def correlator(key):
-        at = slots.get(key)
-        terms = built.get(key) if at is None else reduce(key, at, built)
+        code = keys[key][0]
+        at = slots.get(code)
+        terms = built.get(code) if at is None else reduce(key, code, at, built)
         if terms:
             scale = top // _multiplicity_factor(key)
             numerators = {beta: n * scale for beta, n in terms.items() if n}
             if numerators:
-                built[key] = terms
+                built[code] = terms
                 if at is not None and not all(type(n) is int for n in numerators.values()):
                     # a reduction with a cup part or a pairing that is not integral: lift its Fractions
                     lift = lcm(*(n.denominator for n in numerators.values()))
@@ -575,31 +583,30 @@ def _potential(
 def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     """The genus-zero string, dilaton and divisor equations on potential numerators.
 
-    Returns ``(slot, reduce)``.  ``slot(key)`` is the position of the key's first string
-    τ_0(1), dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), None when the key
-    has three marks or none of these insertions: the engine evaluates those keys.  For any
-    other key, ``reduce(key, slot(key), built)`` is its summed correlator as numerators over
-    the denominator of ``built``, the nonzero numerators of keys with one fewer mark, by the
-    equation of that insertion, where X is the key without it:
+    Returns ``(slot, reduce)``.  ``slot(key)`` is the position of the key's first string τ_0(1),
+    dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), None when the key has three marks
+    or none of these insertions: the engine evaluates those keys.  For any other key,
+    ``reduce(key, code, slot(key), built)`` is its summed correlator as numerators over the
+    denominator of ``built``, the nonzero numerators of keys with one fewer mark by code (see
+    :func:`_code_weights`), by the equation of that insertion, X the key without it:
 
     * string: <τ_0(1) X> = Σ_i <X with slot i lowered one level>;
     * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
     * divisor: <τ_0(D) X>_β = (D·β) <X>_β + Σ_i <X with slot i lowered to τ_{d_i-1}(a_i ∪ D)>_β.
 
-    X has at least three marks, so it is stable at every class.  A key missing from
-    ``built`` reads as zero.  The equations are linear with int coefficients where the cup
-    parts and pairings are integral, so int numerators stay ints; elsewhere the terms are
-    Fractions, still exact.  The result is a raw dict of our own that may hold zero sums."""
+    X has at least three marks, so it is stable at every class.  A key missing from ``built``
+    reads as zero.  Int numerators stay ints where the cup parts and pairings are integral;
+    elsewhere the terms are exact Fractions.  The result is a raw dict that may hold zero sums."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
-    # per insertion class: the parts of it cup each basis element (the unit's lowering keeps
-    # the class), and for a divisor D its pairing D·β on the window (an int where integral,
-    # as in the engine's caches)
-    lowerings = {
-        a_s: [model.cup(model.basis_class(a_s), model.basis_class(a)).parts for a in range(model.rank)]
-        for a_s in units + divisors
-    }
+    base, weight = _code_weights(policy, model.rank)
+    # per insertion class and window index (d, a), d >= 1: its weight, and per part c·a' of the
+    # class cup a (the unit's keeps a) c and the code offset of (d-1, a'); per divisor D, D·β
+    lowerings = {}
+    for a_s in units + divisors:
+        parts = [model.cup(model.basis_class(a_s), model.basis_class(a)).parts for a in range(model.rank)]
+        lowerings[a_s] = {(d, a): (w, [(c, weight[d - 1, i] - w) for c, i in parts[a]]) for (d, a), w in weight.items() if d}
     pairings = {
         a_s: {beta: narrow(model.beta_pairing(model.basis_class(a_s), beta)) for beta in policy.degrees}
         for a_s in divisors
@@ -607,30 +614,28 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     axiom_indices = {(0, a) for a in lowerings} | {(1, a) for a in units}
 
     def slot(key):
-        if len(key) >= 4:
-            for at, idx in enumerate(key):
-                if idx in axiom_indices:
-                    return at
-        return None
+        for at, idx in enumerate(key if len(key) >= 4 else ()):
+            if idx in axiom_indices:
+                return at
 
-    def reduce(key, at, built):
+    def reduce(key, code, at, built):
         d_s, a_s = key[at]
-        rest = key[:at] + key[at + 1 :]
+        rest = code - weight[key[at]]  # the code of X
         acc: dict[CurveClass, int | Fraction] = {}  # never a dict in built
         below = built.get(rest)
         if d_s == 1:
             if below is not None:
-                _accumulate(acc, below, len(rest) - 2)
+                _accumulate(acc, below, len(key) - 3)
             return acc
         if a_s not in units and below is not None:
             pairing = pairings[a_s]
             acc = {beta: c * p for beta, c in below.items() if (p := pairing[beta])}
-        for i, (d, a) in enumerate(rest):
-            # equal slots sit together in the sorted rest: a run of m of them lowers to one key, m times
-            if d >= 1 and (i == 0 or rest[i - 1] != rest[i]):
-                m = rest.count(rest[i])
-                for c, idx in lowerings[a_s][a]:
-                    term = built.get(tuple(sorted(rest[:i] + ((d - 1, idx),) + rest[i + 1 :])))
+        for idx in dict.fromkeys(key):  # the m slots of one index in X, m its digit, lower to one key
+            if idx in lowerings[a_s]:
+                w, offsets = lowerings[a_s][idx]
+                m = rest // w % base
+                for c, offset in offsets:
+                    term = built.get(rest + offset)
                     if term is not None:
                         _accumulate(acc, term, c * m)
         return acc
@@ -656,18 +661,17 @@ def potential_primary(engine: CorrelatorEngine, policy: TruncationPolicy) -> Pot
 
 
 def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform) -> PotentialSeries:
-    """Substitute the coordinate change into a potential, exactly: each key's
-    expansion starts from its coefficient and takes one transform row per index.
+    """Substitute the coordinate change into a potential, exactly: each key's expansion starts
+    from its coefficient and takes one transform row per index.
 
-    The expansion runs over the potential's int numerators, over its denominator Dp:
-    the rows the potential uses are put over their common denominator DT (a unit entry
-    is the numerator DT), so a key of n indices expands over Dp·DT^n.  Each key's
-    coefficient is lifted by DT^(top − n), top the most indices of a key, so every
-    expansion adds as ints into one dict over Dp·DT^top, and the result is built from
-    those numerators; no Fraction is formed.
-
-    Raises PolicyMismatchError when a row the potential uses holds an entry built over
-    another truncation policy."""
+    The expansion runs over the potential's int numerators, over its denominator Dp: the rows
+    the potential uses are put over their common denominator DT (a unit entry is the numerator
+    DT), so a key of n indices expands over Dp·DT^n.  Each key's coefficient is lifted by
+    DT^(top − n), top the most indices of a key, so every expansion adds as ints into one dict
+    over Dp·DT^top; no Fraction is formed.  An expansion is keyed by its code Σ count·B^pos, pos
+    an input's place among the inputs of the rows used and B = top + 1; only outputs are decoded.
+    Raises PolicyMismatchError when a row the potential uses holds an entry built over another
+    truncation policy."""
     policy = potential.policy
     sums = policy.sums
     unit = {policy.zero_beta(): 1}  # equals the terms of a unit entry, with no Fraction formed
@@ -677,36 +681,46 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
         if any(entry.policy != policy for entry in row.values()):
             raise PolicyMismatchError("transform built over a different truncation policy")
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
-    # T's row at each index used, as (input, entry numerators over dt), with None for a unit entry
+    top = max(map(len, coeffs), default=0)
+    weight = {inp: (top + 1) ** pos for pos, inp in enumerate(sorted({inp for row in used.values() for inp in row}))}
+    # T's row at each index used, as (input weight, entry numerators over dt), with None for a unit entry
     rows = {
-        idx: [(inp, None if entry._terms == unit else _numerators(entry._terms, dt)) for inp, entry in row.items()]
+        idx: [(weight[inp], None if entry._terms == unit else _numerators(entry._terms, dt)) for inp, entry in row.items()]
         for idx, row in used.items()
     }
-    top = max(map(len, coeffs), default=0)
 
     # every dict written below is created here: a coefficient's or an entry's terms are only read
-    shared: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = {}
+    shared: dict[int, dict[CurveClass, int]] = {}
     for key, coeff in coeffs.items():
         lift = dt ** (top - len(key))
         if not key:  # a constant term takes no row
-            shared[()] = {beta: n * lift for beta, n in coeff.items()}
+            shared[0] = {beta: n * lift for beta, n in coeff.items()}
             continue
-        expansions = {(): coeff if lift == 1 else {beta: n * lift for beta, n in coeff.items()}}
+        expansions = {0: coeff if lift == 1 else {beta: n * lift for beta, n in coeff.items()}}
         for step, idx in enumerate(key, 1):
             # the last index adds its full expansions straight into the shared sums
-            new: dict[tuple[PhaseIndex, ...], dict[CurveClass, int]] = shared if step == len(key) else {}
-            for xs, terms in expansions.items():
-                for inp, entry in rows[idx]:
-                    nk = tuple(sorted(xs + (inp,)))
-                    acc = new.get(nk, {})
+            new: dict[int, dict[CurveClass, int]] = shared if step == len(key) else {}
+            for code, terms in expansions.items():
+                for w, entry in rows[idx]:
+                    acc = new.get(code + w, {})
                     if entry is None:
                         _accumulate(acc, terms, dt)
                     else:
                         _accumulate_product(acc, sums, terms, entry)
                     if acc:
-                        new[nk] = acc
+                        new[code + w] = acc
             expansions = new
-    return PotentialSeries._from_numerators(policy, shared, potential._denominator * dt**top)
+    numerators = {}
+    for code, terms in shared.items():
+        key = ()
+        for inp in weight:  # the base-B digits, lowest first, are the counts of the inputs in order
+            code, count = divmod(code, top + 1)
+            if count:
+                key += (inp,) * count
+                if not code:
+                    break
+        numerators[key] = terms
+    return PotentialSeries._from_numerators(policy, numerators, potential._denominator * dt**top)
 
 
 def _numerators(terms: dict[CurveClass, Fraction], denominator: int) -> dict[CurveClass, int]:

@@ -534,14 +534,18 @@ def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
     model, table = fixture.model, fixture.primary
     policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
     indices = [(0, a) for a in range(model.rank)] if level0 else phase_indices(policy, model.rank)
+    base, weights = phase._code_weights(policy, model.rank)
     lists = []
     for modified in (False, True):
         for check in (True, False):
             engine = CorrelatorEngine(model, table, check_dimension=check)
             keys = phase._admissible_keys(engine, policy, indices, modified)
-            for key, classes in keys.items():
+            for key, (code, classes) in keys.items():
                 total = sum(d + model.degrees[a] for d, a in key)
                 assert list(classes) == list(engine.admissible_classes(policy, len(key), total)), key
+                # the code's digit at each index of the window is the index's count in the key
+                digits = {idx: code // w % base for idx, w in weights.items()}
+                assert digits == {idx: key.count(idx) for idx in weights}, key
             lists.append(keys)
     assert tuple(map(len, lists)) == counts
     # each screened list is the unchecked standard one with keys dropped, order kept
@@ -638,6 +642,51 @@ def test_the_standard_potential_finds_each_key_slot_once(p2, monkeypatch):
     assert potential_standard(engine, policy) == reference
     keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
     assert asked == list(keys)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_a_key_of_one_index_max_x_degree_times(p1, p2, name):
+    """A key of max_x_degree copies of one index carries the largest digit a multiset code
+    holds.  Such keys of the window's first and last index go through both potentials and
+    the composition with their reference values; on P1 and P2 at (3,4,1) the last one,
+    τ_1(p)^4, is nonzero at degree 3."""
+    model, table = _model_and_table(p1, p2, name)
+    policy = model.policy(3, max_x_degree=4, max_descendant=1)
+    engine, reference = CorrelatorEngine(model, table), CorrelatorEngine(model, table)
+    standard, modified = potential_standard(engine, policy), potential_modified(engine, policy)
+    composed = compose_with_transform(modified, build_transform(engine, policy))
+    assert composed == standard
+    window = phase_indices(policy, model.rank)
+    for idx in (window[0], window[-1]):
+        key = (idx,) * policy.max_x_degree
+        scale = Fraction(1, phase._multiplicity_factor(key))
+        d, a = idx
+        marks = [(d, 0, model.basis_class(a))] * len(key)
+        assert standard.coefficient(key) == composed.coefficient(key) == summed_correlator(reference, marks, policy) * scale
+        pulled = [(0, d, model.basis_class(a))] * len(key)
+        assert modified.coefficient(key) == summed_correlator(reference, pulled, policy) * scale
+    assert not standard.coefficient((window[-1],) * policy.max_x_degree).is_zero()
+
+
+def test_the_reduction_and_compose_sort_no_key(p2, monkeypatch):
+    """The axiom reduction and the composition key their terms by multiset code: the calls
+    to ``sorted`` from the phase module while the standard potential is built and the
+    modified one composed are as many at (2,4,2) as at (3,5,3), so none is made per key."""
+    model = p2.model
+    counts, sizes = [], []
+    for window in ((2, 4, 2), (3, 5, 3)):
+        policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+        engine = CorrelatorEngine(model, p2.primary)
+        modified, transform = potential_modified(engine, policy), build_transform(engine, policy)
+        calls = []
+        monkeypatch.setattr(phase, "sorted", lambda *args, **kwargs: calls.append(1) or sorted(*args, **kwargs), raising=False)
+        standard = potential_standard(engine, policy)
+        composed = compose_with_transform(modified, transform)
+        monkeypatch.delattr(phase, "sorted")
+        assert composed == standard
+        counts.append(len(calls))
+        sizes.append(len(standard.keys()))
+    assert counts[0] == counts[1] and sizes[0] < sizes[1]
 
 
 def _fraction_reference_potential(engine, policy, indices):
@@ -780,7 +829,8 @@ def test_core_assembly_matches_the_class_valued_entries(p1, p2, name, window, ch
 
 def test_engine_core_is_the_per_core_term_of_the_class_valued_entries(p2_engine, p2):
     """``_core`` takes the constant-map closed form at the zero class for a descendant core
-    and ``_gen`` otherwise, and agrees with the class-valued entries; its caller sorts the core."""
+    and ``_gen`` otherwise, and agrees with the class-valued entries; its caller sorts the core.
+    It returns ``_gen``'s value as the memo holds it, an int where integral."""
     model = p2.model
     one, h, pt = (model.label_index(label) for label in ("one", "h", "h2"))
     descendant_core = tuple(sorted(((0, 0, h), (1, 0, pt), (0, 0, h), (0, 0, one))))
@@ -794,7 +844,9 @@ def test_engine_core_is_the_per_core_term_of_the_class_valued_entries(p2_engine,
     primary_core = tuple(sorted(((0, 0, h), (0, 0, one), (0, 0, h))))
     primary_pairs = [(0, model.basis_class(a)) for *_, a in primary_core]
     assert p2_engine._core((0,), primary_core) == 1 == p2_engine.descendant(0, (0,), primary_pairs)
-    assert type(p2_engine._core((1,), primary_core)) is Fraction
+    # the memo's int comes back as it is; the public entry still returns a Fraction
+    assert type(p2_engine._core((1,), primary_core)) is int
+    assert type(p2_engine.descendant(0, (1,), primary_pairs)) is Fraction
 
 
 def test_potential_keys_are_order_free(p1_engine, p1):
@@ -938,7 +990,8 @@ def test_compose_stores_no_term_that_cancels():
 
 def test_compose_and_the_identity_test_form_no_fraction(p2):
     """On P2 at (3,5,3) the composition runs on the potential's int numerators and returns
-    the int form, and the identity test compares ints: neither builds a Fraction."""
+    the int form, and the identity test compares ints: neither builds a Fraction.  Nor does
+    the modified potential rebuilt on the warm engine: the memo's ints reach it as they are."""
     model = p2.model
     policy = model.policy(3, max_x_degree=5, max_descendant=3)
     engine = CorrelatorEngine(model, p2.primary)
@@ -955,9 +1008,10 @@ def test_compose_and_the_identity_test_form_no_fraction(p2):
     try:
         composed = compose_with_transform(modified, transform)
         equal = composed == standard
+        rebuilt = potential_modified(engine, policy)
     finally:
         Fraction.__new__ = original
-    assert equal and not composed.is_zero()
+    assert equal and not composed.is_zero() and rebuilt == modified
     assert built == []
     assert Fraction(3, 6) == Fraction(1, 2)  # the original constructor is back
 
@@ -983,6 +1037,19 @@ def test_potential_numerators_are_canonical(p1):
     assert (from_numerators._denominator, from_numerators._numerators) == (12, {a: {(1,): 9, (2,): -2}, b: {(0,): 6}})
     assert from_numerators.keys() == [b, a] and from_numerators.coefficient(reversed(a)) == from_series.coefficient(a)
     assert from_series != PotentialSeries._from_numerators(policy, {a: {(1,): 9, (2,): -2}}, 12)
+
+
+def test_a_potential_sorts_the_keys_it_is_given(p1):
+    """The constructor sorts each key, and adds the series of keys that sort to one key."""
+    policy = p1.model.policy(2, max_x_degree=3, max_descendant=1)
+    key, other = ((1, 0), (0, 1), (0, 1)), ((0, 1), (1, 0), (0, 1))
+    series = NovikovSeries(policy, {(1,): Fraction(3, 4), (2,): Fraction(-1, 6)})
+    given = PotentialSeries(policy, {key: series})
+    assert given.coefficient(key) == series
+    assert given == PotentialSeries(policy, {tuple(sorted(key)): series})
+    assert given.keys() == [tuple(sorted(key))]
+    assert PotentialSeries(policy, {key: series, other: series}) == PotentialSeries(policy, {key: 2 * series})
+    assert PotentialSeries(policy, {key: series, other: -series}).is_zero()
 
 
 def test_a_zero_potential_stays_zero(p1_engine, p1):
