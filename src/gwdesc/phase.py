@@ -500,27 +500,28 @@ def _code_weights(policy: TruncationPolicy, basis_rank: int) -> tuple[int, dict[
 
 def _admissible_keys(
     engine: CorrelatorEngine, policy: TruncationPolicy, indices: Sequence[PhaseIndex], modified: bool = False
-) -> dict[tuple[PhaseIndex, ...], tuple[int, Sequence[CurveClass]]]:
+) -> tuple[dict[tuple[PhaseIndex, ...], Sequence[CurveClass]], list[int]]:
     """The monomials of degree 3..max_x_degree in ``indices`` whose degree sum leaves the window
     some dimension-admissible class (all of them with ``check_dimension`` off): a filtered
-    ``combinations_with_replacement``, in its order, each mapped to its code (see
-    :func:`_code_weights`) and those classes, ``engine.admissible_classes`` at its degree sum.
+    ``combinations_with_replacement``, in its order, each mapped to those classes,
+    ``engine.admissible_classes`` at its degree sum; and their codes (:func:`_code_weights`).
 
     With ``modified`` the levels are pulled-back powers from M̄_{0,n}, of dimension n - 3, so
     only the monomials whose levels sum to at most n - 3 are kept: the others vanish."""
     _, weight = _code_weights(policy, engine.model.rank)
-    keys: dict[tuple[PhaseIndex, ...], tuple[int, Sequence[CurveClass]]] = {}
+    keys, codes = {}, []
     for n in range(3, policy.max_x_degree + 1):
         pool = [(d, a) for d, a in indices if d <= n - 3] if modified else indices
         degrees = [d + engine.model.degrees[a] for d, a in pool]
         totals = list(map(sum, combinations_with_replacement(degrees, n)))
         wanted = {t: classes for t in set(totals) if (classes := engine.admissible_classes(policy, n, t))}
-        mask = list(map(wanted.__contains__, totals))
-        codes = map(sum, compress(combinations_with_replacement([weight[idx] for idx in pool], n), mask))
-        for key, total, code in zip(compress(combinations_with_replacement(pool, n), mask), compress(totals, mask), codes):
+        mask = bytes(map(wanted.__contains__, totals))
+        kept = map(sum, compress(combinations_with_replacement([weight[idx] for idx in pool], n), mask))
+        for key, total, code in zip(compress(combinations_with_replacement(pool, n), mask), compress(totals, mask), kept):
             if not modified or sum(d for d, _ in key) <= n - 3:
-                keys[key] = code, wanted[total]
-    return keys
+                keys[key] = wanted[total]
+                codes.append(code)
+    return keys, codes
 
 
 def _potential(
@@ -531,24 +532,22 @@ def _potential(
     such class are never formed, nor, if ``modified``, keys whose levels sum past n - 3 (the
     dimension of M̄_{0,n}, so their correlators vanish).
 
-    A descendant key of four or more marks with a string, dilaton or divisor insertion takes
-    its series from the keys of one fewer mark (see :func:`_axiom_reduction`); the engine sums
-    every other key first.  Their values, the memo's ints and Fractions as they are, go over
-    their lcm D, and the reduction runs on the numerators, held by key code (see
-    :func:`_code_weights`).  :func:`_assemble` asks for the keys in increasing number of marks.
-    Every key is stored over D·N!, N the window's max_x_degree, its numerators scaled by the
-    int N!/(multiplicity factor); a reduction with a cup part or a pairing that is not integral
-    leaves Fractions, lifted to the lcm of their denominators."""
-    keys = _admissible_keys(engine, policy, indices, modified)
+    A descendant key of four or more marks with a string, dilaton or divisor insertion takes its
+    series from the keys of one fewer mark (:func:`_axiom_reduction`), which :func:`_assemble`
+    asks for first; the engine sums every other key up front, over the lcm D of its values (the
+    memo's ints and Fractions).  Numerators are held by key code (:func:`_code_weights`), and a
+    key is stored over D·N!, N = max_x_degree, scaled by the int N!/(multiplicity factor); the
+    Fractions of a reduction with a cup part or pairing not integral are lifted to their lcm."""
+    keys, codes = _admissible_keys(engine, policy, indices, modified)
     if modified:
         slots, reduce = {}, None
     else:
         slot, reduce = _axiom_reduction(engine.model, policy)
-        slots = {code: at for key, (code, _) in keys.items() if (at := slot(key)) is not None}  # the reduced keys
+        slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None}  # the reduced keys
     # the nonzero terms of every engine key, then as numerators over the common denominator, and
     # the nonzero numerators of each reduced key once it is formed
     built: dict[int, dict[CurveClass, int | Fraction]] = {}
-    for key, (code, classes) in keys.items():
+    for (key, classes), code in zip(keys.items(), codes):
         if code not in slots:
             # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
             core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
@@ -560,9 +559,10 @@ def _potential(
         built[code] = _numerators(terms, denominator)
     top = factorial(policy.max_x_degree)
     denominator *= top
+    next_code = iter(codes).__next__  # _assemble asks for each key once, in order
 
     def correlator(key):
-        code = keys[key][0]
+        code = next_code()
         at = slots.get(code)
         terms = built.get(code) if at is None else reduce(key, code, at, built)
         if terms:

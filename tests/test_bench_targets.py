@@ -46,7 +46,7 @@ def test_every_per_layer_metric_has_a_live_target():
     # the assembly wrapper calls _assemble positionally and saw every key of both potentials
     # the report built, so a potential that bypasses _assemble fails here
     indices = phase.phase_indices(policy, model.rank)
-    keys = [phase._admissible_keys(engine, policy, indices, modified) for modified in (False, True)]
+    keys = [phase._admissible_keys(engine, policy, indices, modified)[0] for modified in (False, True)]
     kept = [len(build(engine, policy).items()) for build in (phase.potential_standard, phase.potential_modified)]
     assert metrics["phase.assemble.keys"] == sum(map(len, keys))
     assert metrics["phase.assemble.kept"] == sum(kept) > 0

@@ -539,8 +539,9 @@ def test_admissible_key_counts(p1, p2, point, name, window, level0, counts):
     for modified in (False, True):
         for check in (True, False):
             engine = CorrelatorEngine(model, table, check_dimension=check)
-            keys = phase._admissible_keys(engine, policy, indices, modified)
-            for key, (code, classes) in keys.items():
+            keys, codes = phase._admissible_keys(engine, policy, indices, modified)
+            assert len(codes) == len(keys)
+            for (key, classes), code in zip(keys.items(), codes):
                 total = sum(d + model.degrees[a] for d, a in key)
                 assert list(classes) == list(engine.admissible_classes(policy, len(key), total)), key
                 # the code's digit at each index of the window is the index's count in the key
@@ -572,8 +573,8 @@ def test_modified_key_screen_drops_only_zero_keys(p1, p2, name, window, dropped)
     policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
     indices = phase_indices(policy, model.rank)
     engine = CorrelatorEngine(model, table)
-    every_key = phase._admissible_keys(engine, policy, indices)
-    screened = set(phase._admissible_keys(engine, policy, indices, modified=True))
+    every_key = phase._admissible_keys(engine, policy, indices)[0]
+    screened = set(phase._admissible_keys(engine, policy, indices, modified=True)[0])
     reference = CorrelatorEngine(model, table)
 
     def correlator(key):  # the stored coefficient: the summed correlator over the multiplicity factor
@@ -609,7 +610,7 @@ def test_axiom_assembly_matches_the_engine(p1, p2, name, window, derived):
     reference = CorrelatorEngine(model, table)
     for check, count in zip((True, False), derived):
         engine = CorrelatorEngine(model, table, check_dimension=check)
-        keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
+        keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))[0]
         slot, _ = phase._axiom_reduction(model, policy)
         assert sum(slot(key) is not None for key in keys) == count
         standard = potential_standard(engine, policy)
@@ -640,7 +641,7 @@ def test_the_standard_potential_finds_each_key_slot_once(p2, monkeypatch):
     monkeypatch.setattr(phase, "_axiom_reduction", counting_reduction)
     engine = CorrelatorEngine(model, p2.primary)
     assert potential_standard(engine, policy) == reference
-    keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))
+    keys = phase._admissible_keys(engine, policy, phase_indices(policy, model.rank))[0]
     assert asked == list(keys)
 
 
@@ -731,7 +732,7 @@ def _fraction_reference_potential(engine, policy, indices):
         return NovikovSeries._trusted(policy, acc)
 
     coeffs = {}
-    for key in phase._admissible_keys(engine, policy, indices):
+    for key in phase._admissible_keys(engine, policy, indices)[0]:
         series = reduce(key)
         if series is None:
             core = tuple((d, 0, a) for d, a in key)
