@@ -669,7 +669,7 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     DT), so a key of n indices expands over Dp·DT^n.  Each key's coefficient is lifted by
     DT^(top − n), top the most indices of a key, so every expansion adds as ints into one dict
     over Dp·DT^top; no Fraction is formed.  An expansion is keyed by its code Σ count·B^pos, pos
-    an input's place among the inputs of the rows used and B = top + 1; only outputs are decoded.
+    an input's place in the sorted inputs of the rows used and B = top + 1; outputs are decoded.
     Raises PolicyMismatchError when a row the potential uses holds an entry built over another
     truncation policy."""
     policy = potential.policy
