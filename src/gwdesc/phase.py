@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
 from math import factorial, gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exact import (
     CurveClass,
@@ -128,22 +128,26 @@ def two_point_from_primaries(
     y: CohClass,
     gamma0: CohClass | None = None,
 ) -> NovikovSeries:
-    """One series of the primary-only route; see :class:`_PrimaryTwoPoint`."""
+    """One series of the primary-only route, from a fresh route: it fills levels 0 to d for
+    every basis pair and keeps nothing after the call; see :class:`_PrimaryTwoPoint`."""
     return _PrimaryTwoPoint(model, table, policy, gamma0).series(d, x, y)
 
 
 class _PrimaryTwoPoint:
     """The primary-only two-point route at one (table, policy, gamma0).
 
-    Each series solves the divisor relation one level at a time:
-    (gamma0·beta) ⟨τ_d(x) y⟩_beta is the q^beta coefficient of
-    Σ_a (gamma0 * y)_a ⟨τ_{d-1}(x) basis[a]⟩ − ⟨τ_{d-1}(gamma0 ∪ x) y⟩, and
-    ⟨τ_0(x) y⟩_beta is ⟨gamma0 x y⟩_beta / (gamma0·beta); each series divides
-    one bracket once.  The lower series, the quantum product ``gamma0 * y``
-    and the pairing gamma0·beta are memoized.  Table, policy and divisor are
-    fixed for the life of the object, so a memo never crosses divisors: a
-    divisor-independence check must compare two separate routes.  The route
-    never consults the correlator engine.
+    It stores ⟨τ_l(T_a) T_b⟩ per level l and basis index pair (a, b), and fills whole
+    levels bottom-up, from 0 to the highest level asked, by the divisor relation
+    (gamma0·beta) ⟨τ_l(T_a) T_b⟩_beta = [Σ_c (gamma0 * T_b)_c ⟨τ_{l-1}(T_a) T_c⟩
+    − Σ_{(k, a') in gamma0 ∪ T_a} k ⟨τ_{l-1}(T_a') T_b⟩]_beta, with
+    ⟨τ_0(T_a) T_b⟩_beta = ⟨gamma0 T_a T_b⟩_beta / (gamma0·beta); each series divides one
+    bracket once.  The relation is linear over the basis, so :meth:`series` expands x and y
+    over their parts and no step needs a class-valued key.  gamma0 ∪ T_a and gamma0 * T_b are
+    formed once per index, with level 0, and the pairing gamma0·beta once per class, when a
+    bracket first needs it.  No level calls another, so the depth is bounded by memory, not
+    by Python's stack.  Table, policy and divisor are fixed for the life of the object, so a
+    memo never crosses divisors: a divisor-independence check must compare two separate
+    routes.  The route never consults the correlator engine.
     """
 
     def __init__(
@@ -158,9 +162,11 @@ class _PrimaryTwoPoint:
         self.policy = policy
         self.gamma0 = gamma0 if gamma0 is not None else model.ample
         self._pairings: dict[CurveClass, int | Fraction] = {}
-        self._products: dict[CohClass, tuple[NovikovSeries, ...]] = {}
-        self._series: dict[tuple[int, CohClass, CohClass], NovikovSeries] = {}
-        self._nonzero = [beta for beta in policy.degrees if not beta_is_zero(beta)]
+        # _levels[l][a][b] is ⟨τ_l(T_a) T_b⟩; _shift[a] the parts of gamma0 ∪ T_a and
+        # _products[b] the nonzero (c, terms of (gamma0 * T_b)_c), both formed with level 0
+        self._levels: list[list[list[NovikovSeries]]] = []
+        self._shift: list[tuple[tuple[int | Fraction, int], ...]] = []
+        self._products: list[list[tuple[int, dict[CurveClass, Fraction]]]] = []
 
     def _pairing(self, beta: CurveClass) -> int | Fraction:
         pairing = self._pairings.get(beta)
@@ -168,36 +174,58 @@ class _PrimaryTwoPoint:
             pairing = self._pairings[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
         return pairing
 
-    def _product(self, y: CohClass) -> tuple[NovikovSeries, ...]:
-        if y not in self._products:
-            self._products[y] = quantum_product(self.model, self.table, self.policy, self.gamma0, y)
-        return self._products[y]
-
     def series(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
-        key = (d, x, y)
-        if key not in self._series:
-            if d < 0:
-                raise ValueError("descendant exponents must be non-negative")
-            self._series[key] = self._compute(d, x, y)
-        return self._series[key]
+        if d < 0:
+            raise ValueError("descendant exponents must be non-negative")
+        while len(self._levels) <= d:
+            self._levels.append(self._next_level() if self._levels else self._level_zero())
+        level = self._levels[d]
+        acc: dict[CurveClass, Fraction] = {}
+        for xi, a in x.parts:
+            row = level[a]
+            for yj, b in y.parts:
+                _accumulate(acc, row[b]._terms, xi * yj)
+        return NovikovSeries._trusted(self.policy, acc)
 
-    def _compute(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
+    def _level_zero(self) -> list[list[NovikovSeries]]:
+        """⟨τ_0(T_a) T_b⟩, with the shift parts and the products every higher level reads."""
         model, policy, gamma0 = self.model, self.policy, self.gamma0
-        if d == 0:  # the antiderivative below needs the bracket without its zero-class term
-            bracket = summed(
-                policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, x, y), self._nonzero
-            )
-        else:
-            acc: dict[CurveClass, Fraction] = {}
-            for a, coeff in enumerate(self._product(y)):
-                if not coeff.is_zero():
-                    lower = self.series(d - 1, x, model.basis_class(a))
-                    _accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
-            shifted_x = model.cup(gamma0, x)
-            if not shifted_x.is_zero():
-                _accumulate(acc, self.series(d - 1, shifted_x, y)._terms, -1)
-            bracket = NovikovSeries._trusted(policy, acc)
-        return antiderivative_q(bracket, self._pairing)
+        basis = [model.basis_class(a) for a in range(model.rank)]
+        self._shift = [model.cup(gamma0, t).parts for t in basis]
+        self._products = [
+            [(c, s._terms) for c, s in enumerate(quantum_product(model, self.table, policy, gamma0, t)) if s._terms]
+            for t in basis
+        ]
+        nonzero = [beta for beta in policy.degrees if not beta_is_zero(beta)]
+        # the antiderivative needs the bracket without its zero-class term
+        return [
+            [
+                antiderivative_q(
+                    summed(policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, ta, tb), nonzero),
+                    self._pairing,
+                )
+                for tb in basis
+            ]
+            for ta in basis
+        ]
+
+    def _next_level(self) -> list[list[NovikovSeries]]:
+        """The level above the highest one stored, by the divisor relation."""
+        policy = self.policy
+        below, sums = self._levels[-1], policy.sums
+        level = []
+        for a, shift in enumerate(self._shift):
+            row = below[a]
+            out = []
+            for b, product in enumerate(self._products):
+                acc: dict[CurveClass, Fraction] = {}
+                for c, terms in product:
+                    _accumulate_product(acc, sums, terms, row[c]._terms)
+                for k, shifted in shift:
+                    _accumulate(acc, below[shifted][b]._terms, -k)
+                out.append(antiderivative_q(NovikovSeries._trusted(policy, acc), self._pairing))
+            level.append(out)
+        return level
 
 
 # ----------------------------------------------------------------------
@@ -710,17 +738,38 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
                     if acc:
                         new[code + w] = acc
             expansions = new
-    numerators = {}
-    for code, terms in shared.items():
-        key = ()
-        for inp in weight:  # the base-B digits, lowest first, are the counts of the inputs in order
-            code, count = divmod(code, top + 1)
-            if count:
-                key += (inp,) * count
-                if not code:
-                    break
-        numerators[key] = terms
+    numerators = dict(zip(_decoded_keys(shared, list(weight), top + 1), shared.values()))
     return PotentialSeries._from_numerators(policy, numerators, potential._denominator * dt**top)
+
+
+def _decoded_keys(codes: Iterable[int], inputs: Sequence[PhaseIndex], base: int) -> list[tuple[PhaseIndex, ...]]:
+    """The sorted key of each multiset code Σ count·base^pos, pos an input's place in ``inputs``:
+    a code splits into its low and high halves, base^half apart, and each distinct half is read
+    digit by digit once and memoized, so a key costs two lookups and one join."""
+    half = len(inputs) // 2
+    split, low_inputs, high_inputs = base**half, inputs[:half], inputs[half:]
+    lows: dict[int, tuple[PhaseIndex, ...]] = {}
+    highs: dict[int, tuple[PhaseIndex, ...]] = {}
+    keys = []
+    for code in codes:
+        high, low = divmod(code, split)
+        if low not in lows:
+            lows[low] = _digit_key(low, low_inputs, base)
+        if high not in highs:
+            highs[high] = _digit_key(high, high_inputs, base)
+        keys.append(lows[low] + highs[high])
+    return keys
+
+
+def _digit_key(code: int, inputs: Sequence[PhaseIndex], base: int) -> tuple[PhaseIndex, ...]:
+    """The key of one code over ``inputs``: its base digits, lowest first, are the inputs' counts."""
+    key = ()
+    for inp in inputs:
+        if not code:
+            break
+        code, count = divmod(code, base)
+        key += (inp,) * count
+    return key
 
 
 def _numerators(terms: dict[CurveClass, Fraction], denominator: int) -> dict[CurveClass, int]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -252,7 +253,59 @@ def test_two_point_paths_ask_the_engine_only_at_admissible_classes(p2, monkeypat
     assert set(engines[0]._memo) == set(reference._memo)
 
 
-class JFoldRoute(phase._PrimaryTwoPoint):
+class ClassKeyedRoute:
+    """The reference primary-only route, keyed by (level, class, class): each series solves
+    the divisor relation for its own x and y, recursing one level per call, with the lower
+    series, the quantum product gamma0 * y and the pairing gamma0·beta memoized by class."""
+
+    def __init__(self, model, table, policy, gamma0=None):
+        self.model = model
+        self.table = table
+        self.policy = policy
+        self.gamma0 = gamma0 if gamma0 is not None else model.ample
+        self._pairings = {}
+        self._products = {}
+        self._series = {}
+        self._nonzero = [beta for beta in policy.degrees if any(beta)]
+
+    def _pairing(self, beta):
+        if beta not in self._pairings:
+            self._pairings[beta] = phase.narrow(self.model.beta_pairing(self.gamma0, beta))
+        return self._pairings[beta]
+
+    def _product(self, y):
+        if y not in self._products:
+            self._products[y] = phase.quantum_product(self.model, self.table, self.policy, self.gamma0, y)
+        return self._products[y]
+
+    def series(self, d, x, y):
+        key = (d, x, y)
+        if key not in self._series:
+            if d < 0:
+                raise ValueError("descendant exponents must be non-negative")
+            self._series[key] = self._compute(d, x, y)
+        return self._series[key]
+
+    def _compute(self, d, x, y):
+        model, policy, gamma0 = self.model, self.policy, self.gamma0
+        if d == 0:
+            bracket = phase.summed(
+                policy, lambda beta: phase._primary3_multilinear(model, self.table, beta, gamma0, x, y), self._nonzero
+            )
+        else:
+            acc = {}
+            for a, coeff in enumerate(self._product(y)):
+                if not coeff.is_zero():
+                    lower = self.series(d - 1, x, model.basis_class(a))
+                    phase._accumulate_product(acc, policy.sums, coeff._terms, lower._terms)
+            shifted_x = model.cup(gamma0, x)
+            if not shifted_x.is_zero():
+                phase._accumulate(acc, self.series(d - 1, shifted_x, y)._terms, -1)
+            bracket = NovikovSeries._trusted(policy, acc)
+        return phase.antiderivative_q(bracket, self._pairing)
+
+
+class JFoldRoute(ClassKeyedRoute):
     """The reference route: each shifted class cupped afresh on every call, and the j-th
     bracket divided by the divisor pairing j times over."""
 
@@ -298,6 +351,77 @@ def test_one_division_route_equals_the_j_fold_route(p1, p2):
             for x in basis + [m.unit + 2 * m.ample]:
                 for y in basis + list(m.dual_basis()):
                     assert route.series(d, x, y) == reference.series(d, x, y)
+
+
+def test_index_route_equals_the_class_keyed_route(p1, p2):
+    quadric = quadric_model()
+    rescaled = GeometryModel.from_dict(RESCALED_PLANE)
+    models = [
+        (p1.model, p1.primary, 3),
+        (p2.model, p2.primary, 3),
+        (quadric, quadric_table(quadric), 2),
+        (rescaled, PrimaryTable.from_records(rescaled, _rescaled_table("4")), 3),
+    ]
+    for m, table, qmax in models:
+        policy = m.policy(qmax)
+        classes = [m.basis_class(i) for i in range(m.rank)] + list(m.dual_basis())
+        classes += [m.unit + 2 * m.ample, m.zero_class()]
+        for scale in (1, Fraction(1, 2), 3):
+            gamma0 = scale * m.ample
+            route = phase._PrimaryTwoPoint(m, table, policy, gamma0)
+            reference = ClassKeyedRoute(m, table, policy, gamma0)
+            for d in range(7):
+                for x in classes:
+                    for y in classes:
+                        assert route.series(d, x, y) == reference.series(d, x, y), (m.name, scale, d, x, y)
+
+
+def test_primary_route_depth_is_not_bounded_by_the_stack(p1, p1_engine):
+    # the class-keyed route recursed two frames per level and raised RecursionError from
+    # level 600 on; above level 3 every P1 series of the qmax-1 window is zero
+    m = p1.model
+    policy = m.policy(1)
+    level = 1200
+    assert sys.getrecursionlimit() < level
+    basis = [m.basis_class(i) for i in range(m.rank)]
+    for x in basis:
+        for y in basis:
+            series = two_point_from_primaries(m, p1.primary, policy, level, x, y)
+            assert series.is_zero()
+            assert series == summed_correlator(p1_engine, [(level, 0, x), (0, 0, y)], policy)
+
+
+def test_primary_route_setup_work_does_not_grow_with_the_levels(p2, monkeypatch):
+    # the two-point-paths window: cup products and quantum products are formed once per
+    # basis index, so their counts depend on the rank and not on the number of series
+    m = p2.model
+    policy = m.policy(6)
+    basis = [m.basis_class(i) for i in range(m.rank)]
+    m.dual_basis()  # formed once per model, by cup products, before any count is taken
+    counts = {}
+    original_cup, original_product = GeometryModel.cup, phase.quantum_product
+
+    def cup(self, x, y):
+        counts["cup"] += 1
+        return original_cup(self, x, y)
+
+    def product(*args):
+        counts["product"] += 1
+        return original_product(*args)
+
+    monkeypatch.setattr(GeometryModel, "cup", cup)
+    monkeypatch.setattr(phase, "quantum_product", product)
+    seen = []
+    for top in (4, 12):
+        counts.update(cup=0, product=0)
+        route = phase._PrimaryTwoPoint(m, p2.primary, policy)
+        for d in range(top + 1):
+            for x in basis:
+                for y in basis:
+                    route.series(d, x, y)
+        seen.append(dict(counts))
+    # gamma0 ∪ T_a per index, and two cups per dual class at the zero class of each product
+    assert seen[0] == seen[1] == {"cup": m.rank + 2 * m.rank**2, "product": m.rank}
 
 
 def test_series_entries_reject_a_negative_level(p2, p2_engine):
@@ -987,6 +1111,55 @@ def test_compose_stores_no_term_that_cancels():
     assert ((0, 1), (0, 2), (0, 3)) not in composed._numerators  # 1·1 + 1·(-1) on both orders
     assert composed.coefficient(((0, 0), (1, 0), (1, 3))) == q[(1, 0)]  # 2q^(0,1) - 2q^(0,1) + q^(1,0)
     assert all(terms and all(terms.values()) for terms in composed._numerators.values())
+
+
+def digit_walk_keys(codes, inputs, base):
+    """The reference decode: each code's base digits walked from the lowest, one per input."""
+    keys = []
+    for code in codes:
+        key = ()
+        for inp in inputs:
+            code, count = divmod(code, base)
+            if count:
+                key += (inp,) * count
+                if not code:
+                    break
+        keys.append(key)
+    return keys
+
+
+def test_compose_decodes_by_halves_as_the_digit_walk(p2, p1_engine, p1, monkeypatch):
+    """Compose decodes its output codes from memoized low and high halves: on the codes it
+    decodes at P2 (4,5,4), and on a hand-built P1 key of five indices, longer than the
+    window's max_x_degree of 3, the keys equal the digit walk's."""
+    decoded = []
+    original = phase._decoded_keys
+
+    def recording(codes, inputs, base):
+        codes = list(codes)
+        keys = original(codes, inputs, base)
+        decoded.append((codes, inputs, base, keys))
+        return keys
+
+    monkeypatch.setattr(phase, "_decoded_keys", recording)
+    engine = CorrelatorEngine(p2.model, p2.primary)
+    policy = p2.model.policy(4, max_x_degree=5, max_descendant=4)
+    composed = compose_with_transform(potential_modified(engine, policy), build_transform(engine, policy))
+    assert composed == potential_standard(engine, policy)
+
+    m = p1.model
+    policy = m.policy(2, max_x_degree=3, max_descendant=2)
+    long_key = ((0, 0), (0, 1), (1, 1), (1, 1), (2, 0))
+    potential = PotentialSeries(policy, {long_key: NovikovSeries.monomial(policy, (1,), Fraction(1, 3))})
+    transform = build_transform(p1_engine, policy)
+    composed = compose_with_transform(potential, transform)
+    assert composed == _compose_multiplying_every_entry(potential, transform)
+    assert long_key in composed.keys()
+
+    assert len(decoded) == 2 and len(decoded[0][0]) > 2000
+    for codes, inputs, base, keys in decoded:
+        assert len(inputs) > 1 and keys == digit_walk_keys(codes, inputs, base)
+    assert max(map(len, decoded[1][3])) == len(long_key)
 
 
 def test_compose_and_the_identity_test_form_no_fraction(p2):
