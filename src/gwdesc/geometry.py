@@ -158,7 +158,6 @@ class GeometryModel:
         self.degrees = tuple(degrees)
         self.rank = len(labels)
         self._basis = tuple(CohClass(tuple(Fraction(int(j == i)) for j in range(self.rank))) for i in range(self.rank))
-        self._basis_degree = dict(zip(self._basis, self.degrees))
         self.lattice_rank = lattice_rank
         self._index = {label: i for i, label in enumerate(labels)}
         self._by_degree = {d: tuple(i for i, e in enumerate(degrees) if e == d) for d in set(degrees)}
@@ -279,18 +278,14 @@ class GeometryModel:
         return self.integrate(self.cup(x, y))
 
     def degree_of(self, x: CohClass) -> int | None:
-        """Degree of a homogeneous class; None for zero or mixed classes."""
-        degree = self._basis_degree.get(x)
-        if degree is not None:
-            return degree
-        support = x.support()
-        if not support:
-            return None
-        degree = self.degrees[support[0]]
-        for i in support[1:]:
-            if self.degrees[i] != degree:
-                return None
-        return degree
+        """Degree of a homogeneous class, read from its cached support: one basis
+        index gives that element's degree; the zero class and a mixed class give None."""
+        try:
+            (i,) = x._support
+        except ValueError:  # no index, or several: a same-degree class still has one
+            degrees = {self.degrees[j] for j in x._support}
+            return degrees.pop() if len(degrees) == 1 else None
+        return self.degrees[i]
 
     def gram_matrix(self) -> list[list[Fraction]]:
         basis = [self.basis_class(i) for i in range(self.rank)]

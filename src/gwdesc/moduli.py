@@ -179,11 +179,13 @@ def constant_map_correlator(
     # multilinearity: split any mixed-degree insertion into its homogeneous
     # components, one per degree, so that terms of one degree still cancel;
     # degree_of is None only for a mixed or a zero class, and a zero class has
-    # no component, so its sum stays 0
+    # no component, so its sum stays 0; the slot is found only then, as the first
+    # class equal to this one (an equal class before it would have read None first)
     degree_sum = 0
-    for slot, (d, cls) in enumerate(insertions):
+    for d, cls in insertions:
         degree = model.degree_of(cls)
         if degree is None:
+            slot = [c for _, c in insertions].index(cls)
             total = Fraction(0)
             for part_degree in sorted({model.degrees[idx] for idx in cls.support()}):
                 part = CohClass(

@@ -162,8 +162,9 @@ def test_hash_is_the_dataclass_hash_formed_once(monkeypatch):
 
 
 def test_degree_of_basis_equal_scaled_zero_and_mixed_classes(p1, p2):
-    # a basis class is found by value, so an equal instance and the basis class
-    # itself read the same degree; a scaled class misses and is scanned
+    # the degree is read from the class's support, so the basis class, an equal
+    # instance and a scaled one read the same degree; a class over several basis
+    # elements reads their common degree, or None when they differ
     for m in (p1.model, p2.model, _p3_like_model()):
         for i, label in enumerate(m.labels):
             basis = m.basis_class(i)
@@ -180,6 +181,12 @@ def test_degree_of_basis_equal_scaled_zero_and_mixed_classes(p1, p2):
     m = p2.model
     assert m.degree_of(2 * m.class_from_map({"h": 1})) == 1
     assert m.degree_of(Fraction(-1, 2) * m.class_from_map({"h2": 1})) == 2
+    # two basis classes of one degree
+    m = quadric_model()
+    a, b, pt = (m.class_from_map({label: 1}) for label in ("a", "b", "ab"))
+    assert m.degree_of(a + b) == 1
+    assert m.degree_of(a - 2 * b) == 1
+    assert m.degree_of(a + pt) is None
 
 
 # ----------------------------------------------------------------------

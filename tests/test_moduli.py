@@ -178,6 +178,7 @@ def test_exponent_screen_reads_no_class(p2, monkeypatch):
         (0, [(0, h), (0, h)]),  # n < 3
         (0, [(1, h), (0, h), (0, one)]),  # exponents sum to 1, not n - 3 = 0
         (0, [(2, mixed), (0, h), (0, h), (0, one)]),  # 2, not n - 3 = 1
+        (0, [(0, h), (0, h), (0, h), (0, one)]),  # 0, below n - 3 = 1
         (1, []),  # n < 1
         (1, [(3, h), (0, mixed)]),  # 3 is neither n = 2 nor n - 1 = 1
         (2, [(6, h)]),  # 6 > (g - 1)(3 - dimension) + n = 2

@@ -13,7 +13,7 @@ import pytest
 from gwdesc import verify
 from gwdesc.cli import main
 from gwdesc.engine import PrimaryTable
-from gwdesc.geometry import GeometryModel
+from gwdesc.geometry import CohClass, GeometryModel
 from gwdesc.moduli import TautTableError
 from gwdesc.verify import (
     SUITE_NAMES,
@@ -168,6 +168,17 @@ def test_point_vanishing_evaluates_every_non_admissible_pattern(monkeypatch):
     }
     assert admissible == {"point": (4, 15, 14), "P1": (7, 39, 56), "P2": (15, 39, 99), "P3": (26, 39, 97)}
     assert result.lines[1] == "admissible patterns skipped: 450"
+
+
+def test_point_vanishing_hashes_no_class(monkeypatch):
+    # the screen reads each insertion's degree from its support, so no class is
+    # looked up by value anywhere in the scan
+    hashes = []
+    class_hash = CohClass.__hash__
+    monkeypatch.setattr(CohClass, "__hash__", lambda self: hashes.append(self) or class_hash(self))
+    result = suite_point_vanishing()
+    assert result.ok, result.render()
+    assert len(hashes) == 0
 
 
 def test_point_vanishing_zero_test_is_exact(p2, monkeypatch):
