@@ -345,14 +345,16 @@ class CorrelatorEngine:
     # generalized correlators (stable range)
 
     def _gen(self, beta: CurveClass, ins: tuple[Insertion, ...]) -> int | Fraction:
+        """The memoized correlator of a sorted core.  Theorem 1.2 holds at every slot, so a core with a
+        cotangent power is lowered at its d >= 1 slot of least d + deg(a), the first on a tie."""
         key = ("g", beta, ins)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        j, pulled = None, 0
-        for p, (d, e, _) in enumerate(ins):
-            if d >= 1 and j is None:
-                j = p
+        j, pulled, degrees = None, 0, self.model.degrees
+        for p, (d, e, a) in enumerate(ins):
+            if d >= 1 and (j is None or d + degrees[a] < least):
+                j, least = p, d + degrees[a]
             pulled += e
         if pulled > len(ins) - 3:  # powers pulled back from M̄_{0,n}, n >= 3, of dimension n - 3
             return 0

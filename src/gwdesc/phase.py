@@ -562,48 +562,43 @@ def _potential(
 
     A descendant key of four or more marks with a string, dilaton or divisor insertion takes its
     series from the keys of one fewer mark (:func:`_axiom_reduction`), which :func:`_assemble`
-    asks for first; the engine sums every other key up front, over the lcm D of its values (the
-    memo's ints and Fractions).  Numerators are held by key code (:func:`_code_weights`), and a
-    key is stored over D·N!, N = max_x_degree, scaled by the int N!/(multiplicity factor); the
-    Fractions of a reduction with a cup part or pairing not integral are lifted to their lcm."""
+    asks for first; the engine sums every other key up front, over the lcm D of its values.  The
+    numerators are held in one {key code: numerator} table per window class, and a key is stored
+    over D·N!, N = max_x_degree, scaled by the int N!/(multiplicity factor); the Fractions of a
+    reduction with a cup part or pairing not integral are lifted to their lcm."""
     keys, codes = _admissible_keys(engine, policy, indices, modified)
-    if modified:
-        slots, reduce = {}, None
-    else:
-        slot, reduce = _axiom_reduction(engine.model, policy)
-        slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None}  # the reduced keys
-    # the nonzero terms of every engine key, then as numerators over the common denominator, and
-    # the nonzero numerators of each reduced key once it is formed
+    slot, reduce = (lambda key: None, None) if modified else _axiom_reduction(engine.model, policy)
+    slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None}  # the reduced keys
+    # the nonzero terms of every engine key, then as numerators over the common denominator
     built: dict[int, dict[CurveClass, int | Fraction]] = {}
     for (key, classes), code in zip(keys.items(), codes):
         if code not in slots:
             # the key is its own sorted basis-index core: level d as a cotangent or a pulled-back power
             core = tuple((0, d, a) for d, a in key) if modified else tuple((d, 0, a) for d, a in key)
-            terms = {beta: value for beta in classes if (value := engine._core(beta, core))}
-            if terms:
+            if terms := {beta: value for beta in classes if (value := engine._core(beta, core))}:
                 built[code] = terms
     denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
     for code, terms in built.items():  # in place, so each key's Fractions go as its numerators come
         built[code] = _numerators(terms, denominator)
+    # per class, {code: numerator} of the engine keys, and of each reduced key once it is formed
+    tables = {beta: {code: terms[beta] for code, terms in built.items() if beta in terms} for beta in policy.degrees}
     top = factorial(policy.max_x_degree)
     denominator *= top
-    next_code = iter(codes).__next__  # _assemble asks for each key once, in order
+    next_key = zip(codes, keys.values()).__next__  # _assemble asks for each key once, in order
 
     def correlator(key):
-        code = next_code()
+        code, classes = next_key()
         at = slots.get(code)
-        terms = built.get(code) if at is None else reduce(key, code, at, built)
-        if terms:
-            scale = top // _multiplicity_factor(key)
-            numerators = {beta: n * scale for beta, n in terms.items() if n}
-            if numerators:
-                built[code] = terms
-                if at is not None and not all(type(n) is int for n in numerators.values()):
-                    # a reduction with a cup part or a pairing that is not integral: lift its Fractions
-                    lift = lcm(*(n.denominator for n in numerators.values()))
-                    return _KeyTerms({beta: int(n * lift) for beta, n in numerators.items()}, denominator * lift)
-                return _KeyTerms(numerators, denominator)
-        return _NO_TERMS
+        terms = built.get(code) if at is None else reduce(key, code, at, classes, tables)
+        if not terms:
+            return _NO_TERMS
+        scale = top // _multiplicity_factor(key)
+        numerators = {beta: n * scale for beta, n in terms.items()}
+        if at is not None and not all(type(n) is int for n in numerators.values()):
+            # a reduction with a cup part or a pairing that is not integral: lift its Fractions
+            lift = lcm(*(n.denominator for n in numerators.values()))
+            return _KeyTerms({beta: int(n * lift) for beta, n in numerators.items()}, denominator * lift)
+        return _KeyTerms(numerators, denominator)
 
     return _assemble(policy, keys, correlator)
 
@@ -614,17 +609,17 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
     Returns ``(slot, reduce)``.  ``slot(key)`` is the position of the key's first string τ_0(1),
     dilaton τ_1(1) or divisor τ_0(D) insertion (D of degree 1), None when the key has three marks
     or none of these insertions: the engine evaluates those keys.  For any other key,
-    ``reduce(key, code, slot(key), built)`` is its summed correlator as numerators over the
-    denominator of ``built``, the nonzero numerators of keys with one fewer mark by code (see
-    :func:`_code_weights`), by the equation of that insertion, X the key without it:
+    ``reduce(key, code, slot(key), classes, tables)`` is its summed correlator at ``classes`` by
+    the equation of that insertion, X the key without it:
 
     * string: <τ_0(1) X> = Σ_i <X with slot i lowered one level>;
     * dilaton: <τ_1(1) X> = (|X| - 2) <X>;
     * divisor: <τ_0(D) X>_β = (D·β) <X>_β + Σ_i <X with slot i lowered to τ_{d_i-1}(a_i ∪ D)>_β.
 
-    X has at least three marks, so it is stable at every class.  A key missing from ``built``
-    reads as zero.  Int numerators stay ints where the cup parts and pairings are integral;
-    elsewhere the terms are exact Fractions.  The result is a raw dict that may hold zero sums."""
+    ``tables`` holds per class the numerators of the keys with one fewer mark by code (a missing
+    code reads as zero); X and each lowered key are coded once, and each class sums int lookups.
+    X has at least three marks, so it is stable at every class.  The nonzero sums (ints where the
+    cup parts and pairings are integral) are returned by class and written into ``tables``."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
@@ -646,27 +641,27 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
             if idx in axiom_indices:
                 return at
 
-    def reduce(key, code, at, built):
-        d_s, a_s = key[at]
-        rest = code - weight[key[at]]  # the code of X
-        acc: dict[CurveClass, int | Fraction] = {}  # never a dict in built
-        below = built.get(rest)
-        if d_s == 1:
-            if below is not None:
-                _accumulate(acc, below, len(key) - 3)
-            return acc
-        if a_s not in units and below is not None:
-            pairing = pairings[a_s]
-            acc = {beta: c * p for beta, c in below.items() if (p := pairing[beta])}
-        for idx in dict.fromkeys(key):  # the m slots of one index in X, m its digit, lower to one key
-            if idx in lowerings[a_s]:
-                w, offsets = lowerings[a_s][idx]
-                m = rest // w % base
-                for c, offset in offsets:
-                    term = built.get(rest + offset)
-                    if term is not None:
-                        _accumulate(acc, term, c * m)
-        return acc
+    def reduce(key, code, at, classes, tables):
+        d_s, a_s = idx_s = key[at]
+        rest = code - weight[idx_s]  # the code of X
+        if d_s:
+            pairing, lowered = None, [(rest, len(key) - 3)]
+        else:
+            pairing, lowering, lowered = pairings.get(a_s), lowerings[a_s], []  # no pairing for the unit
+            for idx in dict.fromkeys(key):  # the m slots of one index in X, m its digit, lower to one key
+                if (entry := lowering.get(idx)) is not None and (m := rest // entry[0] % base):
+                    for c, offset in entry[1]:
+                        lowered.append((rest + offset, c * m))
+        out = {}
+        for beta in classes:
+            table = tables[beta]
+            total = pairing[beta] * table.get(rest, 0) if pairing else 0
+            for lowered_code, c in lowered:
+                if (n := table.get(lowered_code)) is not None:
+                    total += c * n
+            if total:
+                table[code] = out[beta] = total
+        return out
 
     return slot, reduce
 
@@ -693,52 +688,55 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     from its coefficient and takes one transform row per index.
 
     The expansion runs over the potential's int numerators, over its denominator Dp: the rows
-    the potential uses are put over their common denominator DT (a unit entry is the numerator
-    DT), so a key of n indices expands over Dp·DT^n.  Each key's coefficient is lifted by
-    DT^(top − n), top the most indices of a key, so every expansion adds as ints into one dict
-    over Dp·DT^top; no Fraction is formed.  An expansion is keyed by its code Σ count·B^pos, pos
-    an input's place in the sorted inputs of the rows used and B = top + 1; outputs are decoded.
-    Raises PolicyMismatchError when a row the potential uses holds an entry built over another
-    truncation policy."""
+    the potential uses are put over their common denominator DT, and a key of n indices is lifted
+    by DT^(top − n), top the most indices of a key, so every expansion adds as ints into one dict
+    over Dp·DT^top.  A term is keyed by one int, code·C + i: code Σ count·B^pos (pos an input's
+    place in the sorted inputs of the rows used, B = top + 1) and i its class's place among the
+    window's C classes.  A row entry is its input's weight B^pos·C and, per term, its numerator
+    and the shift of each class index i (None past the window), so a step adds ints into one dict
+    entry per term; the outputs are split by ``divmod`` and their codes decoded.  Raises
+    PolicyMismatchError when a row the potential uses holds an entry over another policy."""
     policy = potential.policy
-    sums = policy.sums
-    unit = {policy.zero_beta(): 1}  # equals the terms of a unit entry, with no Fraction formed
     coeffs = potential._numerators
     used = {idx: transform._rows.get(idx, {}) for key in coeffs for idx in key}
-    for row in used.values():
-        if any(entry.policy != policy for entry in row.values()):
-            raise PolicyMismatchError("transform built over a different truncation policy")
+    if any(entry.policy != policy for row in used.values() for entry in row.values()):
+        raise PolicyMismatchError("transform built over a different truncation policy")
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
     top = max(map(len, coeffs), default=0)
-    weight = {inp: (top + 1) ** pos for pos, inp in enumerate(sorted({inp for row in used.values() for inp in row}))}
-    # T's row at each index used, as (input weight, entry numerators over dt), with None for a unit entry
+    inputs = sorted({inp for row in used.values() for inp in row})
+    classes = list(policy.degrees)
+    width, place = len(classes), {beta: i for i, beta in enumerate(classes)}
+    # per class, the change of class index that adding it makes at each index, None past the window
+    shifts = {b2: [None if (s := policy.sums[b].get(b2)) is None else place[s] - i for i, b in enumerate(classes)] for b2 in classes}
+    weight = {inp: (top + 1) ** pos * width for pos, inp in enumerate(inputs)}
+    # T's row at each index used, as (input weight, [(class shifts, numerator over dt)])
     rows = {
-        idx: [(weight[inp], None if entry._terms == unit else _numerators(entry._terms, dt)) for inp, entry in row.items()]
+        idx: [(weight[inp], [(shifts[beta], n) for beta, n in _numerators(entry._terms, dt).items()]) for inp, entry in row.items()]
         for idx, row in used.items()
     }
 
-    # every dict written below is created here: a coefficient's or an entry's terms are only read
-    shared: dict[int, dict[CurveClass, int]] = {}
+    shared: dict[int, int] = {}
     for key, coeff in coeffs.items():
         lift = dt ** (top - len(key))
+        expansions = {place[beta]: n * lift for beta, n in coeff.items()}
         if not key:  # a constant term takes no row
-            shared[0] = {beta: n * lift for beta, n in coeff.items()}
-            continue
-        expansions = {0: coeff if lift == 1 else {beta: n * lift for beta, n in coeff.items()}}
+            shared.update(expansions)
         for step, idx in enumerate(key, 1):
             # the last index adds its full expansions straight into the shared sums
-            new: dict[int, dict[CurveClass, int]] = shared if step == len(key) else {}
-            for code, terms in expansions.items():
+            new = shared if step == len(key) else {}
+            for flat, n in expansions.items():
+                i = flat % width
                 for w, entry in rows[idx]:
-                    acc = new.get(code + w, {})
-                    if entry is None:
-                        _accumulate(acc, terms, dt)
-                    else:
-                        _accumulate_product(acc, sums, terms, entry)
-                    if acc:
-                        new[code + w] = acc
+                    for shift, c in entry:
+                        if (s := shift[i]) is not None:
+                            s += flat + w
+                            new[s] = new.get(s, 0) + n * c
             expansions = new
-    numerators = dict(zip(_decoded_keys(shared, list(weight), top + 1), shared.values()))
+    numerators: dict[int, dict[CurveClass, int]] = {}
+    for flat, n in shared.items():
+        code, i = divmod(flat, width)
+        numerators.setdefault(code, {})[classes[i]] = n
+    numerators = dict(zip(_decoded_keys(numerators, inputs, top + 1), numerators.values()))
     return PotentialSeries._from_numerators(policy, numerators, potential._denominator * dt**top)
 
 

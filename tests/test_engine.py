@@ -8,14 +8,17 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import pytest
 from test_quadric import quadric_model, quadric_table
+from test_verify import RESCALED_PLANE, _rescaled_table
 
 from gwdesc.engine import (
     CorrelatorEngine,
     PrimaryTable,
+    ReconstructionError,
     TableFormatError,
     UnsupportedQueryError,
 )
-from gwdesc.geometry import ModelError
+from gwdesc.exact import narrow
+from gwdesc.geometry import GeometryModel, ModelError
 from gwdesc.moduli import constant_map_correlator, psi_integral_genus0
 from gwdesc.phase import (
     _PrimaryTwoPoint,
@@ -698,22 +701,91 @@ def test_public_values_are_fractions(request, name):
 
 def test_the_memo_holds_no_integral_fraction(p1, p2):
     """The memo keeps an integral value as an int, by every recursion kind: after a P2
-    standard potential and P1's one- and zero-point values by both unstable routes no
-    memoized value is a Fraction with denominator 1, and the n-point primaries' divisor
-    pairings are cached as ints."""
+    standard potential, whose memo holds generalized cores of all four kinds (descendant,
+    mixed, modified and primary), and P1's one- and zero-point values by both unstable
+    routes no memoized value is a Fraction with denominator 1, and the n-point primaries'
+    divisor pairings are cached as ints."""
     p2_engine = CorrelatorEngine(p2.model, p2.primary)
     potential_standard(p2_engine, p2.model.policy(3, max_x_degree=5, max_descendant=3))
+    cores = [key[2] for key in p2_engine._memo if key[0] == "g"]
+    kinds = {(any(d for d, _, _ in ins), any(e for _, e, _ in ins)) for ins in cores}
+    assert kinds == {(True, False), (True, True), (False, True), (False, False)}
     p1_engine = CorrelatorEngine(p1.model, p1.primary)
     h = cls(p1.model, "h")
     for route in ("divisor", "dilaton"):
         assert p1_engine.zero_point((1,), route=route) == 1
         assert p1_engine.one_point(2, h, (2,), route=route) == Fraction(1, 4)
-    for engine, least in ((p2_engine, 1000), (p1_engine, 10)):
+    assert len(p1_engine._memo) > 10
+    for engine in (p2_engine, p1_engine):
         values = list(engine._memo.values())
-        assert len(values) > least and int in {type(v) for v in values} <= {int, Fraction}
+        assert int in {type(v) for v in values} <= {int, Fraction}
         assert [v for v in values if type(v) is Fraction and v.denominator == 1] == []
     assert Fraction(1, 4) in p1_engine._memo.values()  # a value that is not integral stays a Fraction
     assert p2_engine._basis_pairings and {type(p) for p in p2_engine._basis_pairings.values()} == {int}
+
+
+class _FirstSlotEngine(CorrelatorEngine):
+    """The reference lowering rule: ``_gen`` lowers a core at its first slot with a positive
+    cotangent power, not at its cheapest one; every other step is the engine's own."""
+
+    def _gen(self, beta, ins):
+        key = ("g", beta, ins)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        j, pulled = None, 0
+        for p, (d, e, _) in enumerate(ins):
+            if d >= 1 and j is None:
+                j = p
+            pulled += e
+        if pulled > len(ins) - 3:
+            return 0
+        if key in self._active:
+            raise ReconstructionError(f"reduction cycle at {key}")
+        self._active.add(key)
+        try:
+            if j is not None:
+                value = self._gen_apply_relation(beta, ins, j)
+            elif pulled:
+                value = self._modified_core(beta, ins)
+            else:
+                value = self._primary(beta, tuple(a for _, _, a in ins))
+        finally:
+            self._active.discard(key)
+        self._memo[key] = value = narrow(value)
+        return value
+
+
+@pytest.mark.parametrize(
+    "name, window, memo",
+    [
+        ("P1", (3, 6, 4), None),
+        ("P2", (3, 5, 3), (993, 1138)),
+        ("quadric", (2, 4, 2), None),
+        ("P2-rescaled", (3, 5, 3), None),
+    ],
+)
+def test_lowering_at_the_cheapest_slot_matches_the_first_slot(p1, p2, name, window, memo):
+    """Theorem 1.2 holds at every slot: the standard potential with each core lowered at its
+    slot of least d + deg(a) equals, key for key, the one with each core lowered at its first
+    positive-level slot.  On P2 at (3,5,3) the cheapest slot leaves 993 memo entries where the
+    first slot leaves 1,138."""
+    if name == "P2-rescaled":
+        model = GeometryModel.from_dict(RESCALED_PLANE)
+        table = PrimaryTable.from_records(model, _rescaled_table("4"))
+    elif name == "quadric":
+        model = quadric_model()
+        table = quadric_table(model)
+    else:
+        fixture = p1 if name == "P1" else p2
+        model, table = fixture.model, fixture.primary
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    engine, reference = CorrelatorEngine(model, table), _FirstSlotEngine(model, table)
+    standard = potential_standard(engine, policy)
+    assert not standard.is_zero()
+    assert standard == potential_standard(reference, policy)
+    if memo is not None:
+        assert (len(engine._memo), len(reference._memo)) == memo
 
 
 def test_cache_transparency(p1, p2):

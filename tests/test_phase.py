@@ -5,13 +5,14 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from test_quadric import quadric_model, quadric_table
 from test_verify import RESCALED_PLANE, _rescaled_table
 
 from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable, UnsupportedQueryError
-from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy
+from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy, _accumulate, _accumulate_product
 from gwdesc import phase
 from gwdesc.phase import (
     PhaseTransform,
@@ -1040,6 +1041,103 @@ def test_integer_compose_matches_the_fraction_reference(p1, p2, name, window):
     composed = compose_with_transform(modified, transform)
     assert composed == _compose_multiplying_every_entry(modified, transform) == potential_standard(engine, policy)
     assert all(type(n) is int for terms in composed._numerators.values() for n in terms.values())
+
+
+def _kernel_compose_reference(potential, transform):
+    """The composition keyed by multiset code with one dict of classes per code: each step
+    adds a truncated product of an expansion's terms and an entry's numerators through
+    ``_accumulate_product``, or the expansion times DT for a unit entry."""
+    policy = potential.policy
+    unit = {policy.zero_beta(): 1}
+    coeffs = potential._numerators
+    used = {idx: transform._rows.get(idx, {}) for key in coeffs for idx in key}
+    dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
+    top = max(map(len, coeffs), default=0)
+    weight = {inp: (top + 1) ** pos for pos, inp in enumerate(sorted({inp for row in used.values() for inp in row}))}
+    rows = {
+        idx: [(weight[inp], None if entry._terms == unit else phase._numerators(entry._terms, dt)) for inp, entry in row.items()]
+        for idx, row in used.items()
+    }
+    shared = {}
+    for key, coeff in coeffs.items():
+        lift = dt ** (top - len(key))
+        if not key:
+            shared[0] = {beta: n * lift for beta, n in coeff.items()}
+            continue
+        expansions = {0: {beta: n * lift for beta, n in coeff.items()}}
+        for step, idx in enumerate(key, 1):
+            new = shared if step == len(key) else {}
+            for code, terms in expansions.items():
+                for w, entry in rows[idx]:
+                    acc = new.get(code + w, {})
+                    if entry is None:
+                        _accumulate(acc, terms, dt)
+                    else:
+                        _accumulate_product(acc, policy.sums, terms, entry)
+                    if acc:
+                        new[code + w] = acc
+            expansions = new
+    numerators = dict(zip(phase._decoded_keys(shared, list(weight), top + 1), shared.values()))
+    return PotentialSeries._from_numerators(policy, numerators, potential._denominator * dt**top)
+
+
+def _leaves_the_window(potential, transform):
+    """Whether some coefficient class and some class of a row entry the potential uses sum
+    past the window, so that the composition must drop their product."""
+    policy = potential.policy
+    classes = {beta for terms in potential._numerators.values() for beta in terms}
+    entries = {beta for key in potential._numerators for idx in key for _, s in transform.row(idx) for beta in s._terms}
+    return any(b2 not in policy.sums[b1] for b1 in classes for b2 in entries)
+
+
+@pytest.mark.parametrize(
+    "name, window", [("P1", (3, 6, 4)), ("P2", (3, 5, 3)), ("P2-rescaled", (3, 5, 3)), ("quadric", (3, 4, 2))]
+)
+def test_flat_compose_matches_the_kernel_reference(p1, p2, name, window):
+    """The composition keyed by code·C + class index equals the one that multiplies class
+    dicts through the truncated-product kernel, and the standard potential.  On the quadric
+    a coefficient class and an entry class sum past the window, and that product is
+    dropped."""
+    if name == "P2-rescaled":
+        model = GeometryModel.from_dict(RESCALED_PLANE)
+        table = PrimaryTable.from_records(model, _rescaled_table("4"))
+    else:
+        model, table = _model_and_table(p1, p2, name)
+    engine = CorrelatorEngine(model, table)
+    policy = model.policy(window[0], max_x_degree=window[1], max_descendant=window[2])
+    modified, transform = potential_modified(engine, policy), build_transform(engine, policy)
+    composed = compose_with_transform(modified, transform)
+    assert not composed.is_zero()
+    assert composed == _kernel_compose_reference(modified, transform) == potential_standard(engine, policy)
+    if name == "quadric":
+        assert _leaves_the_window(modified, transform)
+
+
+def test_flat_compose_matches_the_kernel_reference_on_a_two_term_entry():
+    """A hand-built transform whose entries have two terms each, one of them off the zero
+    class, and a unit entry off the diagonal: the flat composition equals the kernel one,
+    including the products it drops past the window."""
+    model = quadric_model()
+    policy = model.policy(2, max_x_degree=3, max_descendant=1)
+    one = NovikovSeries.one(policy)
+    q = {beta: NovikovSeries.monomial(policy, beta) for beta in [(1, 0), (0, 1), (1, 1)]}
+    entries = {(idx, idx): one for idx in phase_indices(policy, model.rank)}
+    entries[((0, 1), (1, 2))] = 2 * one - q[(0, 1)]
+    entries[((0, 0), (1, 3))] = Fraction(1, 3) * q[(1, 0)] + q[(1, 1)]
+    entries[((0, 3), (1, 0))] = one
+    transform = PhaseTransform(policy, model.rank, entries)
+    potential = PotentialSeries(
+        policy,
+        {
+            ((0, 0), (0, 1), (0, 3)): one + q[(1, 1)],
+            ((0, 1), (0, 1), (0, 0)): Fraction(1, 2) * q[(0, 1)] - q[(1, 0)],
+            ((0, 3),): q[(0, 1)],
+        },
+    )
+    composed = compose_with_transform(potential, transform)
+    assert _leaves_the_window(potential, transform)
+    assert composed == _kernel_compose_reference(potential, transform) == _compose_multiplying_every_entry(potential, transform)
+    assert not composed.is_zero()
 
 
 def test_compose_keeps_keys_of_fewer_than_three_indices(p1_engine, p1):
