@@ -567,8 +567,8 @@ def _potential(
     over D·N!, N = max_x_degree, scaled by the int N!/(multiplicity factor); the Fractions of a
     reduction with a cup part or pairing not integral are lifted to their lcm."""
     keys, codes = _admissible_keys(engine, policy, indices, modified)
-    slot, reduce = (lambda key: None, None) if modified else _axiom_reduction(engine.model, policy)
-    slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None}  # the reduced keys
+    slot, reduce = (None, None) if modified else _axiom_reduction(engine.model, policy)
+    slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None} if slot else {}  # the reduced keys
     # the nonzero terms of every engine key, then as numerators over the common denominator
     built: dict[int, dict[CurveClass, int | Fraction]] = {}
     for (key, classes), code in zip(keys.items(), codes):
@@ -581,7 +581,7 @@ def _potential(
     for code, terms in built.items():  # in place, so each key's Fractions go as its numerators come
         built[code] = _numerators(terms, denominator)
     # per class, {code: numerator} of the engine keys, and of each reduced key once it is formed
-    tables = {beta: {code: terms[beta] for code, terms in built.items() if beta in terms} for beta in policy.degrees}
+    tables = {beta: {code: terms[beta] for code, terms in built.items() if beta in terms} for beta in policy.degrees} if slots else None
     top = factorial(policy.max_x_degree)
     denominator *= top
     next_key = zip(codes, keys.values()).__next__  # _assemble asks for each key once, in order

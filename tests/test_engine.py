@@ -759,17 +759,18 @@ class _FirstSlotEngine(CorrelatorEngine):
 @pytest.mark.parametrize(
     "name, window, memo",
     [
-        ("P1", (3, 6, 4), None),
+        ("P1", (3, 6, 4), (96, 96)),
         ("P2", (3, 5, 3), (993, 1138)),
-        ("quadric", (2, 4, 2), None),
-        ("P2-rescaled", (3, 5, 3), None),
+        ("quadric", (3, 4, 3), (1983, 2071)),
+        ("P2-rescaled", (3, 5, 3), (993, 1138)),
     ],
 )
 def test_lowering_at_the_cheapest_slot_matches_the_first_slot(p1, p2, name, window, memo):
     """Theorem 1.2 holds at every slot: the standard potential with each core lowered at its
     slot of least d + deg(a) equals, key for key, the one with each core lowered at its first
-    positive-level slot.  On P2 at (3,5,3) the cheapest slot leaves 993 memo entries where the
-    first slot leaves 1,138."""
+    positive-level slot.  The memo sizes of both are pinned: on P2 at (3,5,3) the cheapest slot
+    leaves 993 entries where the first slot leaves 1,138, and on P1 the two rules pick the same
+    slots.  The quadric runs at (3,4,3), since at (2,4,2) both rules build the same memo."""
     if name == "P2-rescaled":
         model = GeometryModel.from_dict(RESCALED_PLANE)
         table = PrimaryTable.from_records(model, _rescaled_table("4"))
@@ -784,8 +785,26 @@ def test_lowering_at_the_cheapest_slot_matches_the_first_slot(p1, p2, name, wind
     standard = potential_standard(engine, policy)
     assert not standard.is_zero()
     assert standard == potential_standard(reference, policy)
-    if memo is not None:
-        assert (len(engine._memo), len(reference._memo)) == memo
+    assert (len(engine._memo), len(reference._memo)) == memo
+
+
+def test_gen_lowers_the_cheapest_slot_and_the_first_on_a_tie(p2):
+    """``_gen`` lowers the d >= 1 slot of least d + deg(a): τ_2(one) before τ_1(h2), and of
+    τ_1(h2) and τ_2(h), which tie at 3, the first in the sorted core."""
+    engine = CorrelatorEngine(p2.model, p2.primary)
+    one, h, h2 = (p2.model.label_index(label) for label in ("one", "h", "h2"))
+    picks = []
+    lower = engine._gen_apply_relation
+
+    def recording(beta, ins, j):
+        picks.append((ins, j))
+        return lower(beta, ins, j)
+
+    engine._gen_apply_relation = recording  # the recursions look it up on the instance
+    for core, slot in [(((0, 0, h2), (1, 0, h2), (2, 0, one)), 2), (((0, 0, h2), (1, 0, h2), (2, 0, h)), 1)]:
+        picks.clear()
+        engine._gen((1,), core)
+        assert picks[0] == (core, slot)
 
 
 def test_cache_transparency(p1, p2):
