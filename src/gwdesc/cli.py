@@ -29,7 +29,7 @@ from .phase import (
     potential_standard,
     summed_correlator,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, require_applicable, run_suite
 
 _TOKEN = re.compile(r"^tau\((\d+)(?:,(\d+))?\):([A-Za-z0-9_]+)$")
 
@@ -220,6 +220,12 @@ def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     overall = True
     for name in names:
+        if args.suite == "all":
+            try:
+                require_applicable(name, model)
+            except ValueError as exc:  # a named suite that does not apply exits 2 from run_suite
+                print(f"[SKIP] {exc}")
+                continue
         result = run_suite(
             name,
             model,

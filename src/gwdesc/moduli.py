@@ -147,13 +147,14 @@ def constant_map_correlator(
     The dimension constraints are screened in two halves before any cup
     product is formed.  The exponent half runs first and reads no class: it
     returns zero when the descendant exponents alone rule the pattern out,
-    whatever the classes' degrees (which are >= 0).  The degree half runs
-    once the multilinearity split has made every insertion homogeneous, on
-    the integer degrees.  The screen gives the same value as cupping first on
-    any model that passes ``validate()``: by ``cup-graded`` the product of
-    the insertions is zero or homogeneous of the summed degree, by
-    ``degrees-in-range`` it is zero when that degree exceeds the dimension,
-    and by ``integral-top-degree`` it integrates to zero off the top degree.
+    whatever the classes' degrees (which are >= 0).  The degree half runs on
+    the integer degrees; a zero insertion returns zero, and a mixed one skips
+    it, since the cup-first expansion is multilinear.  The screen gives the
+    same value as cupping first on any model that passes ``validate()``: by
+    ``cup-graded`` the product of the insertions is zero or homogeneous of the
+    summed degree, by ``degrees-in-range`` it is zero when that degree exceeds
+    the dimension, and by ``integral-top-degree`` it integrates to zero off the
+    top degree.
     """
     if g < 0:
         raise ValueError("genus must be non-negative")
@@ -176,29 +177,18 @@ def constant_map_correlator(
     elif delta >= 4 or exponent_sum > (g - 1) * (3 - delta) + n:
         return _ZERO
 
-    # multilinearity: split any mixed-degree insertion into its homogeneous
-    # components, one per degree, so that terms of one degree still cancel;
-    # degree_of is None only for a mixed or a zero class, and a zero class has
-    # no component, so its sum stays 0; the slot is found only then, as the first
-    # class equal to this one (an equal class before it would have read None first)
+    # degree half of the screen; degree_of is None only for a zero or a mixed class
     degree_sum = 0
-    for d, cls in insertions:
+    mixed = False
+    for _, cls in insertions:
         degree = model.degree_of(cls)
-        if degree is None:
-            slot = [c for _, c in insertions].index(cls)
-            total = Fraction(0)
-            for part_degree in sorted({model.degrees[idx] for idx in cls.support()}):
-                part = CohClass(
-                    tuple(c if model.degrees[i] == part_degree else Fraction(0) for i, c in enumerate(cls.coeffs))
-                )
-                rest = list(insertions)
-                rest[slot] = (d, part)
-                total += constant_map_correlator(g, rest, model, table)
-            return total
-        degree_sum += degree
-
-    # degree half of the screen
-    if degree_sum > delta or exponent_sum + degree_sum != (g - 1) * (3 - delta) + n:
+        if degree is not None:
+            degree_sum += degree
+        elif cls.is_zero():
+            return _ZERO
+        else:
+            mixed = True
+    if not mixed and (degree_sum > delta or exponent_sum + degree_sum != (g - 1) * (3 - delta) + n):
         return _ZERO
     return _constant_maps(g, insertions, model, table)
 

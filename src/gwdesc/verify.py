@@ -79,15 +79,10 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
 
     Checks every exponent multiset of 3 ≤ n ≤ ``nmax`` marks whose sum is at
     most n − 1: the dimension n − 3, where the value is a multinomial, and the
-    off-dimension sums n − 2 and n − 1, which must give 0.  The machinery under
-    test is model-independent; when handed a positive-dimensional model the
-    suite runs on the built-in zero-dimensional fixture instead and says so.
+    off-dimension sums n − 2 and n − 1, which must give 0.  The closed form
+    holds on a zero-dimensional model, the only kind this suite checks.
     """
-    lines: list[str] = []
-    if model.dimension != 0:
-        fixture = load_fixture("point")
-        model, primary = fixture.model, fixture.primary
-        lines.append("ran on the zero-dimensional fixture")
+    require_applicable("point-oracle", model)
     engine = CorrelatorEngine(model, primary)
     one = model.unit
     checked = 0
@@ -99,8 +94,7 @@ def suite_point_oracle(model: GeometryModel, primary: PrimaryTable, nmax: int = 
             want = psi_integral_genus0(list(exps))
             if got != want:
                 failures.append(f"exponents {exps}: got {got}, expected {want}")
-    lines = [f"checked {checked} exponent multisets up to n={nmax}"] + lines
-    return _verdict("point-oracle", lines, failures, checked)
+    return _verdict("point-oracle", [f"checked {checked} exponent multisets up to n={nmax}"], failures, checked)
 
 
 def suite_transform(
@@ -130,22 +124,10 @@ def suite_transform(
 
 
 def suite_enumerative(model: GeometryModel, primary: PrimaryTable, dmax: int = 4) -> SuiteResult:
-    """Engine-summed plane counts against the associativity oracle.
-
-    Runs on the given model when it is plane-shaped (so user-supplied plane
-    tables are screened too); otherwise falls back to the built-in plane
-    fixture.
-    """
+    """Engine-summed plane counts against the associativity oracle, on a
+    plane-shaped model (so user-supplied plane tables are screened too)."""
+    require_applicable("enumerative", model)
     lines: list[str] = []
-    plane_shaped = (
-        model.dimension == 2
-        and model.lattice_rank == 1
-        and any(d == 2 for d in model.degrees)
-    )
-    if not plane_shaped:
-        fixture = load_fixture("P2")
-        model, primary = fixture.model, fixture.primary
-        lines.append("ran on the built-in plane fixture")
     engine = CorrelatorEngine(model, primary)
     oracle = plane_curve_counts(dmax) if dmax >= 1 else {}  # below degree 1 no check runs
     top = next(model.basis_class(i) for i, d in enumerate(model.degrees) if d == 2)
@@ -459,8 +441,11 @@ def suite_point_vanishing(models: list[GeometryModel] | None = None) -> SuiteRes
                         failed.append(f"{model.name} g={g} pattern {key}: nonzero {value}")
         for failed in by_genus:
             failures.extend(failed)
+    dims = [model.dimension for model in models]
+    span = f" (dimensions {min(dims)}..{max(dims)})" if dims else ""
+    scope = f"model {models[0].name} (dimension {dims[0]})" if len(models) == 1 else f"{len(models)} models{span}"
     head = [
-        f"checked {checked} patterns over {len(models)} models (dimensions 0..3)",
+        f"checked {checked} patterns over {scope}",
         f"admissible patterns skipped: {skipped}",
     ]
     return _verdict("point-vanishing", head, failures, checked - skipped)
@@ -519,6 +504,22 @@ def suite_determinism(model: GeometryModel, primary: PrimaryTable, qmax: int = 2
 
 # ----------------------------------------------------------------------
 
+# What a suite needs of its model, read by ``require_applicable`` only; a suite not named here checks any model.
+NEEDS: dict[str, tuple[str, Callable[[GeometryModel], bool]]] = {
+    "point-oracle": ("a zero-dimensional model", lambda m: m.dimension == 0),
+    "enumerative": ("a plane-shaped model (dimension 2, lattice rank 1 and a degree-2 class)",
+                    lambda m: (m.dimension, m.lattice_rank) == (2, 1) and 2 in m.degrees),
+}
+
+
+def require_applicable(name: str, model: GeometryModel) -> None:
+    """The one applicability rule: a suite checks only the model it is given, so this raises
+    ``ValueError`` ("suite NAME: needs …"), before any check runs, when ``name`` does not apply."""
+    need = NEEDS.get(name)
+    if need is not None and not need[1](model):
+        raise ValueError(f"suite {name}: needs {need[0]}")
+
+
 # Each runner takes the ``gwdesc verify`` window options and calls its suite with them.
 SUITES: dict[str, Callable[..., SuiteResult]] = {
     "point-oracle": lambda model, primary, nmax, **_: suite_point_oracle(model, primary, nmax=nmax),
@@ -528,7 +529,7 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
     "identities": lambda model, primary, qmax, count, seed, **_: suite_identities(model, primary, count, seed, qmax),
     "two-point-paths": lambda model, primary, qmax, dmax, **_: suite_two_point_paths(model, primary, qmax, dmax),
     "degree-zero-collapse": lambda model, primary, **_: suite_degree_zero_collapse(model, primary),
-    "point-vanishing": lambda model, primary, **_: suite_point_vanishing(),
+    "point-vanishing": lambda model, primary, **_: suite_point_vanishing([model]),
     "determinism": lambda model, primary, qmax, **_: suite_determinism(model, primary, qmax=min(qmax, 2)),
 }
 SUITE_NAMES = tuple(SUITES)
@@ -547,4 +548,5 @@ def run_suite(
 ) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    require_applicable(name, model)
     return SUITES[name](model, primary, qmax=qmax, xdeg=xdeg, dmax=dmax, nmax=nmax, count=count, seed=seed)

@@ -429,3 +429,68 @@ def test_degree_screen_matches_cup_first_evaluation_on_scaled_classes(p1, p2):
                     nonzero += not isinstance(want, tuple) and want != 0
     # counts measured with the cup-first code
     assert (compared, nonzero, raised) == (25110, 142, 207)
+
+
+# ----------------------------------------------------------------------
+# mixed classes: cup-first expansion against the per-degree split it replaced
+
+
+def _degree_split_reference(g, insertions, model, table):
+    """The former mixed-class route: split the first mixed insertion into its
+    homogeneous parts, one per degree, and sum the parts' correlators."""
+    for slot, (d, cls) in enumerate(insertions):
+        part_degrees = sorted({model.degrees[i] for i in cls.support()})
+        if len(part_degrees) > 1:
+            total = Fraction(0)
+            for part_degree in part_degrees:
+                part = CohClass(
+                    tuple(c if model.degrees[i] == part_degree else Fraction(0) for i, c in enumerate(cls.coeffs))
+                )
+                rest = list(insertions)
+                rest[slot] = (d, part)
+                total += _degree_split_reference(g, rest, model, table)
+            return total
+    return constant_map_correlator(g, insertions, model, table)
+
+
+def test_mixed_classes_match_the_degree_split(p1, p2):
+    import random
+
+    from gwdesc.fixtures import genus1_taut_table
+    from gwdesc.verify import _p3_like_model
+
+    rng = random.Random(20240801)
+    compared = nonzero = raised = split_only_raised = 0
+    for model in (p1.model, p2.model, _p3_like_model()):
+        for _ in range(600):
+            g = rng.randrange(3)
+            table = rng.choice((None, genus1_taut_table()))
+            insertions = [
+                (rng.randrange(4), CohClass(tuple(Fraction(rng.choice((0, 1, -1, 2))) for _ in range(model.rank))))
+                for _ in range(rng.randint(1, 4))
+            ]
+            insertions[0] = (insertions[0][0], model.unit + model.basis_class(1))  # one mixed class at least
+            want = _outcome(lambda: _degree_split_reference(g, insertions, model, table))
+            got = _outcome(lambda: constant_map_correlator(g, insertions, model, table))
+            compared += 1
+            if isinstance(want, tuple) and not isinstance(got, tuple):
+                # the split asks the table for an integral whose coefficients cancel
+                split_only_raised += 1
+                assert got == 0, (model.name, g, insertions)
+            else:
+                assert got == want, (model.name, g, insertions, table is None)
+                raised += isinstance(want, tuple)
+                nonzero += not isinstance(want, tuple) and want != 0
+    # counts measured with the cup-first code; at the split, split_only_raised is 0
+    assert (compared, nonzero, raised, split_only_raised) == (1800, 56, 281, 11)
+
+
+def test_mixed_class_cancellation_needs_no_table(p1):
+    # on P1, (one + h)(one - h) = one; the split's two degree-1 parts need the same
+    # genus-2 integral with coefficients +1 and -1, which the cup-first product never asks
+    m = p1.model
+    one, h = m.unit, m.class_from_map({"h": 1})
+    insertions = [(0, one + h), (3, one - h)]
+    with pytest.raises(TautTableError):
+        _degree_split_reference(2, insertions, m, None)
+    assert constant_map_correlator(2, insertions, m, None) == 0

@@ -16,9 +16,15 @@ def test_library_quick_start_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_cli_examples_print_their_values(capsys):
-    examples = re.findall(r"^gwdesc (.+?)\s+# -> (.+)$", README, flags=re.MULTILINE)
-    assert len(examples) == 3
+def test_cli_examples_print_their_values(tmp_path, monkeypatch, capsys):
+    # every gwdesc line of the command block exits 0, its --out files landing in a
+    # temporary directory; a line ending in "# -> value" must print that value
+    block = README.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = re.findall(r"^gwdesc (.+?)(?:\s+# -> (.+))?$", block, flags=re.MULTILINE)
+    assert len(examples) == 10 and sum(bool(expected) for _, expected in examples) == 3
+    monkeypatch.chdir(tmp_path)
     for argv, expected in examples:
         assert main(shlex.split(argv)) == 0, argv
-        assert capsys.readouterr().out.strip() == expected, argv
+        out = capsys.readouterr().out
+        if expected:
+            assert out.strip() == expected, argv

@@ -4,6 +4,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, islice
 from math import comb
 from pathlib import Path
@@ -40,10 +41,27 @@ def test_point_oracle_suite(point):
     assert result.render().startswith("[PASS] suite point-oracle")
 
 
-def test_point_oracle_falls_back_to_point_fixture(p1):
-    result = run_suite("point-oracle", p1.model, p1.primary, nmax=5)
-    assert result.ok
-    assert any("zero-dimensional fixture" in line for line in result.lines)
+@pytest.mark.parametrize(
+    "fixture, name", [("p1", "point-oracle"), ("p2", "point-oracle"), ("p1", "enumerative"), ("point", "enumerative")]
+)
+def test_suite_on_a_model_it_does_not_check_raises(request, fixture, name):
+    # each fell back to a built-in fixture and reported a PASS about that fixture
+    fx = request.getfixturevalue(fixture)
+    direct = {"point-oracle": suite_point_oracle, "enumerative": suite_enumerative}[name]
+    for call in (direct, partial(run_suite, name)):
+        with pytest.raises(ValueError, match=f"^suite {name}: needs "):
+            call(fx.model, fx.primary)
+
+
+@pytest.mark.parametrize(
+    "model, suite",
+    [("P1", "point-oracle"), ("P1", "enumerative"), ("P2", "point-oracle"), ("point", "enumerative")],
+)
+def test_named_suite_that_does_not_apply_exits_2(capsys, model, suite):
+    assert main(["verify", "--model", model, "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: suite {suite}: needs ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", range(3, 12))
@@ -223,7 +241,9 @@ def test_render_shape(p1):
     assert "checked" in text
 
 
-# a window in which each suite runs no check; the last four printed [PASS] after 0 checks
+# a window in which each suite runs no check, on a model the suite applies to (P1 unless
+# EMPTY_WINDOW_MODELS names another); the last four printed [PASS] after 0 checks
+EMPTY_WINDOW_MODELS = {"point-oracle": "point", "enumerative": "p2"}
 EMPTY_WINDOWS = {
     "identities": lambda fx: suite_identities(fx.model, fx.primary, count=0),
     "point-oracle": lambda fx: suite_point_oracle(fx.model, fx.primary, nmax=2),
@@ -237,12 +257,49 @@ EMPTY_WINDOWS = {
 
 
 @pytest.mark.parametrize("name", list(EMPTY_WINDOWS))
-def test_suites_fail_when_no_check_ran(p1, name):
+def test_suites_fail_when_no_check_ran(request, name):
     # called directly, a window that runs no check must not read as a pass
-    result = EMPTY_WINDOWS[name](p1)
+    result = EMPTY_WINDOWS[name](request.getfixturevalue(EMPTY_WINDOW_MODELS.get(name, "p1")))
     assert result.name == name and not result.ok
     assert result.render().startswith(f"[FAIL] suite {name}")
     assert result.lines[-1] == "no checks ran"
+
+
+PLANE_NEED = "a plane-shaped model (dimension 2, lattice rank 1 and a degree-2 class)"
+SKIPPED = {
+    "P1": {"point-oracle": "a zero-dimensional model", "enumerative": PLANE_NEED},
+    "P2": {"point-oracle": "a zero-dimensional model"},
+    "point": {"enumerative": PLANE_NEED},
+}
+
+
+def _verify_all(capsys, *argv):
+    code = main(["verify", *argv, "--suite", "all", "--qmax", "2", "--count", "40"])
+    out = capsys.readouterr().out
+    return code, out, [line for line in out.splitlines() if line.startswith("[")]
+
+
+@pytest.mark.parametrize("model", list(SKIPPED))
+def test_verify_all_reports_only_on_the_given_model(capsys, model):
+    skipped = SKIPPED[model]
+    code, _, heads = _verify_all(capsys, "--model", model)
+    assert code == 0
+    assert heads == [
+        f"[SKIP] suite {name}: needs {skipped[name]}" if name in skipped else f"[PASS] suite {name}"
+        for name in SUITE_NAMES
+    ]
+
+
+def test_verify_all_on_a_doubled_p1_table_names_no_other_model(tmp_path, capsys, p1):
+    # with <h h h>_1 doubled, three of the nine PASS lines were about the point, P2 and
+    # the four-model scan; now each suite line, whatever its verdict, is about this P1
+    geometry, table = tmp_path / "p1.json", tmp_path / "doubled.json"
+    geometry.write_text(json.dumps(p1.model.to_dict()))
+    table.write_text(json.dumps([{"beta": [1], "classes": ["h", "h", "h"], "value": "2"}]))
+    _, out, heads = _verify_all(capsys, "--model", str(geometry), "--primary", str(table))
+    _, _, p1_heads = _verify_all(capsys, "--model", "P1")
+    assert [line.split("]", 1)[1] for line in heads] == [line.split("]", 1)[1] for line in p1_heads]
+    assert "fixture" not in out and "over model P1 (dimension 1)" in out
 
 
 def test_readme_lists_every_suite_in_order():
