@@ -13,7 +13,9 @@ Evaluation strategy, in reduction order:
 * a generalized correlator whose pulled-back powers sum past n - 3 is zero
   without evaluation, since they come from the curve moduli of n marks,
   whose dimension is n - 3;
-* base cases: the three-point table and constant-map closed forms;
+* base cases: the three-point values, all read by ``PrimaryTable.three_point``
+  (the integral of the cup product at the zero class, the table elsewhere),
+  and the constant-map closed forms;
 * the unstable range (two-, one- and zero-point at nonzero class) is one
   divisor-relation step with the ample divisor.  For two marks the value
   with the divisor added is one step of the first reduction above (its
@@ -23,26 +25,28 @@ Evaluation strategy, in reduction order:
 The dimension count is screened once per query, at the entry.  Everything
 is memoized on canonically sorted keys, so values are independent of
 insertion order and of evaluation interleaving.  The pairings c1·beta and
-gamma0·beta, the divisor pairings D·beta of the n-point primaries and the
-basis coefficients of a class are held as ints where integral (a factor 1 is
-skipped).  The memo holds an integral value as an int too (see exact.narrow),
-and the sums start at the int 0; every public entry returns a Fraction, and
-``_core`` returns the memo's int or Fraction as it is.
+gamma0·beta, the divisor pairings D·beta of the n-point primaries and each
+class's splittings are formed once per engine, in ``functools.cache``
+wrappers.  The pairings and the basis coefficients of a class are held as
+ints where integral (a factor 1 is skipped).  The memo holds an integral
+value as an int too (see exact.narrow), and the sums start at the int 0;
+every public entry returns a Fraction, and ``_core`` returns the memo's int
+or Fraction as it is.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product as _cartesian
 from math import comb
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .exact import (
-    CurveClass, GwdescError, TableFormatError, TruncationPolicy, beta_splittings, format_rational, json_int_list,
-    json_rational, narrow,
+    CurveClass, GwdescError, TableFormatError, TruncationPolicy, beta_splittings, format_rational, is_exact,
+    json_int_list, json_rational, narrow,
 )
 from .geometry import CohClass, GeometryModel, ModelError
 from .moduli import TautTable, constant_map_correlator
@@ -74,8 +78,10 @@ class PrimaryTable:
     """Three-point primary values at nonzero curve classes.
 
     Entries are symmetrized on load and screened against the genus-zero
-    dimension constraint; zero-class records and records with an identity
-    insertion are rejected (those values are never table data).
+    dimension constraint; zero-class records, records with an identity
+    insertion (those values are never table data) and values that are not an
+    int or a Fraction are rejected.  :meth:`three_point` is the one reader of
+    three-point values, at every class.
     """
 
     def __init__(self, model: GeometryModel, records: Sequence[tuple[CurveClass, tuple[int, int, int], Fraction]] = ()) -> None:
@@ -85,6 +91,10 @@ class PrimaryTable:
         for beta, triple, value in records:
             beta = tuple(beta)
             triple = tuple(sorted(triple))
+            if type(value) is not Fraction:
+                if not is_exact(value):
+                    raise TableFormatError(f"record {beta}/{triple}: value must be an int or a Fraction, got {value!r}")
+                value = Fraction(value)
             if len(beta) != model.lattice_rank:
                 raise TableFormatError(f"record {beta}: wrong lattice rank")
             if not any(beta):
@@ -110,6 +120,23 @@ class PrimaryTable:
 
     def value(self, beta: CurveClass, ia: int, ib: int, ic: int) -> Fraction:
         return self._table.get((tuple(beta), tuple(sorted((ia, ib, ic)))), _ZERO)
+
+    def three_point(self, beta: CurveClass, x: CohClass, y: CohClass, z: CohClass) -> int | Fraction:
+        """The three-point primary <x y z>_beta, multilinear in the classes: the integral of
+        x ∪ y ∪ z at the zero class, else the sum from the int 0 of the table's values at each
+        triple of basis indices, weighted by the classes' parts.  The table is read only at a
+        nonzero class."""
+        if not any(beta):
+            return self.model.integrate(self.model.cup(self.model.cup(x, y), z))
+        total = 0
+        for cx, ix in x.parts:
+            for cy, iy in y.parts:
+                for cz, iz in z.parts:
+                    value = self.value(beta, ix, iy, iz)
+                    if value:
+                        coeff = cx * cy * cz
+                        total += value if coeff == 1 else coeff * value
+        return total
 
     def records(self) -> list[dict]:
         out = []
@@ -187,13 +214,17 @@ class CorrelatorEngine:
         self._lowered = [model.cup(self.gamma0, model.basis_class(a)).parts for a in range(model.rank)]
         self._memo: dict = {} if use_cache else _NoMemo()
         self._active: set = set()
-        # c1·beta and gamma0·beta per class and basis[a]·beta per (a, class) (an int where
-        # integral, see exact.narrow); each window's classes grouped by c1·beta; each class's splittings
-        self._c1: dict[CurveClass, int | Fraction] = {}
-        self._g0: dict[CurveClass, int | Fraction] = {}
-        self._basis_pairings: dict[tuple[int, CurveClass], int | Fraction] = {}
+        # c1·beta and gamma0·beta per class and basis[a]·beta per (a, class), an int where integral
+        # (see exact.narrow), and beta_splittings(beta) per class, whose first splitting is (0, beta),
+        # each formed once.  The caches close over the model and gamma0, not self, so reference
+        # counting frees the engine, and look up beta_splittings and the pairings when called.
+        gamma0 = self.gamma0
+        self._c1_beta = cache(lambda beta: narrow(model.c1_pairing(beta)))
+        self._g0 = cache(lambda beta: narrow(model.beta_pairing(gamma0, beta)))
+        self._basis_pairing = cache(lambda a, beta: narrow(model.beta_pairing(model.basis_class(a), beta)))
+        self._splittings = cache(lambda beta: tuple(beta_splittings(beta)))
+        # each window's classes grouped by c1·beta
         self._windows: dict[TruncationPolicy, dict[int | Fraction, list[CurveClass]]] = {}
-        self._splits: dict[CurveClass, tuple[tuple[CurveClass, CurveClass], ...]] = {}
 
     # ------------------------------------------------------------------
     # small helpers
@@ -206,37 +237,16 @@ class CorrelatorEngine:
             raise ValueError("curve classes must be effective")
         return beta
 
-    def _c1_beta(self, beta: CurveClass) -> int | Fraction:
-        c1 = self._c1.get(beta)
-        if c1 is None:
-            c1 = self._c1[beta] = narrow(self.model.c1_pairing(beta))
-        return c1
-
     def _gamma0_pairing(self, beta: CurveClass) -> int | Fraction:
-        pairing = self._g0.get(beta)
-        if pairing is None:
-            pairing = self._g0[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
+        pairing = self._g0(beta)
         if pairing == 0:
             raise ValueError(f"reduction divisor pairs to zero with {beta}; not ample there")
-        return pairing
-
-    def _basis_pairing(self, a: int, beta: CurveClass) -> int | Fraction:
-        pairing = self._basis_pairings.get((a, beta))
-        if pairing is None:
-            pairing = self._basis_pairings[a, beta] = narrow(self.model.beta_pairing(self.model.basis_class(a), beta))
         return pairing
 
     @cached_property
     def _dual_parts(self) -> list[tuple[tuple[int | Fraction, int], ...]]:
         """The pairing-dual basis as parts, built on first use (it needs a nondegenerate pairing)."""
         return [dual.parts for dual in self.model.dual_basis()]
-
-    def _splittings(self, beta: CurveClass) -> tuple[tuple[CurveClass, CurveClass], ...]:
-        """beta_splittings(beta), formed once per class; the first splitting is (0, beta)."""
-        splits = self._splits.get(beta)
-        if splits is None:
-            splits = self._splits[beta] = tuple(beta_splittings(beta))
-        return splits
 
     def _c1_needed(self, n: int, total: int) -> int:
         """The c1·beta at which n insertions of degree sum total pass dimension + c1·beta + n - 3 == total."""
@@ -283,17 +293,6 @@ class CorrelatorEngine:
         return self.model.basis_of_degree(self._c1_beta(beta) - self._c1_needed(n, others))
 
     # ------------------------------------------------------------------
-    # base values
-
-    def _primary3(self, beta: CurveClass, triple: tuple[int, int, int]) -> Fraction:
-        if not any(beta):
-            x = self.model.unit
-            for idx in triple:
-                x = self.model.cup(x, self.model.basis_class(idx))
-            return self.model.integrate(x)
-        return self.primary_table.value(beta, *triple)
-
-    # ------------------------------------------------------------------
     # unstable range at nonzero class: one divisor-relation step
 
     def _unstable(self, beta: CurveClass, ins: tuple[Insertion, ...], route: str = "divisor") -> int | Fraction:
@@ -325,7 +324,8 @@ class CorrelatorEngine:
             if n == 2:
                 j = next((p for p, (d, _, _) in enumerate(with_divisor) if d >= 1), None)
                 if j is None:
-                    value = self._primary3(beta, tuple(a for _, _, a in with_divisor))
+                    basis = self.model.basis_class
+                    value = self.primary_table.three_point(beta, *(basis(a) for _, _, a in with_divisor))
                 else:
                     value = self._gen_apply_relation(beta, with_divisor, j)
             else:
@@ -455,7 +455,7 @@ class CorrelatorEngine:
 
     def _primary(self, beta: CurveClass, classes: tuple[int, ...]) -> int | Fraction:
         if len(classes) == 3:
-            return self._primary3(beta, classes)
+            return self.primary_table.three_point(beta, *map(self.model.basis_class, classes))
         if not any(beta):
             return 0
         degrees = [self.model.degrees[a] for a in classes]

@@ -80,6 +80,12 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def is_exact(value) -> bool:
+    """Whether a Python number is taken as an exact rational: an int or a Fraction.  A bool
+    is not (``True`` is no coefficient), nor a float, whose binary value is not its decimal."""
+    return type(value) is int or isinstance(value, Fraction)
+
+
 def format_rational(value: Fraction) -> str:
     """Render an exact rational as "p/q", or "p" when the denominator is 1."""
     return str(value)
@@ -222,7 +228,8 @@ class NovikovSeries:
     Instances are immutable by convention: every operation returns a new
     series, re-truncated against the shared policy.  Zero coefficients are
     never stored.  The public constructor truncates its terms, rejects a
-    class that is not effective and coerces the coefficients to Fraction;
+    class that is not effective and turns int coefficients into Fractions
+    (any other coefficient is a TypeError);
     the ring operations, whose terms are already in the window and
     Fractions, build their results through :meth:`_trusted`.
     """
@@ -243,6 +250,8 @@ class NovikovSeries:
                 policy.reject_non_effective(beta)  # above the window: dropped
                 continue
             if type(coeff) is not Fraction:
+                if not is_exact(coeff):
+                    raise TypeError(f"series coefficient must be an int or a Fraction, got {coeff!r}")
                 coeff = Fraction(coeff)
             if coeff:
                 acc[beta] = acc[beta] + coeff if beta in acc else coeff
@@ -266,7 +275,7 @@ class NovikovSeries:
 
     @classmethod
     def monomial(cls, policy: TruncationPolicy, beta: CurveClass, coeff: Fraction | int = 1) -> NovikovSeries:
-        return cls(policy, {tuple(beta): Fraction(coeff)})
+        return cls(policy, {tuple(beta): coeff})
 
     def coefficient(self, beta: CurveClass) -> Fraction:
         return self._terms.get(tuple(beta), Fraction(0))

@@ -23,6 +23,7 @@ from .exact import (
     _Frozen,
     format_rational,
     invert_matrix,
+    is_exact,
     json_int,
     json_int_list,
     json_object,
@@ -65,6 +66,8 @@ class CohClass(_Frozen):
         return CohClass(tuple(-a for a in self.coeffs))
 
     def __mul__(self, scalar) -> CohClass:
+        if not is_exact(scalar):  # a float or a bool is a TypeError, not its binary rational
+            return NotImplemented
         q = Fraction(scalar)
         return CohClass(tuple(a * q for a in self.coeffs))
 
@@ -180,7 +183,7 @@ class GeometryModel:
             for label in by_label:
                 if label not in self._index:
                     raise ModelError(f"{field}: unknown basis label {label!r}")
-        self._integral = tuple(Fraction(integral.get(label, 0)) for label in labels)
+        self._integral = self.class_from_map(integral).coeffs
         self._pairing_rows = {label: tuple(row) for label, row in divisor_pairing.items()}
         self.ample = self.class_from_map(ample)
         self.chern = tuple(self.class_from_map(c) for c in chern)
@@ -240,6 +243,8 @@ class GeometryModel:
         for label, value in coeffs.items():
             if label not in self._index:
                 raise ModelError(f"unknown basis label {label!r}")
+            if not (isinstance(value, str) or is_exact(value)):
+                raise ModelError(f"coefficient of {label!r} must be an int, a Fraction or a rational string, got {value!r}")
             vec[self._index[label]] = parse_rational(value) if isinstance(value, str) else Fraction(value)
         return CohClass(tuple(vec))
 

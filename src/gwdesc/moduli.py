@@ -16,7 +16,7 @@ from math import factorial
 from pathlib import Path
 from typing import Sequence
 
-from .exact import GwdescError, TableFormatError, _slots_repr, json_int, json_int_list, json_rational
+from .exact import GwdescError, TableFormatError, _slots_repr, is_exact, json_int, json_int_list, json_rational
 from .geometry import CohClass, GeometryModel
 
 
@@ -78,10 +78,15 @@ class TautTable:
             dim = 3 * rec.g - 3 + rec.n
             if sum(rec.psi) + sum(rec.lambdas) != dim:
                 raise TableFormatError(f"entry {rec} does not match the moduli dimension {dim}")
+            value = rec.value
+            if type(value) is not Fraction:
+                if not is_exact(value):
+                    raise TableFormatError(f"entry {rec}: value must be an int or a Fraction")
+                value = Fraction(value)
             key = self._key(rec.g, rec.n, rec.psi, rec.lambdas)
-            if key in self._table and self._table[key] != rec.value:
+            if key in self._table and self._table[key] != value:
                 raise TableFormatError(f"conflicting values for {key}")
-            self._table[key] = rec.value
+            self._table[key] = value
 
     @staticmethod
     def _key(g: int, n: int, psi: Sequence[int], lambdas: Sequence[int]):

@@ -11,6 +11,7 @@ series.  Every object here is exact and truncated by one shared policy.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, compress
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -47,7 +48,7 @@ def summed(
 ) -> NovikovSeries:
     """The series of ``value(beta)`` over ``classes``, by default every effective class of the window.
 
-    ``value`` must return a Fraction and ``classes`` must lie inside the window: the series
+    ``value`` must return a Fraction or the int 0 and ``classes`` must lie inside the window: the series
     is built unchecked (see :meth:`NovikovSeries._trusted`), which drops only the zero terms."""
     betas = policy.iter_effective() if classes is None else classes
     return NovikovSeries._trusted(policy, {beta: value(beta) for beta in betas})
@@ -76,27 +77,8 @@ def summed_correlator(
 
 
 # ----------------------------------------------------------------------
-# primary three-point series and the small quantum product (table-only path)
-
-
-def _primary3_multilinear(
-    model: GeometryModel,
-    table: PrimaryTable,
-    beta: CurveClass,
-    x: CohClass,
-    y: CohClass,
-    z: CohClass,
-) -> Fraction:
-    if beta_is_zero(beta):
-        return model.integrate(model.cup(model.cup(x, y), z))
-    total = Fraction(0)
-    for ix in x.support():
-        for iy in y.support():
-            for iz in z.support():
-                value = table.value(beta, ix, iy, iz)
-                if value:
-                    total += x.coeffs[ix] * y.coeffs[iy] * z.coeffs[iz] * value
-    return total
+# the small quantum product and the primary-only two-point route (table-only path:
+# each three-point value is read by PrimaryTable.three_point)
 
 
 def quantum_product(
@@ -114,7 +96,7 @@ def quantum_product(
     reduction engine.
     """
     return tuple(
-        summed(policy, lambda beta: _primary3_multilinear(model, table, beta, dual, x, y))
+        summed(policy, lambda beta: table.three_point(beta, dual, x, y))
         for dual in model.dual_basis()
     )
 
@@ -160,19 +142,15 @@ class _PrimaryTwoPoint:
         self.model = model
         self.table = table
         self.policy = policy
-        self.gamma0 = gamma0 if gamma0 is not None else model.ample
-        self._pairings: dict[CurveClass, int | Fraction] = {}
+        self.gamma0 = gamma0 = gamma0 if gamma0 is not None else model.ample
+        # gamma0·beta per class, an int where integral; the cache closes over the model and
+        # gamma0, not self, and looks up the pairing when called
+        self._pairing = cache(lambda beta: narrow(model.beta_pairing(gamma0, beta)))
         # _levels[l][a][b] is ⟨τ_l(T_a) T_b⟩; _shift[a] the parts of gamma0 ∪ T_a and
         # _products[b] the nonzero (c, terms of (gamma0 * T_b)_c), both formed with level 0
         self._levels: list[list[list[NovikovSeries]]] = []
         self._shift: list[tuple[tuple[int | Fraction, int], ...]] = []
         self._products: list[list[tuple[int, dict[CurveClass, Fraction]]]] = []
-
-    def _pairing(self, beta: CurveClass) -> int | Fraction:
-        pairing = self._pairings.get(beta)
-        if pairing is None:
-            pairing = self._pairings[beta] = narrow(self.model.beta_pairing(self.gamma0, beta))
-        return pairing
 
     def series(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
         if d < 0:
@@ -201,7 +179,7 @@ class _PrimaryTwoPoint:
         return [
             [
                 antiderivative_q(
-                    summed(policy, lambda beta: _primary3_multilinear(model, self.table, beta, gamma0, ta, tb), nonzero),
+                    summed(policy, lambda beta: self.table.three_point(beta, gamma0, ta, tb), nonzero),
                     self._pairing,
                 )
                 for tb in basis

@@ -391,6 +391,18 @@ def test_file_model_without_primary_table(tmp_path, capsys):
     assert out.strip() == "0"
 
 
+def test_file_model_without_primary_table_runs_at_the_zero_class(tmp_path, capsys):
+    # the zero class's three-point values are integrals, so no table value is read there
+    geometry = str(_plane_geometry(tmp_path))
+    code, out, err = run(capsys, "transform", "--model", geometry, "--qmax", "0", "--dmax", "2")
+    assert (code, err) == (0, "") and out
+    ins = "tau(0,1):h2,tau(0):one,tau(0):one,tau(0):one"
+    assert run(capsys, "correlator", "--model", geometry, "--beta", "0", "--ins", ins) == (0, "1\n", "")
+    code, out, err = run(capsys, "transform", "--model", geometry, "--qmax", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--primary" in err and err.count("\n") == 1
+
+
 def _plane_geometry(tmp_path):
     from gwdesc import load_fixture
 

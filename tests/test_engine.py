@@ -100,6 +100,51 @@ def test_primary_table_conflicts_in_either_order(p2, values):
         PrimaryTable.from_records(p2.model, rows)
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1"])
+def test_primary_table_built_in_python_takes_only_exact_values(p1, value):
+    # a float value was stored and the first query ended in an AttributeError from exact.narrow
+    h = cls(p1.model, "h")
+    with pytest.raises(TableFormatError, match=r"record \(1,\)/\(1, 1, 1\): value must be an int or a Fraction"):
+        PrimaryTable(p1.model, [((1,), (1, 1, 1), value)])
+    table = PrimaryTable(p1.model, [((1,), (1, 1, 1), 1)])
+    assert type(table.value((1,), 1, 1, 1)) is Fraction
+    assert CorrelatorEngine(p1.model, table).primary((1,), [h, h, h]) == 1
+
+
+def _three_point_cases(p2):
+    quadric = quadric_model()
+    return [(p2.model, p2.primary, p2.model.policy(2)), (quadric, quadric_table(quadric), quadric.policy(2))]
+
+
+def test_three_point_reads_the_integral_at_zero_and_the_table_elsewhere(p2):
+    for model, table, policy in _three_point_cases(p2):
+        basis = [model.basis_class(i) for i in range(model.rank)]
+        for beta in policy.iter_effective():
+            for (i, x), (j, y), (k, z) in product(enumerate(basis), repeat=3):
+                if any(beta):
+                    want = table.value(beta, i, j, k)
+                else:
+                    want = model.integrate(model.cup(model.cup(x, y), z))
+                assert table.three_point(beta, x, y, z) == want, (model.name, beta, i, j, k)
+
+
+def test_three_point_of_mixed_classes_sums_over_their_parts(p2):
+    for model, table, policy in _three_point_cases(p2):
+        basis = [model.basis_class(i) for i in range(model.rank)]
+        mixed = [model.unit - basis[1], basis[1] + 2 * basis[-1]]  # one - h and h + 2·pt on P2
+        nonzero = 0
+        for beta in policy.iter_effective():
+            for x, y, z in product(mixed + basis[1:2], repeat=3):
+                want = sum(
+                    cx * cy * cz * table.three_point(beta, basis[i], basis[j], basis[k])
+                    for cx, i in x.parts for cy, j in y.parts for cz, k in z.parts
+                )
+                got = table.three_point(beta, x, y, z)
+                assert got == want and type(got) in (int, Fraction), (model.name, beta, x, y, z)
+                nonzero += got != 0
+        assert nonzero >= 10, model.name
+
+
 # ----------------------------------------------------------------------
 # base evaluations on the line
 
@@ -666,8 +711,9 @@ def test_non_integral_divisor_pairing_gives_the_same_values(p2):
             assert half.two_point_general(d1, x, d2, y, beta) == want, (beta, d1, d2)
             checked += want != 0
     assert checked >= 30
-    assert half._g0[(1,)] == Fraction(1, 2) and type(half._g0[(1,)]) is Fraction
-    assert base._g0[(1,)] == 1 and type(base._g0[(1,)]) is int
+    assert half._g0.cache_info().currsize and base._g0.cache_info().currsize
+    assert half._g0((1,)) == Fraction(1, 2) and type(half._g0((1,))) is Fraction
+    assert base._g0((1,)) == 1 and type(base._g0((1,))) is int
 
 
 @pytest.mark.parametrize("name", ["p1", "p2", "point"])
@@ -721,7 +767,9 @@ def test_the_memo_holds_no_integral_fraction(p1, p2):
         assert int in {type(v) for v in values} <= {int, Fraction}
         assert [v for v in values if type(v) is Fraction and v.denominator == 1] == []
     assert Fraction(1, 4) in p1_engine._memo.values()  # a value that is not integral stays a Fraction
-    assert p2_engine._basis_pairings and {type(p) for p in p2_engine._basis_pairings.values()} == {int}
+    pairings = p2_engine._basis_pairing
+    assert pairings.cache_info().currsize
+    assert {type(pairings(a, beta)) for a in p2.model.basis_of_degree(1) for beta in ((1,), (2,), (3,))} == {int}
 
 
 class _FirstSlotEngine(CorrelatorEngine):

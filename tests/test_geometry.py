@@ -16,6 +16,7 @@ from gwdesc.geometry import (
     load_geometry,
     monomial_to_elementary,
 )
+from gwdesc.exact import NovikovSeries
 from gwdesc.verify import _p3_like_model
 from test_quadric import quadric_model
 
@@ -384,3 +385,34 @@ def test_policy_from_model(p2):
     policy = p2.model.policy(3, max_x_degree=4, max_descendant=2)
     assert policy.beta_weights == (1,)
     assert policy.max_beta_degree == 3
+
+
+def _line_with_integral(value) -> GeometryModel:
+    return GeometryModel(
+        name="line", dimension=1, labels=["one", "h"], degrees=[0, 1], cup_records={("h", "h"): {}},
+        integral={"h": value}, lattice_rank=1, divisor_pairing={"h": [1]}, ample={"h": 1},
+        chern=[{"one": 1}, {"h": 2}],
+    )
+
+
+_SCALAR_ENTRIES = {
+    "class-times-scalar": (lambda m, v: m.basis_class(1) * v, TypeError),
+    "scalar-times-class": (lambda m, v: v * m.basis_class(1), TypeError),
+    "series": (lambda m, v: NovikovSeries(m.policy(1), {(1,): v}), TypeError),
+    "monomial": (lambda m, v: NovikovSeries.monomial(m.policy(1), (1,), v), TypeError),
+    "class_from_map": (lambda m, v: m.class_from_map({"h": v}), ModelError),
+    "integral": (lambda m, v: _line_with_integral(v), ModelError),
+}
+
+
+@pytest.mark.parametrize("entry", list(_SCALAR_ENTRIES))
+def test_python_numbers_become_fractions_only_when_exact(p1, entry):
+    # 0.1 was stored as 3602879701896397/36028797018963968 and True as 1, without a word
+    make, error = _SCALAR_ENTRIES[entry]
+    for bad in (0.1, True):
+        with pytest.raises(error):
+            make(p1.model, bad)
+    for good in (3, Fraction(1, 2)):
+        make(p1.model, good)
+    # class_from_map, which also reads a model's ample, chern and cup results, still takes a rational string
+    assert p1.model.class_from_map({"h": "1/2"}) == Fraction(1, 2) * p1.model.basis_class(1)

@@ -92,6 +92,16 @@ def test_malformed_taut_records_are_gwdesc_errors(records, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [0.5, True, "1/24"])
+def test_taut_table_built_in_python_takes_only_exact_values(p1, value):
+    # a float value made the genus-1 correlator below return the float 1.0
+    with pytest.raises(TableFormatError, match="value must be an int or a Fraction"):
+        TautTable([TautRecord(1, 1, (1,), (), value)])
+    table = TautTable([TautRecord(1, 1, (1,), (), 1)])
+    value = constant_map_correlator(1, [(1, p1.model.unit)], p1.model, table)
+    assert type(value) is Fraction and type(table.lookup(1, 1, [1], [])) is Fraction
+
+
 def test_constant_maps_genus0(p2):
     m = p2.model
     h = m.class_from_map({"h": 1})

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -291,7 +293,7 @@ class ClassKeyedRoute:
         model, policy, gamma0 = self.model, self.policy, self.gamma0
         if d == 0:
             bracket = phase.summed(
-                policy, lambda beta: phase._primary3_multilinear(model, self.table, beta, gamma0, x, y), self._nonzero
+                policy, lambda beta: self.table.three_point(beta, gamma0, x, y), self._nonzero
             )
         else:
             acc = {}
@@ -327,7 +329,7 @@ class JFoldRoute(ClassKeyedRoute):
             else:
                 bracket = phase.summed(
                     policy,
-                    lambda beta: phase._primary3_multilinear(model, self.table, beta, gamma0, shifted_x, y),
+                    lambda beta: self.table.three_point(beta, gamma0, shifted_x, y),
                     self._nonzero,
                 )
             for _ in range(j):
@@ -1405,7 +1407,7 @@ def test_summed_builds_fraction_series_equal_to_the_public_constructor(p2_engine
     h, pt = cls(m, "h"), cls(m, "h2")
     for value in (
         lambda beta: p2_engine.descendant(0, beta, [(1, pt), (0, h), (0, h)]),
-        lambda beta: phase._primary3_multilinear(m, table, beta, h, pt, pt),
+        lambda beta: table.three_point(beta, h, pt, pt),
     ):
         series = phase.summed(policy, value)
         assert series == NovikovSeries(policy, {beta: value(beta) for beta in policy.iter_effective()})
@@ -1553,3 +1555,28 @@ def test_equality_on_one_policy_object_skips_the_field_comparison(p1, monkeypatc
     for left, right in zip(containers(policy), containers(twin)):
         assert left == right
     assert calls
+
+
+def test_engine_and_route_are_freed_by_reference_counting(p2):
+    """The per-class caches close over the model and gamma0, never over the engine or the
+    route, so either is freed as soon as its last reference goes, with the cycle collector off."""
+    m = p2.model
+    h, pt = cls(m, "h"), cls(m, "h2")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = CorrelatorEngine(m, p2.primary)
+        assert engine.two_point(1, pt, h, (1,)) == 1
+        assert engine.primary((2,), [pt] * 5) == 1
+        assert engine.one_point(1, pt, (1,), route="dilaton") == engine.one_point(1, pt, (1,))
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+        route = phase._PrimaryTwoPoint(m, p2.primary, m.policy(3))
+        assert not route.series(3, pt, pt).is_zero()
+        freed = weakref.ref(route)
+        del route
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
