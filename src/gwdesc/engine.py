@@ -301,9 +301,10 @@ class CorrelatorEngine:
         The divisor route solves the divisor relation with gamma0,
         <gamma0·ins> = (gamma0·beta)<ins> + sum_i <ins, slot i lowered to tau_{d_i-1}(gamma0 ∪ a_i)>,
         for <ins>.  For two-point values the gamma0 side is a three-mark lowering step,
-        ``_gen_apply_relation`` called directly (two frames per level of the chain);
-        for fewer marks it is unstable again.  Below two marks the dilaton route
-        divides <tau_1(1)·ins> by the dilaton factor 2g-2+n = n-2 instead.
+        ``_gen_apply_relation`` called directly (two frames per level of the chain), or with
+        no positive level the base case ``_primary``; for fewer marks it is unstable again.
+        Below two marks the dilaton route divides <tau_1(1)·ins> by the dilaton factor
+        2g-2+n = n-2 instead.
         """
         if not any(beta):
             return 0
@@ -324,8 +325,7 @@ class CorrelatorEngine:
             if n == 2:
                 j = next((p for p, (d, _, _) in enumerate(with_divisor) if d >= 1), None)
                 if j is None:
-                    basis = self.model.basis_class
-                    value = self.primary_table.three_point(beta, *(basis(a) for _, _, a in with_divisor))
+                    value = self._primary(beta, tuple(a for _, _, a in with_divisor))
                 else:
                     value = self._gen_apply_relation(beta, with_divisor, j)
             else:

@@ -40,11 +40,13 @@ class TableFormatError(GwdescError, ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational; a zero q is a RationalFormatError."""
+    """Parse "p/q" (or "p") into an exact rational; other text, or a zero q, is a RationalFormatError."""
     try:
         return Fraction(str(text).strip())
     except ZeroDivisionError:
         raise RationalFormatError(f"rational {text!r} has a zero denominator") from None
+    except ValueError:
+        raise RationalFormatError(f"{text!r} is not a rational \"p/q\" or \"p\"") from None
 
 
 def json_int(value, what: str) -> int:
@@ -112,11 +114,43 @@ def beta_splittings(beta: CurveClass) -> Iterator[tuple[CurveClass, CurveClass]]
         yield left, tuple(c - l for c, l in zip(beta, left))
 
 
-class _Frozen:
-    """Base of the frozen value classes: ``__init__`` writes the fields to ``__dict__``,
-    and assigning or deleting an attribute afterwards raises AttributeError.  A
-    ``cached_property`` still fills in, since it writes to ``__dict__`` too, and copy
-    and pickle restore ``__dict__`` the same way."""
+def _slots_repr(self) -> str:
+    """The ``Name(field=value, ...)`` repr over a class's ``_FIELD_NAMES`` when it has
+    them (a :class:`_Frozen` value), else over its ``__slots__``."""
+    names = getattr(self, "_FIELD_NAMES", None) or self.__slots__
+    return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+
+class _Value:
+    """Base of the value types: equal when of one class with equal ``_fields()`` tuples, the
+    same object at once without reading them; any other class gets NotImplemented.  Defining
+    ``__eq__`` sets ``__hash__`` to None, so only a :class:`_Frozen` value is hashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other is self:  # the common case: series of one window share its policy
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+
+class _Frozen(_Value):
+    """Base of the frozen value types, each naming its fields in ``_FIELD_NAMES``: ``__init__``
+    writes them to ``__dict__``, and assigning or deleting an attribute afterwards raises
+    AttributeError; a ``cached_property`` still fills in through ``__dict__``, which copy and
+    pickle restore.  It hashes as its field tuple, hashed once, and reprs by :func:`_slots_repr`."""
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELD_NAMES)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # a Fraction re-derives its hash on every call
+        return hash(self._fields())
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,10 +158,7 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-def _slots_repr(self) -> str:
-    """The ``Name(field=value, ...)`` repr over the fields in ``__slots__``."""
-    return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
+    __repr__ = _slots_repr
 
 
 class TruncationPolicy(_Frozen):
@@ -140,6 +171,8 @@ class TruncationPolicy(_Frozen):
     operation, so truncation commutes with the ring structure.  A policy is
     a frozen value that equals and hashes as the tuple of its four fields.
     """
+
+    _FIELD_NAMES = ("beta_weights", "max_beta_degree", "max_x_degree", "max_descendant")
 
     def __init__(
         self, beta_weights: Sequence[int], max_beta_degree: int, max_x_degree: int = 0, max_descendant: int = 0
@@ -154,29 +187,6 @@ class TruncationPolicy(_Frozen):
             max_beta_degree=max_beta_degree,
             max_x_degree=max_x_degree,
             max_descendant=max_descendant,
-        )
-
-    def _fields(self) -> tuple:
-        return (self.beta_weights, self.max_beta_degree, self.max_x_degree, self.max_descendant)
-
-    def __eq__(self, other) -> bool:
-        if other is self:  # the common case: series of one window share its policy
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"TruncationPolicy(beta_weights={self.beta_weights!r}, max_beta_degree={self.max_beta_degree!r}, "
-            f"max_x_degree={self.max_x_degree!r}, max_descendant={self.max_descendant!r})"
         )
 
     @property
@@ -222,7 +232,7 @@ class TruncationPolicy(_Frozen):
         return iter(self.degrees)
 
 
-class NovikovSeries:
+class NovikovSeries(_Value):
     """Truncated exact series with one monomial q^beta per effective class.
 
     Instances are immutable by convention: every operation returns a new
@@ -323,10 +333,8 @@ class NovikovSeries:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NovikovSeries):
-            return NotImplemented
-        return self.policy == other.policy and self._terms == other._terms
+    def _fields(self) -> tuple:
+        return (self.policy, self._terms)
 
     def __str__(self) -> str:
         if not self._terms:

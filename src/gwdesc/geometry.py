@@ -41,25 +41,28 @@ class ModelError(GwdescError, ValueError):
     """A geometry input failed to load or validate."""
 
 
+def _check_rank(rank: int, *classes: CohClass) -> None:
+    """Raise ModelError unless each class has ``rank`` coefficients, never read one off the wrong indices."""
+    for x in classes:
+        if len(x.coeffs) != rank:
+            raise ModelError(f"a class of rank {len(x.coeffs)} where rank {rank} is needed")
+
+
 class CohClass(_Frozen):
     """Cohomology class as an exact coefficient vector over the model basis; a frozen
-    value that equals and hashes as its coefficient tuple."""
+    value whose one field is its coefficient tuple."""
+
+    _FIELD_NAMES = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         self.__dict__["coeffs"] = coeffs
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"CohClass(coeffs={self.coeffs!r})"
-
     def __add__(self, other: CohClass) -> CohClass:
+        _check_rank(len(self.coeffs), other)
         return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: CohClass) -> CohClass:
+        _check_rank(len(self.coeffs), other)
         return CohClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> CohClass:
@@ -85,14 +88,6 @@ class CohClass(_Frozen):
         # computed once per instance; cached_property writes to __dict__, past the
         # frozen __setattr__, and equality and hashing read only coeffs
         return tuple(i for i, a in enumerate(self.coeffs) if a)
-
-    def __hash__(self) -> int:
-        # hash((coeffs,)), formed once: a Fraction re-derives its hash on every call
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.coeffs,))
 
     @cached_property
     def parts(self) -> tuple[tuple[int | Fraction, int], ...]:
@@ -257,6 +252,7 @@ class GeometryModel:
     # algebra
 
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
+        _check_rank(self.rank, x, y)
         # Fraction is immutable, so every slot may start from one shared zero
         out = [_ZERO] * self.rank
         y_coeffs, y_support = y.coeffs, y.support()
@@ -277,6 +273,7 @@ class GeometryModel:
         return out
 
     def integrate(self, x: CohClass) -> Fraction:
+        _check_rank(self.rank, x)
         return sum((c * w for c, w in zip(x.coeffs, self._integral)), Fraction(0))
 
     def eta(self, x: CohClass, y: CohClass) -> Fraction:

@@ -23,6 +23,7 @@ from .exact import (
     TruncationPolicy,
     _accumulate,
     _accumulate_product,
+    _Value,
     _slots_repr,
     antiderivative_q,
     beta_is_zero,
@@ -153,8 +154,7 @@ class _PrimaryTwoPoint:
         self._products: list[list[tuple[int, dict[CurveClass, Fraction]]]] = []
 
     def series(self, d: int, x: CohClass, y: CohClass) -> NovikovSeries:
-        if d < 0:
-            raise ValueError("descendant exponents must be non-negative")
+        _check_levels(((d, 0, x),))
         while len(self._levels) <= d:
             self._levels.append(self._next_level() if self._levels else self._level_zero())
         level = self._levels[d]
@@ -210,7 +210,7 @@ class _PrimaryTwoPoint:
 # the triangular coordinate change
 
 
-class PhaseTransform:
+class PhaseTransform(_Value):
     """Linear change of phase-space coordinates with series entries.
 
     Stored as sparse rows over the finite index window: the row of an output
@@ -299,10 +299,8 @@ class PhaseTransform:
             return None
         return inverse if self.compose(inverse).is_identity() else None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhaseTransform):
-            return NotImplemented
-        return self.policy == other.policy and self.basis_rank == other.basis_rank and self._rows == other._rows
+    def _fields(self) -> tuple:
+        return (self.policy, self.basis_rank, self._rows)
 
     def to_records(self, model: GeometryModel) -> list[dict]:
         out = []
@@ -349,7 +347,7 @@ def build_transform(engine: CorrelatorEngine, policy: TruncationPolicy) -> Phase
 # potentials
 
 
-class PotentialSeries:
+class PotentialSeries(_Value):
     """Multiset-keyed polynomial with exact series coefficients.
 
     A key is a sorted tuple of (level, basis index) pairs (the constructor sorts the keys it is
@@ -417,14 +415,8 @@ class PotentialSeries:
     def is_zero(self) -> bool:
         return not self._numerators
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PotentialSeries):
-            return NotImplemented
-        return (
-            self.policy == other.policy
-            and self._denominator == other._denominator
-            and self._numerators == other._numerators
-        )
+    def _fields(self) -> tuple:
+        return (self.policy, self._denominator, self._numerators)
 
     def difference(self, other: PotentialSeries) -> list[tuple[tuple[PhaseIndex, ...], NovikovSeries]]:
         """Nonzero coefficients of self - other, canonically ordered."""

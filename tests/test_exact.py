@@ -50,6 +50,15 @@ def test_parse_and_format_rational():
     assert format_rational(Fraction(-3)) == "-3"
 
 
+@pytest.mark.parametrize("text", ["x", "1/x", ""])
+def test_text_that_is_not_a_rational_is_a_rational_format_error(p1, text):
+    # it was a plain ValueError, so class_from_map raised no GwdescError
+    with pytest.raises(RationalFormatError, match=f"^{text!r} is not a rational"):
+        parse_rational(text)
+    with pytest.raises(GwdescError, match=f"^{text!r} is not a rational"):
+        p1.model.class_from_map({"h": text})
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         TruncationPolicy(beta_weights=(0,), max_beta_degree=2)

@@ -59,3 +59,21 @@ def test_every_export_has_a_caller_in_the_package():
     assert sorted(checked - found - UNCALLED) == []
     # an allowlisted name that gained a caller, or left the exports, leaves the list
     assert sorted(UNCALLED & found) == [] and UNCALLED <= set(gwdesc.__all__)
+
+
+def test_equality_and_hash_are_each_defined_once():
+    # every value type takes equality from _Value and a hash from _Frozen, so "equal"
+    # has one meaning across the package
+    defined: dict[str, list[str]] = {"__eq__": [], "__hash__": []}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name in defined:
+                        defined[item.name].append(node.name)
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                        for target in targets:
+                            if isinstance(target, ast.Name) and target.id in defined:
+                                defined[target.id].append(node.name)
+    assert defined == {"__eq__": ["_Value"], "__hash__": ["_Frozen"]}

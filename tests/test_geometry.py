@@ -37,6 +37,23 @@ def test_integrate(p2):
     assert m.integrate(m.unit) == 0
 
 
+def test_a_class_of_another_rank_is_a_model_error(p1, p2):
+    # a sum returned P1's h, a P1 cup raised IndexError, and a P2 cup and a P1 integral
+    # read the class off the wrong indices
+    m1, m2 = p1.model, p2.model
+    h1, h2 = m1.ample, m2.basis_class(2)
+    for call, wrong, needed in (
+        (lambda: h1 + h2, 3, 2),
+        (lambda: h1 - h2, 3, 2),
+        (lambda: m1.cup(h1, h2), 3, 2),
+        (lambda: m2.cup(h1, h2), 2, 3),
+        (lambda: m1.integrate(h2), 3, 2),
+    ):
+        with pytest.raises(ModelError, match=f"^a class of rank {wrong} where rank {needed} is needed$"):
+            call()
+    assert h1 + h1 == 2 * h1 and (h1 - h1).is_zero() and m2.cup(h2, m2.unit) == h2
+
+
 def test_dual_bases(p1, p2):
     d1 = p1.model.dual_basis()
     assert d1[0] == p1.model.class_from_map({"h": 1})

@@ -14,6 +14,7 @@ from test_quadric import quadric_model, quadric_table
 from test_verify import RESCALED_PLANE, _rescaled_table
 
 from gwdesc import CorrelatorEngine, GeometryModel, PrimaryTable, UnsupportedQueryError
+from gwdesc.geometry import CohClass
 from gwdesc.exact import NovikovSeries, PolicyMismatchError, TruncationPolicy, _accumulate, _accumulate_product
 from gwdesc import phase
 from gwdesc.phase import (
@@ -1555,6 +1556,45 @@ def test_equality_on_one_policy_object_skips_the_field_comparison(p1, monkeypatc
     for left, right in zip(containers(policy), containers(twin)):
         assert left == right
     assert calls
+
+
+# each value type, built from P1 and a policy, with its repr when the test pins one
+VALUE_TYPES = [
+    (lambda m, policy: m.class_from_map({"h": 1}), "CohClass(coeffs=(Fraction(0, 1), Fraction(1, 1)))"),
+    (
+        lambda m, policy: m.policy(2, max_descendant=1),
+        "TruncationPolicy(beta_weights=(1,), max_beta_degree=2, max_x_degree=0, max_descendant=1)",
+    ),
+    (lambda m, policy: NovikovSeries.monomial(policy, (1,), 3), "NovikovSeries(3·q^[1])"),
+    (lambda m, policy: PotentialSeries(policy, {((0, 1),) * 3: NovikovSeries.monomial(policy, (1,), 3)}), None),
+    (lambda m, policy: PhaseTransform.identity(policy, m.rank), None),
+]
+
+
+@pytest.mark.parametrize("position", range(len(VALUE_TYPES)))
+def test_value_types_share_one_equality_rule(p1, monkeypatch, position):
+    m, policy = p1.model, p1.model.policy(2, max_descendant=1)
+    make, expected_repr = VALUE_TYPES[position]
+    value, twin = make(m, policy), make(m, policy)
+    kind = type(value)
+    assert twin is not value and twin == value and value == twin
+    frozen = kind in (CohClass, TruncationPolicy)
+    if frozen:
+        assert hash(twin) == hash(value) == hash(value._fields())
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    if expected_repr is not None:
+        assert repr(value) == expected_repr
+    fields = value._fields()
+    other = VALUE_TYPES[(position + 1) % len(VALUE_TYPES)][0](m, policy)
+    for unlike in (fields, other):
+        assert value != unlike and unlike != value
+    calls = []
+    read = kind._fields
+    monkeypatch.setattr(kind, "_fields", lambda self: calls.append(self) or read(self))
+    assert value == value and calls == []
+    assert value == twin and calls
 
 
 def test_engine_and_route_are_freed_by_reference_counting(p2):
