@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .exact import (
-    CurveClass, GwdescError, TableFormatError, TruncationPolicy, beta_splittings, format_rational, is_exact,
+    CurveClass, GwdescError, TableFormatError, TruncationPolicy, beta_splittings, check_ints, format_rational, is_exact,
     json_int_list, json_rational, narrow,
 )
 from .geometry import CohClass, GeometryModel, ModelError
@@ -64,10 +64,11 @@ Insertion = tuple[int, int, int]  # (d, e, basis index)
 
 
 def _check_levels(marks: Sequence[tuple[int, int, object]]) -> None:
-    """Raise ValueError unless every mark's cotangent power d and pulled-back power e,
-    (d, e, class) per mark, is non-negative: a negative level is an input error, never 0."""
+    """Raise TypeError unless every mark's cotangent power d and pulled-back power e, (d, e,
+    class) per mark, is an int, and ValueError unless it is non-negative: an input error, never 0."""
     for d, e, _ in marks:
-        if d < 0 or e < 0:
+        if type(d) is not int or type(e) is not int or d < 0 or e < 0:
+            check_ints("a descendant exponent", d, e)
             raise ValueError("descendant exponents must be non-negative")
 
 
@@ -233,7 +234,8 @@ class CorrelatorEngine:
         beta = tuple(beta)
         if len(beta) != self.model.lattice_rank:
             raise ModelError(f"curve class {beta!r} has rank != {self.model.lattice_rank}")
-        if any(b < 0 for b in beta):
+        if not all(type(b) is int and b >= 0 for b in beta):
+            check_ints("a curve class entry", *beta)
             raise ValueError("curve classes must be effective")
         return beta
 
@@ -519,14 +521,16 @@ class CorrelatorEngine:
     def descendant(self, g: int, beta: CurveClass, pairs: Sequence[tuple[int, CohClass]]) -> Fraction:
         """Conventional descendant correlator, dispatching on (g, beta, n)."""
         beta = self._effective(beta)
-        if g < 0:
+        if type(g) is not int or g < 0:
+            check_ints("genus", g)
             raise ValueError("genus must be non-negative")
         if g >= 1 and any(beta):
             raise UnsupportedQueryError("out of scope: positive genus needs curve class zero here")
+        triples = [(d, 0, cls) for d, cls in pairs]
         if not any(beta):
+            _check_levels(triples)  # the closed form takes a level as given; _sum checks the others
             return constant_map_correlator(g, list(pairs), self.model, self.taut)
-        value = self._gen if len(pairs) >= 3 else self._unstable
-        return self._sum(beta, [(d, 0, cls) for d, cls in pairs], value)
+        return self._sum(beta, triples, self._gen if len(pairs) >= 3 else self._unstable)
 
     def generalized(
         self,

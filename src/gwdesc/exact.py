@@ -88,6 +88,14 @@ def is_exact(value) -> bool:
     return type(value) is int or isinstance(value, Fraction)
 
 
+def check_ints(what: str, *values) -> None:
+    """Raise TypeError naming ``what`` unless every value is an int: an integer parameter given
+    in Python is never a float or a bool, as a rational is never one (:func:`is_exact`)."""
+    for value in values:
+        if type(value) is not int:
+            raise TypeError(f"{what} must be an int, got {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
     """Render an exact rational as "p/q", or "p" when the denominator is 1."""
     return str(value)
@@ -178,6 +186,7 @@ class TruncationPolicy(_Frozen):
         self, beta_weights: Sequence[int], max_beta_degree: int, max_x_degree: int = 0, max_descendant: int = 0
     ) -> None:
         beta_weights = tuple(beta_weights)  # a list would neither hash nor equal its tuple
+        check_ints("a truncation bound or lattice weight", *beta_weights, max_beta_degree, max_x_degree, max_descendant)
         if any(w < 1 for w in beta_weights):
             raise ValueError("every lattice generator needs ample degree >= 1")
         if min(max_beta_degree, max_x_degree, max_descendant) < 0:

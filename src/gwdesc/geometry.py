@@ -21,6 +21,7 @@ from .exact import (
     GwdescError,
     TruncationPolicy,
     _Frozen,
+    check_ints,
     format_rational,
     invert_matrix,
     is_exact,
@@ -179,6 +180,8 @@ class GeometryModel:
                 if label not in self._index:
                     raise ModelError(f"{field}: unknown basis label {label!r}")
         self._integral = self.class_from_map(integral).coeffs
+        for label, row in divisor_pairing.items():  # so D·beta is an int at every class
+            check_ints(f"divisor_pairing row {label!r} entry", *row)
         self._pairing_rows = {label: tuple(row) for label, row in divisor_pairing.items()}
         self.ample = self.class_from_map(ample)
         self.chern = tuple(self.class_from_map(c) for c in chern)
@@ -319,6 +322,7 @@ class GeometryModel:
         """Pairing of a degree-1 class with a curve class; linear in both."""
         if len(beta) != self.lattice_rank:
             raise ModelError(f"curve class {beta!r} has rank != {self.lattice_rank}")
+        check_ints("a curve class entry", *beta)
         total = Fraction(0)
         for i in gamma.support():
             if self.degrees[i] != 1:

@@ -446,8 +446,9 @@ class PotentialSeries(_Value):
 
 
 class _KeyTerms:
-    """One key's stored coefficient as :func:`_potential` hands it to :func:`_assemble`: its
-    nonzero int numerators by class (never a zero one) over ``denominator``."""
+    """One key's stored coefficient as :func:`_potential` hands it to :func:`_assemble`: its nonzero
+    int numerators by class (never a zero one) over ``denominator``, which every key shares.
+    It and the per-key call remain because the benchmark tracer counts keys through :func:`_assemble`."""
 
     __slots__ = ("numerators", "denominator")
 
@@ -475,18 +476,13 @@ def _multiplicity_factor(key: tuple[PhaseIndex, ...]) -> int:
 def _assemble(policy: TruncationPolicy, keys: Sequence[tuple[PhaseIndex, ...]], correlator) -> PotentialSeries:
     """Potential over the monomials ``keys``, asked for in their order: ``correlator(key)``
     is the key's stored coefficient as a :class:`_KeyTerms`, its summed correlator over its
-    multiplicity factor (see :func:`_potential`); empty ones are dropped, and the keys are
-    put over the lcm of their denominators."""
-    coeffs = {}
+    multiplicity factor (see :func:`_potential`), every one over the same denominator; empty
+    ones are dropped."""
+    numerators, denominator = {}, 1
     for key in keys:
         terms = correlator(key)
         if terms.numerators:
-            coeffs[key] = terms
-    denominator = lcm(*{terms.denominator for terms in coeffs.values()})
-    numerators = {}
-    for key, terms in coeffs.items():
-        scale = denominator // terms.denominator
-        numerators[key] = terms.numerators if scale == 1 else {beta: n * scale for beta, n in terms.numerators.items()}
+            numerators[key], denominator = terms.numerators, terms.denominator
     return PotentialSeries._from_numerators(policy, numerators, denominator)
 
 
@@ -533,9 +529,10 @@ def _potential(
     A descendant key of four or more marks with a string, dilaton or divisor insertion takes its
     series from the keys of one fewer mark (:func:`_axiom_reduction`), which :func:`_assemble`
     asks for first; the engine sums every other key up front, over the lcm D of its values.  The
-    numerators are held in one {key code: numerator} table per window class, and a key is stored
-    over D·N!, N = max_x_degree, scaled by the int N!/(multiplicity factor); the Fractions of a
-    reduction with a cup part or pairing not integral are lifted to their lcm."""
+    numerators are held in one {key code: numerator} table per window class over D·q^(N-3),
+    N = max_x_degree and q the lcm of the denominators of the cup parts of the basis classes of
+    degree 0 and 1 (1 on P1, P2 and the quadric), and every key is stored over D·q^(N-3)·N!,
+    scaled by the int N!/(multiplicity factor), so the reduction runs on ints alone."""
     keys, codes = _admissible_keys(engine, policy, indices, modified)
     slot, reduce = (None, None) if modified else _axiom_reduction(engine.model, policy)
     slots = {code: at for key, code in zip(keys, codes) if (at := slot(key)) is not None} if slot else {}  # the reduced keys
@@ -548,6 +545,9 @@ def _potential(
             if terms := {beta: value for beta in classes if (value := engine._core(beta, core))}:
                 built[code] = terms
     denominator = lcm(*(c.denominator for terms in built.values() for c in terms.values()))
+    if slots:  # q^(N-3): a key of n marks is then divisible by q^(N-n), so each lowering by p/r is exact
+        rows = [row for a, degree in enumerate(engine.model.degrees) if degree <= 1 for row in engine.model._cup_terms[a]]
+        denominator *= lcm(*(c.denominator for row in rows for _, c in row)) ** (policy.max_x_degree - 3)
     for code, terms in built.items():  # in place, so each key's Fractions go as its numerators come
         built[code] = _numerators(terms, denominator)
     # per class, {code: numerator} of the engine keys, and of each reduced key once it is formed
@@ -563,12 +563,7 @@ def _potential(
         if not terms:
             return _NO_TERMS
         scale = top // _multiplicity_factor(key)
-        numerators = {beta: n * scale for beta, n in terms.items()}
-        if at is not None and not all(type(n) is int for n in numerators.values()):
-            # a reduction with a cup part or a pairing that is not integral: lift its Fractions
-            lift = lcm(*(n.denominator for n in numerators.values()))
-            return _KeyTerms({beta: int(n * lift) for beta, n in numerators.items()}, denominator * lift)
-        return _KeyTerms(numerators, denominator)
+        return _KeyTerms({beta: n * scale for beta, n in terms.items()}, denominator)
 
     return _assemble(policy, keys, correlator)
 
@@ -588,8 +583,10 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
 
     ``tables`` holds per class the numerators of the keys with one fewer mark by code (a missing
     code reads as zero); X and each lowered key are coded once, and each class sums int lookups.
-    X has at least three marks, so it is stable at every class.  The nonzero sums (ints where the
-    cup parts and pairings are integral) are returned by class and written into ``tables``."""
+    X has at least three marks, so it is stable at every class.  A cup part c = p/r multiplies a
+    numerator n as p·(n // r): the caller holds the numerators over a denominator that makes the
+    division exact (see :func:`_potential`), and D·β is an int, so each nonzero sum is an int.
+    The sums are returned by class and written into ``tables``."""
     units = model.basis_of_degree(0)
     units = units if len(units) == 1 else ()  # the unit is the one degree-0 basis element
     divisors = model.basis_of_degree(1)
@@ -615,20 +612,20 @@ def _axiom_reduction(model: GeometryModel, policy: TruncationPolicy):
         d_s, a_s = idx_s = key[at]
         rest = code - weight[idx_s]  # the code of X
         if d_s:
-            pairing, lowered = None, [(rest, len(key) - 3)]
+            pairing, lowered = None, [(rest, len(key) - 3, 1)]
         else:
             pairing, lowering, lowered = pairings.get(a_s), lowerings[a_s], []  # no pairing for the unit
             for idx in dict.fromkeys(key):  # the m slots of one index in X, m its digit, lower to one key
                 if (entry := lowering.get(idx)) is not None and (m := rest // entry[0] % base):
                     for c, offset in entry[1]:
-                        lowered.append((rest + offset, c * m))
+                        lowered.append((rest + offset, c.numerator * m, c.denominator))
         out = {}
         for beta in classes:
             table = tables[beta]
             total = pairing[beta] * table.get(rest, 0) if pairing else 0
-            for lowered_code, c in lowered:
+            for lowered_code, p, r in lowered:
                 if (n := table.get(lowered_code)) is not None:
-                    total += c * n
+                    total += p * (n // r)
             if total:
                 table[code] = out[beta] = total
         return out
@@ -665,12 +662,15 @@ def compose_with_transform(potential: PotentialSeries, transform: PhaseTransform
     window's C classes.  A row entry is its input's weight B^pos·C and, per term, its numerator
     and the shift of each class index i (None past the window), so a step adds ints into one dict
     entry per term; the outputs are split by ``divmod`` and their codes decoded.  Raises
-    PolicyMismatchError when a row the potential uses holds an entry over another policy."""
+    PolicyMismatchError when a row the potential uses holds an entry over another policy, and
+    ValueError when a key's index lies outside the transform's window, where it has no row."""
     policy = potential.policy
     coeffs = potential._numerators
     used = {idx: transform._rows.get(idx, {}) for key in coeffs for idx in key}
     if any(entry.policy != policy for row in used.values() for entry in row.values()):
         raise PolicyMismatchError("transform built over a different truncation policy")
+    if outside := used.keys() - set(phase_indices(transform.policy, transform.basis_rank)):
+        raise ValueError(f"index {min(outside)} lies outside the transform's window, where it has no row")
     dt = lcm(*(c.denominator for row in used.values() for entry in row.values() for c in entry._terms.values()))
     top = max(map(len, coeffs), default=0)
     inputs = sorted({inp for row in used.values() for inp in row})

@@ -16,7 +16,8 @@ from gwdesc.geometry import (
     load_geometry,
     monomial_to_elementary,
 )
-from gwdesc.exact import NovikovSeries
+from gwdesc.engine import CorrelatorEngine
+from gwdesc.exact import NovikovSeries, TruncationPolicy
 from gwdesc.verify import _p3_like_model
 from test_quadric import quadric_model
 
@@ -433,3 +434,42 @@ def test_python_numbers_become_fractions_only_when_exact(p1, entry):
         make(p1.model, good)
     # class_from_map, which also reads a model's ample, chern and cup results, still takes a rational string
     assert p1.model.class_from_map({"h": "1/2"}) == Fraction(1, 2) * p1.model.basis_class(1)
+
+
+def _line_with_pairing(value) -> GeometryModel:
+    return GeometryModel(
+        name="line", dimension=1, labels=["one", "h"], degrees=[0, 1], cup_records={("h", "h"): {}},
+        integral={"h": 1}, lattice_rank=1, divisor_pairing={"h": [value]}, ample={"h": 1},
+        chern=[{"one": 1}, {"h": 2}],
+    )
+
+
+def _three_marks(m, level=0, power=0):
+    return [(level, power, m.basis_class(2)), (0, 0, m.basis_class(2)), (0, 0, m.basis_class(1))]
+
+
+# (model, engine, value) -> the call; the P2 marks are pt, pt, h
+_INTEGER_ENTRIES = {
+    "max_beta_degree": lambda m, e, v: m.policy(v),
+    "max_x_degree": lambda m, e, v: m.policy(2, max_x_degree=v),
+    "max_descendant": lambda m, e, v: m.policy(2, max_descendant=v),
+    "beta_weights": lambda m, e, v: TruncationPolicy((v,), 2),
+    "curve class": lambda m, e, v: e.descendant(0, (v,), [(d, c) for d, _, c in _three_marks(m)]),
+    "level": lambda m, e, v: e.descendant(0, (1,), [(d, c) for d, _, c in _three_marks(m, level=v)]),
+    "level at the zero class": lambda m, e, v: e.descendant(0, (0,), [(d, c) for d, _, c in _three_marks(m, level=v)]),
+    "pulled-back power": lambda m, e, v: e.generalized((1,), _three_marks(m, power=v)),
+    "genus": lambda m, e, v: e.descendant(v, (0,), [(d, c) for d, _, c in _three_marks(m)]),
+    "beta_pairing": lambda m, e, v: m.beta_pairing(m.basis_class(1), (v,)),
+    "divisor pairing row": lambda m, e, v: _line_with_pairing(v),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+def test_integer_parameters_refuse_floats_and_bools(p2, entry):
+    # 2.0 was read as 2 at first use or never, a class (0.5,) ended in an AttributeError, a
+    # level of 1.5 was a silent 0 and D·(1.5,) the float 1.5; True was taken as 1
+    make, engine = _INTEGER_ENTRIES[entry], CorrelatorEngine(p2.model, p2.primary)
+    for bad in (2.0, 1.5, True):
+        with pytest.raises(TypeError, match="must be an int"):
+            make(p2.model, engine, bad)
+    make(p2.model, engine, 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -874,14 +875,15 @@ def _fraction_reference_potential(engine, policy, indices):
 
 @pytest.mark.parametrize("variant", ["ample", "3-ample", "unchecked"])
 @pytest.mark.parametrize(
-    "name, window", [("P1", (3, 6, 4)), ("P2", (3, 5, 3)), ("quadric", (2, 4, 2)), ("P2-rescaled", (3, 5, 3))]
+    "name, window",
+    [("P1", (3, 6, 4)), ("P2", (3, 5, 3)), ("quadric", (2, 4, 2)), ("P2-rescaled", (3, 5, 3)), ("P2-sevenths", (3, 5, 3))],
 )
 def test_integer_reduction_matches_the_fraction_reference(p1, p2, name, window, variant):
     """The standard and primary potentials, reduced over integer numerators on one common
     denominator, equal the per-key Fraction reduction in value and in order, and ask the
-    engine for the same memo entries.  On the rescaled plane h∪h = p/2, so the string and
-    divisor lowerings leave Fraction numerators; the other variants rescale the engine's
-    reduction divisor or switch its dimension screen off."""
+    engine for the same memo entries.  On the rescaled planes h∪h = p/2 or p/7, so the string
+    and divisor lowerings multiply by a cup part that is not integral; the other variants
+    rescale the engine's reduction divisor or switch its dimension screen off."""
     if name == "P2-rescaled":
         model = GeometryModel.from_dict(RESCALED_PLANE)
         table = PrimaryTable.from_records(model, _rescaled_table("4"))
@@ -901,10 +903,50 @@ def test_integer_reduction_matches_the_fraction_reference(p1, p2, name, window, 
         assert not potential.is_zero()
         assert potential == reference
         assert [(k, s.items()) for k, s in potential.items()] == [(k, s.items()) for k, s in reference.items()]
-        # the canonical form holds ints only, the rescaled plane's Fraction numerators lifted
+        # the canonical form holds ints only, on the rescaled planes too
         assert all(type(n) is int for terms in potential._numerators.values() for n in terms.values())
         # the first build ran on fresh engines, the second adds what it asks beyond the first's
         assert engine._memo.keys() == reference_engine._memo.keys()
+
+
+@pytest.mark.parametrize("name", ["P2-rescaled", "P2-sevenths"])
+def test_the_axiom_reduction_writes_only_ints(p1, p2, monkeypatch, name):
+    """On the rescaled planes h∪h = p/2 or p/7, so a string or divisor lowering multiplies by
+    a cup part that is not integral; over the one denominator D·q^(N-3) every value the
+    reduction writes is still an int, also where a 5-mark key chains two lowerings."""
+    model, table = _model_and_table(p1, p2, name)
+    assert {c for c, _ in model.cup(model.basis_class(1), model.basis_class(1)).parts} == {
+        Fraction(1, 2 if name == "P2-rescaled" else 7)
+    }
+    policy = model.policy(3, max_x_degree=5, max_descendant=3)
+    original, written = phase._axiom_reduction, {}
+
+    def recording_reduction(model, policy):
+        slot, reduce = original(model, policy)
+
+        def recording_reduce(key, code, at, classes, tables):
+            out = reduce(key, code, at, classes, tables)
+            written[key] = [tables[beta][code] for beta in out] + list(out.values())
+            return out
+
+        return slot, recording_reduce
+
+    monkeypatch.setattr(phase, "_axiom_reduction", recording_reduction)
+    potential_standard(CorrelatorEngine(model, table), policy)
+    assert any(len(key) == 5 for key in written)
+    assert {type(n) for values in written.values() for n in values} == {int}
+
+
+@pytest.mark.parametrize("idx", [(5, 0), (0, 7)])
+def test_compose_refuses_an_index_outside_the_transform_window(p2_engine, p2, idx):
+    """A key whose index lies outside the transform's window, a level above it or a basis
+    index past the rank, has no row there: compose raises ValueError naming the index,
+    where the key was dropped and the potential composed to zero."""
+    policy = p2.model.policy(1, max_x_degree=3, max_descendant=1)
+    transform = build_transform(p2_engine, policy)
+    potential = PotentialSeries(policy, {(idx, (0, 1), (0, 2)): NovikovSeries.one(policy)})
+    with pytest.raises(ValueError, match=re.escape(f"index {idx} lies outside")):
+        compose_with_transform(potential, transform)
 
 
 def test_the_common_denominator_spans_engine_keys_of_every_length(p2):
@@ -925,6 +967,9 @@ def _model_and_table(p1, p2, name):
     if name == "quadric":
         model = quadric_model()
         return model, quadric_table(model)
+    if name in ("P2-rescaled", "P2-sevenths"):
+        model = GeometryModel.from_dict(RESCALED_PLANE if name == "P2-rescaled" else SEVENTHS_PLANE)
+        return model, PrimaryTable.from_records(model, _rescaled_table("4" if name == "P2-rescaled" else "1"))
     fixture = p1 if name == "P1" else p2
     return fixture.model, fixture.primary
 
@@ -1351,8 +1396,8 @@ def _fraction_records(potential, model):
 
 
 # the plane with p = 7·pt and a table entry <h p p>_1 = 1 that is not scaled with it (49 would
-# be): a key's numerators over the engine keys' common denominator times 4! keep sevenths at
-# (2,4,2), so the assembly lifts that key into the denominator
+# be): a key's numerators over the engine keys' common denominator times 4! would keep sevenths
+# at (2,4,2), so the reduction holds every key over that denominator times 7
 SEVENTHS_PLANE = {
     **RESCALED_PLANE,
     "name": "P2-sevenths",
@@ -1367,8 +1412,8 @@ def test_records_match_the_fraction_rendering(name):
     """``to_records`` renders each term from its numerator and the denominator exactly as the
     Fraction renders.  On the quadric's rank-2 lattice the window's order puts the class
     (1,0) before (0,2), which sorting the classes would not; on the rescaled planes the
-    reduction leaves Fraction numerators, which the assembly lifts into the denominator, and
-    the standard potential equals the per-key Fraction reduction."""
+    reduction lowers by cup parts that are not integral, and the standard potential equals
+    the per-key Fraction reduction."""
     if name == "quadric":
         model = quadric_model()
         table = quadric_table(model)
